@@ -4,11 +4,12 @@ and a deterministic Monte Carlo benchmark harness."""
 
 from .errors import ConvergenceError, IdentifiabilityError, InputError, LabelShiftError
 from .simplex import (
-    LabeledSample,
+    LabeledPredictions,
     PredictorTable,
     ProbVector,
     WeightVector,
     grouped_table,
+    normalized_rows,
     project_to_weight_simplex,
     weights_to_target_marginal,
 )

@@ -8,7 +8,14 @@ import numpy as np
 
 from .errors import ConvergenceError, InputError
 from .confusion import ConfusionMatrix
-from .simplex import LabeledSample, PredictorTable, ProbVector, grouped_table
+from .simplex import (
+    LabeledPredictions,
+    PredictorTable,
+    ProbVector,
+    group_rows,
+    grouped_table,
+    normalized_rows,
+)
 
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
@@ -50,16 +57,21 @@ class BctsFit:
 
 @dataclass(frozen=True)
 class CalibrationReport:
-    """Canonical calibration error and the per-group table behind it."""
+    """Canonical calibration error and the per-group table behind it: the
+    distinct outputs (g, k), the mean one-hot label of each group (g, k) and
+    each group's share of the rows (g,)."""
 
     calibration_error: float
-    per_group: tuple  # of (output ProbVector, label-mean ProbVector, mass)
+    outputs: np.ndarray
+    label_means: np.ndarray
+    masses: np.ndarray
 
 
-def clip_probs(entries, eps: float = 1e-12) -> ProbVector:
-    """Clip zero entries to eps and renormalize (for log-domain transforms)."""
-    e = np.maximum(np.asarray(entries, dtype=float), eps)
-    return ProbVector(e / e.sum())
+def clip_probs(rows, eps: float = 1e-12) -> np.ndarray:
+    """Clip entries below eps to eps and renormalize each row (for
+    log-domain transforms)."""
+    p = np.maximum(np.asarray(rows, dtype=float), eps)
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def _bcts_transform(logp: np.ndarray, inv_t: float, b: np.ndarray) -> np.ndarray:
@@ -70,18 +82,16 @@ def _bcts_transform(logp: np.ndarray, inv_t: float, b: np.ndarray) -> np.ndarray
 
 
 def bcts_apply(params: BctsParams, output: ProbVector) -> ProbVector:
-    """softmax(log(output)/T + b). Requires strictly positive entries."""
+    """softmax(log(output)/T + b) of one vector. Requires strictly positive entries."""
     if np.any(output.entries <= 0):
         raise InputError("bcts_apply requires strictly positive probabilities (pre-clip zeros)")
-    g = _bcts_transform(np.log(output.entries), 1.0 / params.temperature, params.biases)
-    return ProbVector.normalized(g, tol=1e-9)
+    return ProbVector.normalized(bcts_apply_matrix(params, output.entries), tol=1e-9)
 
 
 def bcts_apply_matrix(params: BctsParams, outputs: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    """Vectorized transform of an (n, k) matrix, clipping zeros first."""
-    p = np.maximum(outputs, eps)
-    p = p / p.sum(axis=-1, keepdims=True)
-    return _bcts_transform(np.log(p), 1.0 / params.temperature, params.biases)
+    """softmax(log(p)/T + b) of each row of an (n, k) matrix, clipping zeros first."""
+    logp = np.log(clip_probs(outputs, eps))
+    return _bcts_transform(logp, 1.0 / params.temperature, params.biases)
 
 
 def _bcts_loss_grad(logp, onehot, inv_t, b, loss):
@@ -101,7 +111,9 @@ def _bcts_loss_grad(logp, onehot, inv_t, b, loss):
     return val, grad_inv_t, grad_b
 
 
-def bcts_fit(validation, loss: str = "nll", tol: float = 1e-8, max_iters: int = 10_000) -> BctsFit:
+def bcts_fit(
+    validation: LabeledPredictions, loss: str = "nll", tol: float = 1e-8, max_iters: int = 10_000
+) -> BctsFit:
     """Fit BCTS by full-batch descent on (1/T, b) with backtracking line search.
 
     Deterministic: initialized at the identity (T=1, b=0), Armijo backtracking
@@ -110,17 +122,15 @@ def bcts_fit(validation, loss: str = "nll", tol: float = 1e-8, max_iters: int = 
     """
     if loss not in ("nll", "mse"):
         raise InputError(f"unknown loss: {loss}")
-    samples = list(validation)
-    k = samples[0].output.k
-    if len(samples) < k + 1:
+    n, k = validation.outputs.shape
+    if n < k + 1:
         raise InputError(f"need at least k+1={k + 1} validation samples")
-    labels = np.array([s.label for s in samples])
+    labels = validation.labels
     if np.unique(labels).size < 2:
         raise InputError("validation set is degenerate: only one class present")
-    probs = np.array([clip_probs(s.output.entries).entries for s in samples])
-    logp = np.log(probs)
-    onehot = np.zeros((len(samples), k))
-    onehot[np.arange(len(samples)), labels] = 1.0
+    logp = np.log(clip_probs(validation.outputs))
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), labels] = 1.0
 
     inv_t, b = 1.0, np.zeros(k)
     val, g_t, g_b = _bcts_loss_grad(logp, onehot, inv_t, b, loss)
@@ -165,45 +175,34 @@ def confusion_row_calibrate(confusion: ConfusionMatrix) -> PredictorTable:
     """
     joint = confusion.joint
     row_sums = joint.sum(axis=1)
-    for i, s in enumerate(row_sums):
-        if s <= 0:
-            raise InputError(f"confusion row for prediction {i} has zero mass")
+    if np.any(row_sums <= 0):
+        raise InputError(
+            f"confusion row for prediction {int(np.argmax(row_sums <= 0))} has zero mass"
+        )
     rows = joint / row_sums[:, None]
-    return grouped_table(
-        [ProbVector.normalized(r, tol=1e-9) for r in rows], row_sums, "probability"
-    )
+    return grouped_table(normalized_rows(rows, tol=1e-9), row_sums, "probability")
 
 
-def estimate_calibration_error(samples) -> CalibrationReport:
+def estimate_calibration_error(samples: LabeledPredictions) -> CalibrationReport:
     """Canonical calibration error E(f) = sqrt(E_s ||f - f_c||^2) with f_c the
     empirical label mean per exact-output group."""
-    samples = list(samples)
-    if not samples:
-        raise InputError("calibration error needs at least one sample")
-    k = samples[0].output.k
-    groups: dict[bytes, list] = {}
-    for s in samples:
-        groups.setdefault(s.output.entries.tobytes(), []).append(s)
-    n = len(samples)
-    sq = 0.0
-    per_group = []
-    for members in groups.values():
-        out = members[0].output
-        mean = np.zeros(k)
-        for s in members:
-            mean[s.label] += 1.0
-        mean /= len(members)
-        mass = len(members) / n
-        sq += mass * float(((out.entries - mean) ** 2).sum())
-        per_group.append((out, ProbVector(mean), mass))
-    return CalibrationReport(float(np.sqrt(sq)), tuple(per_group))
+    outputs, labels = samples.outputs, samples.labels
+    n, k = outputs.shape
+    first, group = group_rows(outputs)
+    g = first.size
+    sizes = np.bincount(group, minlength=g).astype(float)
+    label_means = np.bincount(group * k + labels, minlength=g * k).reshape(g, k) / sizes[:, None]
+    masses = sizes / n
+    F = outputs[first]
+    sq = float(masses @ ((F - label_means) ** 2).sum(axis=1))
+    return CalibrationReport(float(np.sqrt(sq)), F, label_means, masses)
 
 
 def calibration_error_of_table(table: PredictorTable, posteriors) -> float:
-    """E(f) when the per-group posteriors are known exactly (population form)."""
-    masses = table.normalized_masses()
-    sq = 0.0
-    for (out, _), mass, post in zip(table.support, masses, posteriors):
-        p = post.entries if isinstance(post, ProbVector) else np.asarray(post, float)
-        sq += mass * float(((out.entries - p) ** 2).sum())
+    """E(f) when the per-group posteriors, an (s, k) array aligned with the
+    table's support, are known exactly (population form)."""
+    P = np.asarray(posteriors, dtype=float)
+    if P.shape != table.support.shape:
+        raise InputError("posteriors must align with the table support")
+    sq = float(table.normalized_masses() @ ((table.support - P) ** 2).sum(axis=1))
     return float(np.sqrt(sq))

@@ -37,7 +37,13 @@ from .estimators import (
 )
 from .io import read_prediction_file, write_prediction_file
 from .predictors import GmmSpec, gmm_posterior, samples_from_outputs
-from .simplex import ProbVector, WeightVector, grouped_table, weights_to_target_marginal
+from .simplex import (
+    ProbVector,
+    WeightVector,
+    grouped_table,
+    normalized_rows,
+    weights_to_target_marginal,
+)
 from .simulation import (
     ExperimentConfig,
     ShiftSpec,
@@ -97,22 +103,21 @@ def _split_source(outputs, labels, val_fraction: float, seed: int):
     return (outputs[val], labels[val]), (outputs[est], labels[est])
 
 
-def _run_estimator(method, est_cfg, source_samples, target_list, source_marginal):
+def _run_estimator(method, est_cfg, source_samples, target_rows, table, source_marginal):
     if method in ("bbse_hard", "bbse_soft"):
         kind = method.split("_")[1]
         conf = (build_hard_confusion if kind == "hard" else build_soft_confusion)(source_samples)
-        mu = build_target_prediction_marginal(target_list, kind)
+        mu = build_target_prediction_marginal(target_rows, kind)
         return bbse(conf, mu, clip_negative=est_cfg.clip_negative), conf.column_marginal
     if method == "rlls":
         conf = build_hard_confusion(source_samples)
-        mu = build_target_prediction_marginal(target_list, "hard")
+        mu = build_target_prediction_marginal(target_rows, "hard")
         return rlls(conf, mu, est_cfg.rlls_lambda, est_cfg), conf.column_marginal
     if method in ("mlls_em", "mlls_grad"):
-        table = grouped_table(target_list, np.ones(len(target_list)), "count")
         solver = mlls_em if method == "mlls_em" else mlls_grad
         return solver(table, source_marginal, est_cfg), source_marginal
     if method == "mlls_cm":
-        return mlls_cm(source_samples, target_list, source_marginal, est_cfg), source_marginal
+        return mlls_cm(source_samples, target_rows, source_marginal, est_cfg), source_marginal
     raise InputError(f"unknown method: {method}")
 
 
@@ -159,14 +164,16 @@ def cmd_estimate(args) -> int:
     if np.any(counts == 0):
         raise InputError("a class is absent from the source estimation split")
     source_marginal = ProbVector(counts / counts.sum())
-    target_list = [ProbVector.normalized(o, tol=1e-6) for o in tgt_outputs]
+    target_rows = normalized_rows(tgt_outputs, tol=1e-6)
+    table = grouped_table(target_rows, np.ones(len(target_rows)), "count")
 
-    result, marginal = _run_estimator(method, est_cfg, source_samples, target_list, source_marginal)
+    result, marginal = _run_estimator(
+        method, est_cfg, source_samples, target_rows, table, source_marginal
+    )
     if not result.converged:
         raise ConvergenceError(f"{method} did not converge in {est_cfg.max_iters} iterations")
 
-    identifiable, min_eig = check_identifiability(source_samples)
-    table = grouped_table(target_list, np.ones(len(target_list)), "count")
+    identifiable, min_eig = check_identifiability(source_samples.outputs)
     tau = condition_tau(table, result.weights) if np.all(result.weights.weights >= 0) else None
     report = {
         "method": method,
@@ -217,8 +224,8 @@ def cmd_diagnose(args) -> int:
     src_outputs, src_labels, _ = read_prediction_file(args.source)
     tgt_outputs, _, _ = read_prediction_file(args.target)
     k = src_outputs.shape[1]
-    target_list = [ProbVector.normalized(o, tol=1e-6) for o in tgt_outputs]
-    table = grouped_table(target_list, np.ones(len(target_list)), "count")
+    target_rows = normalized_rows(tgt_outputs, tol=1e-6)
+    table = grouped_table(target_rows, np.ones(len(target_rows)), "count")
 
     if src_labels is not None:
         counts = np.bincount(src_labels, minlength=k).astype(float)
@@ -231,24 +238,18 @@ def cmd_diagnose(args) -> int:
             w = np.asarray(json.load(fh), dtype=float)
         weights = WeightVector(w / (w @ source_marginal.entries), source_marginal)
     else:
+        if src_labels is None and args.method not in ("mlls_em", "mlls_grad"):
+            raise InputError(f"method {args.method} needs a source file with a label column")
         est_cfg = EstimatorConfig(method=args.method)
         source_samples = (
             samples_from_outputs(src_outputs, src_labels) if src_labels is not None else None
         )
         result, _ = _run_estimator(
-            args.method, est_cfg, source_samples, target_list, source_marginal
+            args.method, est_cfg, source_samples, target_rows, table, source_marginal
         )
         weights = result.weights
 
-    src_ident, src_eig = check_identifiability(
-        samples_from_outputs(src_outputs, src_labels)
-        if src_labels is not None
-        else grouped_table(
-            [ProbVector.normalized(o, tol=1e-6) for o in src_outputs],
-            np.ones(len(src_outputs)),
-            "count",
-        )
-    )
+    src_ident, src_eig = check_identifiability(normalized_rows(src_outputs, tol=1e-6))
     report = diagnostics_report(table, weights)
     hessian_nsd = bool(np.linalg.eigvalsh(-np.asarray(report.hessian))[0] >= -1e-8)
     g = report.gradient

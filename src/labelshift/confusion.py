@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .simplex import SIMPLEX_TOL, ProbVector, _freeze
+from .simplex import SIMPLEX_TOL, LabeledPredictions, ProbVector, _freeze
 
 
 @dataclass(frozen=True)
@@ -40,34 +40,24 @@ class ConfusionMatrix:
         return self.column_marginal.k
 
 
-def _outputs_labels(samples):
-    samples = list(samples)
-    if not samples:
-        raise InputError("confusion matrix needs at least one sample")
-    outputs = np.array([s.output.entries for s in samples])
-    labels = np.array([s.label for s in samples])
-    return outputs, labels
-
-
-def build_hard_confusion(samples) -> ConfusionMatrix:
+def build_hard_confusion(samples: LabeledPredictions) -> ConfusionMatrix:
     """Count-based joint with yhat = argmax output (ties to the lowest index)."""
-    outputs, labels = _outputs_labels(samples)
-    n, k = outputs.shape
-    pred = outputs.argmax(axis=1)  # np.argmax breaks ties toward the lowest index
+    n, k = samples.outputs.shape
+    pred = samples.outputs.argmax(axis=1)  # np.argmax breaks ties toward the lowest index
     joint = np.zeros((k, k))
-    np.add.at(joint, (pred, labels), 1.0)
+    np.add.at(joint, (pred, samples.labels), 1.0)
     joint /= n
     return ConfusionMatrix(joint, ProbVector(joint.sum(axis=0)), "hard")
 
 
-def build_soft_confusion(samples) -> ConfusionMatrix:
-    """Expectation form: joint[i][j] = mean over samples of output[i] * 1{label=j}.
+def build_soft_confusion(samples: LabeledPredictions) -> ConfusionMatrix:
+    """Expectation form: joint[i][j] = mean over rows of output[i] * 1{label=j}.
 
     No random prediction is drawn; this is the variance-free estimator of the
     same joint, and equals the empirical second moment E_s[f f^T] re-indexed as
     p_s(yhat, y) when the predictor is calibrated on the sample.
     """
-    outputs, labels = _outputs_labels(samples)
+    outputs, labels = samples.outputs, samples.labels
     n, k = outputs.shape
     joint = np.zeros((k, k))
     for j in range(k):
@@ -79,11 +69,11 @@ def build_soft_confusion(samples) -> ConfusionMatrix:
 
 
 def build_target_prediction_marginal(target_outputs, kind: str) -> ProbVector:
-    """mu-hat = p_t(yhat): argmax frequencies (hard) or mean output (soft)."""
-    outputs = [o.entries if isinstance(o, ProbVector) else np.asarray(o, float) for o in target_outputs]
-    if not outputs:
+    """mu-hat = p_t(yhat) from (m, k) target outputs: argmax frequencies
+    (hard) or mean output (soft)."""
+    outputs = np.asarray(target_outputs, dtype=float)
+    if outputs.ndim != 2 or outputs.shape[0] == 0:
         raise InputError("target prediction marginal needs at least one output")
-    outputs = np.array(outputs)
     n, k = outputs.shape
     if kind == "hard":
         counts = np.bincount(outputs.argmax(axis=1), minlength=k).astype(float)

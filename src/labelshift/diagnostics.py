@@ -50,12 +50,6 @@ class DiagnosticsReport:
         }
 
 
-def _table_arrays(table: PredictorTable):
-    F = table.outputs_matrix()
-    m = table.normalized_masses()
-    return F, m
-
-
 def _weights_array(w) -> np.ndarray:
     return w.weights if isinstance(w, WeightVector) else np.asarray(w, dtype=float)
 
@@ -75,7 +69,7 @@ def log_likelihood(table: PredictorTable, w) -> float:
 
     Accepts a WeightVector or a raw array (for finite-difference probes off
     the constraint slice)."""
-    F, m = _table_arrays(table)
+    F, m = table.support, table.normalized_masses()
     inner = _inner_or_raise(F, m, _weights_array(w))
     keep = m > 0
     return float(m[keep] @ np.log(inner[keep]))
@@ -83,29 +77,29 @@ def log_likelihood(table: PredictorTable, w) -> float:
 
 def likelihood_gradient(table: PredictorTable, w) -> np.ndarray:
     """E_t[f(x) / f(x)^T w]."""
-    F, m = _table_arrays(table)
+    F, m = table.support, table.normalized_masses()
     inner = _inner_or_raise(F, m, _weights_array(w))
     return F.T @ (m / np.where(inner > 0, inner, 1.0))
 
 
 def likelihood_hessian(table: PredictorTable, w) -> np.ndarray:
     """-E_t[f(x) f(x)^T / (f(x)^T w)^2]; symmetric negative semidefinite."""
-    F, m = _table_arrays(table)
+    F, m = table.support, table.normalized_masses()
     inner = _inner_or_raise(F, m, _weights_array(w))
     scaled = F * (np.sqrt(m) / np.where(inner > 0, inner, 1.0))[:, None]
     return -(scaled.T @ scaled)
 
 
 def second_moment(arg) -> np.ndarray:
-    """Empirical E_s[f f^T] from LabeledSamples or a PredictorTable."""
+    """Empirical E[f f^T] over a PredictorTable's masses, or over the rows of
+    an (n, k) output array taken with equal mass."""
     if isinstance(arg, PredictorTable):
-        F, m = _table_arrays(arg)
+        F, m = arg.support, arg.normalized_masses()
     else:
-        samples = list(arg)
-        if not samples:
+        F = np.asarray(arg, dtype=float)
+        if F.ndim != 2 or F.shape[0] == 0:
             raise InputError("second moment needs at least one sample")
-        F = np.array([s.output.entries for s in samples])
-        m = np.full(len(samples), 1.0 / len(samples))
+        m = np.full(F.shape[0], 1.0 / F.shape[0])
     scaled = F * np.sqrt(m)[:, None]
     return scaled.T @ scaled
 
@@ -120,7 +114,7 @@ def check_identifiability(arg) -> tuple[bool, float]:
 def condition_tau(table: PredictorTable, w) -> float:
     """Empirical surrogate for the likelihood lower bound: min over positive-
     mass support points of f(x)^T w."""
-    F, m = _table_arrays(table)
+    F, m = table.support, table.normalized_masses()
     inner = F @ _weights_array(w)
     return float(inner[m > 0].min())
 
@@ -155,7 +149,7 @@ def eigenvalue_sandwich_check(
     """Check p_min^2 * sigma_f <= sigma_{f,w} <= sigma_f / tau^2, where sigma_f
     is the minimum eigenvalue of E_t[f f^T] and sigma_{f,w} of the negated
     likelihood Hessian."""
-    F, m = _table_arrays(table)
+    F, m = table.support, table.normalized_masses()
     scaled = F * np.sqrt(m)[:, None]
     sigma_f = float(np.linalg.eigvalsh(scaled.T @ scaled)[0])
     sigma_fw = float(np.linalg.eigvalsh(-likelihood_hessian(table, w))[0])

@@ -12,10 +12,12 @@ from .errors import ConvergenceError, IdentifiabilityError, InputError
 from .calibration import confusion_row_calibrate
 from .confusion import ConfusionMatrix, build_hard_confusion
 from .simplex import (
+    LabeledPredictions,
     PredictorTable,
     ProbVector,
     WeightVector,
     grouped_table,
+    normalized_rows,
     project_to_weight_simplex,
 )
 
@@ -156,14 +158,6 @@ def rlls(
     return EstimateResult(WeightVector(w, confusion.column_marginal), it, val, ok)
 
 
-def _table_arrays(table: PredictorTable):
-    F = table.outputs_matrix()
-    m = table.normalized_masses()
-    if np.any((F.max(axis=1) <= 0) & (m > 0)):
-        raise InputError("target support contains an all-zero output vector")
-    return F, m
-
-
 def _check_inner(F, m, w):
     inner = F @ w
     bad = (inner <= 0) & (m > 0)
@@ -183,14 +177,18 @@ def _slice_newton_polish(F, masses, p, w, boundary_tol=1e-9, max_rounds=8):
     stationarity system g_free = lambda * p_free, p . w = 1 by Newton's method
     on the inactive coordinates, releasing active coordinates whose KKT
     multiplier turns out infeasible. The polished point is returned only if it
-    does not decrease the likelihood; otherwise the input is kept.
+    does not decrease the likelihood by more than the rounding error of the
+    sum that evaluates it; otherwise the input is kept.
     """
 
     def ll(cand):
+        """Log-likelihood at cand and a bound on the rounding error of its sum."""
         inner = F @ cand
         if np.any((inner <= 0) & (masses > 0)):
-            return -np.inf
-        return float(masses[masses > 0] @ np.log(inner[masses > 0]))
+            return -np.inf, 0.0
+        terms = masses[masses > 0] * np.log(inner[masses > 0])
+        rounding = 8.0 * np.finfo(float).eps * terms.size * float(np.abs(terms).sum())
+        return float(terms.sum()), rounding
 
     w0 = np.asarray(w, dtype=float)
     w = w0.copy()
@@ -244,7 +242,8 @@ def _slice_newton_polish(F, masses, p, w, boundary_tol=1e-9, max_rounds=8):
             break
         w[violated] = boundary_tol
         active = active & ~violated
-    if np.any(w < 0) or ll(w) < ll(w0):
+    (ll_new, _), (ll_old, rounding) = ll(w), ll(w0)
+    if np.any(w < 0) or ll_new < ll_old - rounding:
         return w0
     return w
 
@@ -269,7 +268,7 @@ def mlls_em(
     last step.
     """
     config = config or EstimatorConfig(method="mlls_em")
-    F, masses = _table_arrays(table)
+    F, masses = table.support, table.normalized_masses()
     p = source_marginal.entries
 
     def safe_ll(cand):
@@ -335,7 +334,7 @@ def mlls_grad(
 ) -> EstimateResult:
     """Projected gradient ascent on the empirical log-likelihood."""
     config = config or EstimatorConfig(method="mlls_grad")
-    F, masses = _table_arrays(table)
+    F, masses = table.support, table.normalized_masses()
 
     def obj(w):  # negated, for the shared descent loop
         inner = _check_inner(F, masses, w)
@@ -352,32 +351,25 @@ def mlls_grad(
 
 
 def mlls_cm(
-    source_samples,
+    source_samples: LabeledPredictions,
     target_outputs,
     source_marginal: ProbVector,
     config: EstimatorConfig | None = None,
 ) -> EstimateResult:
     """Likelihood estimation through the confusion-row-calibrated predictor.
 
-    Each target output is replaced by the row p_s(y | yhat) of its hard
-    prediction, and EM runs on the resulting table with at most k support
-    points.
+    Each row of the (m, k) target outputs is replaced by the row p_s(y | yhat)
+    of its hard prediction, and EM runs on the resulting table with at most k
+    support points.
     """
     config = config or EstimatorConfig(method="mlls_cm")
     conf = build_hard_confusion(source_samples)
     confusion_row_calibrate(conf)  # validates that every hard prediction is reachable
     rows = conf.joint / conf.joint.sum(axis=1)[:, None]
-
-    counts = np.zeros(conf.k)
-    for out in target_outputs:
-        e = out.entries if isinstance(out, ProbVector) else np.asarray(out, float)
-        counts[int(e.argmax())] += 1.0
+    pred = np.asarray(target_outputs, dtype=float).argmax(axis=1)
+    counts = np.bincount(pred, minlength=conf.k).astype(float)
     keep = counts > 0
-    table = grouped_table(
-        [ProbVector.normalized(rows[i], tol=1e-9) for i in range(conf.k) if keep[i]],
-        counts[keep],
-        "count",
-    )
+    table = grouped_table(normalized_rows(rows[keep], tol=1e-9), counts[keep], "count")
     return mlls_em(table, source_marginal, config)
 
 

@@ -2,8 +2,9 @@
 
 A prediction file is UTF-8 CSV with a header of class-column names, optional
 trailing integer "label" column (0-based class index), '.' decimals, one row
-per example. Probability rows off from 1 by at most 1e-6 are renormalized;
-anything worse is rejected.
+per example. Entries must be finite; probability rows off from 1 by at most
+1e-6 are renormalized; anything worse is rejected. A file reads as an (n, k)
+output array plus an optional (n,) label array.
 """
 from __future__ import annotations
 
@@ -48,6 +49,8 @@ def read_predictions(fh, name: str = "<stream>"):
             probs = np.array([float(v) for v in row[:k]])
         except ValueError as exc:
             raise InputError(f"{name}:{lineno}: {exc}") from None
+        if not np.all(np.isfinite(probs)):
+            raise InputError(f"{name}:{lineno}: non-finite probability")
         if np.any(probs < -ROW_SUM_TOL):
             raise InputError(f"{name}:{lineno}: negative probability")
         s = probs.sum()

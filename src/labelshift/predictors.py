@@ -8,7 +8,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import InputError
-from .simplex import LabeledSample, PredictorTable, ProbVector, grouped_table
+from .simplex import LabeledPredictions, PredictorTable, ProbVector, grouped_table, normalized_rows
 
 
 @dataclass(frozen=True)
@@ -53,19 +53,16 @@ def gmm_bayes_predict(spec: GmmSpec, x: float) -> ProbVector:
 
 
 def threshold_predict(spec: ThresholdPredictorSpec, x: float) -> ProbVector:
-    """[c, 1-c] for x >= 0, else [1-c, c].
+    """Output of threshold_outputs at a single point."""
+    return ProbVector(threshold_outputs(spec, [x])[0])
+
+
+def threshold_outputs(spec: ThresholdPredictorSpec, xs) -> np.ndarray:
+    """[c, 1-c] for x >= 0, else [1-c, c], over an array of inputs.
 
     With class 0 centered at +mu, the classifier is calibrated exactly when
     c equals the class-0 mass right of the threshold, p_s(x >= 0 | y = 0).
     """
-    c = spec.c
-    if x >= 0:
-        return ProbVector(np.array([c, 1.0 - c]))
-    return ProbVector(np.array([1.0 - c, c]))
-
-
-def threshold_outputs(spec: ThresholdPredictorSpec, xs) -> np.ndarray:
-    """Vectorized threshold_predict over an array of inputs."""
     c = spec.c
     xs = np.asarray(xs, dtype=float)
     return np.where((xs >= 0)[:, None], np.array([c, 1.0 - c]), np.array([1.0 - c, c]))
@@ -81,22 +78,19 @@ class BinnedPredictor:
     empty_bins: tuple
 
     def bin_index(self, output: ProbVector) -> int:
-        return min(int(output.entries[0] * self.n_bins), self.n_bins - 1)
+        return int(self.bin_indices(output.entries[None])[0])
 
     def bin_indices(self, outputs: np.ndarray) -> np.ndarray:
         return np.minimum((outputs[:, 0] * self.n_bins).astype(int), self.n_bins - 1)
 
     def remap(self, output: ProbVector) -> ProbVector:
         """Replace an output by its bin's aggregated vector."""
-        idx = self.bin_index(output)
-        if idx not in self.bin_outputs:
-            raise InputError(f"output falls in bin {idx}, which has zero source mass")
-        return ProbVector(self.bin_outputs[idx])
+        return ProbVector(self.remap_matrix(output.entries[None])[0])
 
     def remap_matrix(self, outputs: np.ndarray) -> np.ndarray:
-        """Vectorized remap of an (n, 2) output matrix."""
+        """Replace each row of an (n, 2) output matrix by its bin's aggregated vector."""
         idx = self.bin_indices(outputs)
-        hit_empty = [b for b in np.unique(idx) if b not in self.bin_outputs]
+        hit_empty = [int(b) for b in np.unique(idx) if b not in self.bin_outputs]
         if hit_empty:
             raise InputError(f"outputs fall in zero-mass bins {hit_empty}")
         lookup = np.zeros((self.n_bins, outputs.shape[1]))
@@ -105,20 +99,22 @@ class BinnedPredictor:
         return lookup[idx]
 
 
-def bin_aggregate_arrays(
-    outputs: np.ndarray, labels: np.ndarray, n_bins: int, values: str = "label_mean"
+def bin_aggregate(
+    samples: LabeledPredictions, n_bins: int, values: str = "label_mean"
 ) -> BinnedPredictor:
-    """Array form of bin_aggregate over (n, 2) outputs and 0/1 labels."""
+    """Aggregate two-class outputs over equal-width bins of the first coordinate.
+
+    Each bin's vector is the mean one-hot label of the source rows landing in
+    it (values="label_mean", the default, which makes the binned predictor
+    calibrated on its building sample), or the mean raw output
+    (values="output_mean"). Bins with zero source mass are excluded.
+    """
     if n_bins < 1:
         raise InputError("n_bins must be >= 1")
     if values not in ("label_mean", "output_mean"):
         raise InputError(f"unknown bin value mode: {values}")
-    outputs = np.asarray(outputs, dtype=float)
-    labels = np.asarray(labels)
-    n = outputs.shape[0]
-    if n == 0:
-        raise InputError("bin_aggregate needs at least one sample")
-    k = outputs.shape[1]
+    outputs, labels = samples.outputs, samples.labels
+    n, k = outputs.shape
     if k != 2:
         raise InputError("equal-width binning is defined for 2-class outputs only")
     idx = np.minimum((outputs[:, 0] * n_bins).astype(int), n_bins - 1)
@@ -140,27 +136,9 @@ def bin_aggregate_arrays(
     nonempty = np.flatnonzero(counts > 0)
     empty = tuple(int(b) for b in np.flatnonzero(counts == 0))
     table = grouped_table(
-        [ProbVector.normalized(vecs[b], tol=1e-9) for b in nonempty],
-        counts[nonempty] / n,
-        "probability",
+        normalized_rows(vecs[nonempty], tol=1e-9), counts[nonempty] / n, "probability"
     )
     return BinnedPredictor(table, n_bins, {int(b): vecs[b] for b in nonempty}, empty)
-
-
-def bin_aggregate(samples, n_bins: int, values: str = "label_mean") -> BinnedPredictor:
-    """Aggregate two-class outputs over equal-width bins of the first coordinate.
-
-    Each bin's vector is the mean one-hot label of the source samples landing in
-    it (values="label_mean", the default, which makes the binned predictor
-    calibrated on its building sample), or the mean raw output
-    (values="output_mean"). Bins with zero source mass are excluded.
-    """
-    samples = list(samples)
-    if not samples:
-        raise InputError("bin_aggregate needs at least one sample")
-    outputs = np.array([s.output.entries for s in samples])
-    labels = np.array([s.label for s in samples])
-    return bin_aggregate_arrays(outputs, labels, n_bins, values)
 
 
 def tabular_predictor(outputs) -> PredictorTable:
@@ -171,9 +149,10 @@ def tabular_predictor(outputs) -> PredictorTable:
     return grouped_table([o for o, _ in outputs], [m for _, m in outputs], "probability")
 
 
-def samples_from_outputs(outputs, labels) -> list:
-    """Wrap parallel (n, k) outputs and labels as LabeledSample objects."""
-    return [
-        LabeledSample(ProbVector.normalized(np.asarray(o, dtype=float), tol=1e-6), int(l))
-        for o, l in zip(outputs, labels)
-    ]
+def samples_from_outputs(outputs, labels) -> LabeledPredictions:
+    """Labelled predictions from parallel (n, k) outputs and (n,) labels.
+
+    Rows whose sums are off from 1 by at most 1e-6 are renormalized; worse
+    rows are rejected, naming the first.
+    """
+    return LabeledPredictions(normalized_rows(outputs, tol=1e-6), labels)

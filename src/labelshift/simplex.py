@@ -1,7 +1,11 @@
-"""Probability-vector and weight-vector types shared by every estimator.
+"""Prediction arrays and probability/weight vectors shared by every estimator.
 
-A weight vector w lives on the affine slice W = {w >= 0 : sum_y w_y p_s(y) = 1}
-fixed by a source label marginal p_s. All shift estimators optimize over W.
+Predictor outputs are held as validated (n, k) arrays of probability rows:
+`LabeledPredictions` pairs source rows with their labels, and a
+`PredictorTable` holds distinct rows with masses. `ProbVector` and
+`WeightVector` are single length-k vectors. A weight vector w lives on the
+affine slice W = {w >= 0 : sum_y w_y p_s(y) = 1} fixed by a source label
+marginal p_s. All shift estimators optimize over W.
 """
 from __future__ import annotations
 
@@ -87,76 +91,115 @@ class WeightVector:
         return self.weights.size
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    """A predictor output paired with the true class index (0-based)."""
+def _check_rows(rows: np.ndarray, what: str) -> None:
+    """Apply ProbVector's checks to every row of an (n, k) array at once;
+    the error names the first bad row and gives ProbVector's reason."""
+    if rows.ndim != 2 or rows.size == 0:
+        raise InputError(f"{what} rows must form a nonempty (n, k) array")
+    bad = ~np.isfinite(rows).all(axis=1) | (rows < 0).any(axis=1)
+    bad |= np.abs(rows.sum(axis=1) - 1.0) > SIMPLEX_TOL
+    if bad.any():
+        i = int(np.argmax(bad))
+        try:
+            ProbVector(rows[i])
+        except InputError as exc:
+            raise InputError(f"{what} row {i}: {exc}") from None
 
-    output: ProbVector
-    label: int
+
+def normalized_rows(rows, tol: float) -> np.ndarray:
+    """Row form of ProbVector.normalized: divide each row of an (n, k) array
+    by its sum, rejecting a row whose sum is off from 1 by more than tol. The
+    value built from the result validates it."""
+    a = np.asarray(rows, dtype=float)
+    sums = a.sum(axis=-1, keepdims=True)
+    bad = np.abs(sums[:, 0] - 1.0) > tol
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InputError(
+            f"row {i}: probabilities sum to {sums[i, 0]}, beyond renormalization tolerance {tol}"
+        )
+    return a / sums
+
+
+@dataclass(frozen=True)
+class LabeledPredictions:
+    """Predictor outputs on labelled rows: a read-only (n, k) array of
+    probability rows and the (n,) true class indices (0-based)."""
+
+    outputs: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self):
-        if not 0 <= self.label < self.output.k:
-            raise InputError(f"label {self.label} out of range for k={self.output.k}")
+        out = _freeze(self.outputs)
+        _check_rows(out, "prediction")
+        lab = np.array(self.labels, dtype=int)
+        if lab.shape != out.shape[:1]:
+            raise InputError(f"{lab.size} labels for {out.shape[0]} prediction rows")
+        bad = (lab < 0) | (lab >= out.shape[1])
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise InputError(f"row {i}: label {lab[i]} out of range for k={out.shape[1]}")
+        lab.setflags(write=False)
+        object.__setattr__(self, "outputs", out)
+        object.__setattr__(self, "labels", lab)
+
+    def __len__(self) -> int:
+        return self.outputs.shape[0]
 
 
 @dataclass(frozen=True)
 class PredictorTable:
-    """Finite-support predictor: distinct output vectors with masses.
+    """Finite-support predictor: distinct output rows with masses.
 
-    Masses are probabilities (source side) or counts (target side) per `kind`.
-    Support vectors are distinct under exact bitwise equality of entries.
+    `support` is a read-only (s, k) array of probability rows, no two equal;
+    `masses` is the (s,) array of their masses, probabilities (source side)
+    or counts (target side) per `kind`.
     """
 
-    support: tuple  # of (ProbVector, float)
+    support: np.ndarray
+    masses: np.ndarray
     kind: str  # "probability" | "count"
 
     def __post_init__(self):
         if self.kind not in ("probability", "count"):
             raise InputError(f"unknown mass kind: {self.kind}")
-        if len(self.support) == 0:
-            raise InputError("predictor table must have nonempty support")
-        seen = set()
-        total = 0.0
-        for out, mass in self.support:
-            if mass < 0:
-                raise InputError(f"negative mass {mass} in predictor table")
-            key = out.entries.tobytes()
-            if key in seen:
-                raise InputError("duplicate output vector in predictor table support")
-            seen.add(key)
-            total += mass
+        support = _freeze(self.support)
+        _check_rows(support, "support")
+        masses = _freeze(self.masses)
+        if masses.shape != support.shape[:1]:
+            raise InputError(f"{masses.size} masses for {support.shape[0]} support rows")
+        if np.any(masses < 0):
+            raise InputError(f"negative mass {masses.min()} in predictor table")
+        if np.unique(support, axis=0).shape[0] != support.shape[0]:
+            raise InputError("duplicate output vector in predictor table support")
+        total = masses.sum()
         if self.kind == "probability" and abs(total - 1.0) > SIMPLEX_TOL:
             raise InputError(f"probability masses sum to {total}")
-        object.__setattr__(self, "support", tuple(self.support))
-
-    @property
-    def k(self) -> int:
-        return self.support[0][0].k
-
-    def outputs_matrix(self) -> np.ndarray:
-        """Support outputs stacked as an (s, k) array."""
-        return np.array([out.entries for out, _ in self.support])
-
-    def masses(self) -> np.ndarray:
-        return np.array([m for _, m in self.support])
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "masses", masses)
 
     def normalized_masses(self) -> np.ndarray:
-        m = self.masses()
-        return m / m.sum()
+        return self.masses / self.masses.sum()
+
+
+def group_rows(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Group equal rows of an (n, k) array: the index of each group's first
+    row, in order of first occurrence, and the group index of every row."""
+    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse.reshape(-1)]
 
 
 def grouped_table(outputs, masses, kind: str) -> PredictorTable:
-    """Build a PredictorTable, merging bitwise-identical outputs by summing mass."""
-    acc: dict[bytes, list] = {}
-    for out, mass in zip(outputs, masses):
-        if not isinstance(out, ProbVector):
-            out = ProbVector(np.asarray(out, dtype=float))
-        key = out.entries.tobytes()
-        if key in acc:
-            acc[key][1] += mass
-        else:
-            acc[key] = [out, float(mass)]
-    return PredictorTable(tuple((o, m) for o, m in acc.values()), kind)
+    """Build a PredictorTable from (n, k) output rows, merging equal rows by
+    summing their masses. Support rows keep their order of first occurrence,
+    and each merged mass is summed in row order."""
+    outputs = np.asarray(outputs, dtype=float)
+    masses = np.asarray(masses, dtype=float)
+    if masses.shape != outputs.shape[:1]:
+        raise InputError(f"{masses.size} masses for {outputs.shape[0]} output rows")
+    first, group = group_rows(outputs)
+    return PredictorTable(outputs[first], np.bincount(group, masses, first.size), kind)
 
 
 def project_to_weight_simplex(v, source_marginal: ProbVector) -> WeightVector:

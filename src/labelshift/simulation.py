@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import InputError, LabelShiftError
+from .errors import ConvergenceError, InputError, LabelShiftError
 from .calibration import bcts_apply_matrix, BctsParams
 from .confusion import build_hard_confusion, build_soft_confusion, build_target_prediction_marginal
 from .diagnostics import check_identifiability
@@ -25,8 +25,8 @@ from .estimators import (
     mlls_grad,
     rlls,
 )
-from .predictors import GmmSpec, bin_aggregate_arrays, gmm_posterior, samples_from_outputs
-from .simplex import PredictorTable, ProbVector, WeightVector, grouped_table
+from .predictors import GmmSpec, bin_aggregate, gmm_posterior, samples_from_outputs
+from .simplex import PredictorTable, ProbVector, WeightVector, grouped_table, normalized_rows
 
 
 def rng_for(base_seed: int, *indices: int) -> np.random.Generator:
@@ -149,18 +149,13 @@ def resample_by_marginal(pool_xs, pool_labels, target_marginal: ProbVector, n: i
     return xs, labels
 
 
-CONFUSION_METHODS = ("bbse_hard", "bbse_soft", "rlls", "mlls_cm")
-
-
-def target_table_from_outputs(outputs: np.ndarray) -> "PredictorTable":
+def target_table_from_outputs(outputs: np.ndarray) -> PredictorTable:
     """Group an (m, k) output matrix into a count table over distinct rows."""
     uniq, counts = np.unique(np.asarray(outputs, dtype=float), axis=0, return_counts=True)
-    return grouped_table(
-        [ProbVector.normalized(row, tol=1e-6) for row in uniq], counts.astype(float), "count"
-    )
+    return grouped_table(normalized_rows(uniq, tol=1e-6), counts.astype(float), "count")
 
 
-def _estimate_once(method, cfg, source_samples, target_list, target_table, source_marginal):
+def _estimate_once(method, cfg, source_samples, target_rows, target_table, source_marginal):
     est_cfg = EstimatorConfig(
         method=method,
         max_iters=cfg.max_iters,
@@ -171,25 +166,26 @@ def _estimate_once(method, cfg, source_samples, target_list, target_table, sourc
     if method in ("bbse_hard", "bbse_soft"):
         kind = "hard" if method == "bbse_hard" else "soft"
         conf = (build_hard_confusion if kind == "hard" else build_soft_confusion)(source_samples)
-        mu = build_target_prediction_marginal(target_list, kind)
+        mu = build_target_prediction_marginal(target_rows, kind)
         return bbse(conf, mu, clip_negative=True)
     if method == "rlls":
         conf = build_hard_confusion(source_samples)
-        mu = build_target_prediction_marginal(target_list, "hard")
+        mu = build_target_prediction_marginal(target_rows, "hard")
         return rlls(conf, mu, cfg.rlls_lambda, est_cfg)
     if method in ("mlls_em", "mlls_grad"):
         solver = mlls_em if method == "mlls_em" else mlls_grad
         return solver(target_table, source_marginal, est_cfg)
     if method == "mlls_cm":
-        return mlls_cm(source_samples, target_list, source_marginal, est_cfg)
+        return mlls_cm(source_samples, target_rows, source_marginal, est_cfg)
     raise InputError(f"unknown method: {method}")
 
 
 def run_single_trial(cfg: ExperimentConfig, shift_idx: int, m_idx: int, trial: int):
     """Generate data for one (shift, m, trial) cell and run every method on it.
 
-    Returns a list of TrialReport, one per method; per-method failures are
-    recorded in-report rather than aborting.
+    Returns a list of TrialReport, one per method. A method that raises or
+    returns a result that did not converge is recorded as a failed report with
+    its reason rather than aborting the trial.
     """
     shift = cfg.shifts[shift_idx]
     m = cfg.m_values[m_idx]
@@ -210,21 +206,14 @@ def run_single_trial(cfg: ExperimentConfig, shift_idx: int, m_idx: int, trial: i
 
     min_eig = None
     if cfg.bins is not None:
-        binned = bin_aggregate_arrays(src_outputs, src_y, cfg.bins)
+        binned = bin_aggregate(samples_from_outputs(src_outputs, src_y), cfg.bins)
         src_outputs = binned.remap_matrix(src_outputs)
         tgt_outputs = binned.remap_matrix(tgt_outputs)
         _, min_eig = check_identifiability(binned.table)
 
-    needs_samples = any(m in CONFUSION_METHODS for m in cfg.methods)
-    source_samples = samples_from_outputs(src_outputs, src_y) if needs_samples else None
-    tgt_list = (
-        [ProbVector.normalized(o, tol=1e-6) for o in tgt_outputs] if needs_samples else None
-    )
-    target_table = (
-        target_table_from_outputs(tgt_outputs)
-        if any(m in ("mlls_em", "mlls_grad") for m in cfg.methods)
-        else None
-    )
+    source_samples = samples_from_outputs(src_outputs, src_y)
+    target_rows = normalized_rows(tgt_outputs, tol=1e-6)
+    target_table = target_table_from_outputs(tgt_outputs)
 
     if cfg.w_star_from == "marginal":
         w_star_vec = p_t.entries / p_s.entries
@@ -237,7 +226,9 @@ def run_single_trial(cfg: ExperimentConfig, shift_idx: int, m_idx: int, trial: i
     for method in cfg.methods:
         seed64 = int(np.random.SeedSequence(cfg.base_seed, spawn_key=seed_key).generate_state(1)[0])
         try:
-            res = _estimate_once(method, cfg, source_samples, tgt_list, target_table, p_s)
+            res = _estimate_once(method, cfg, source_samples, target_rows, target_table, p_s)
+            if not res.converged:
+                raise ConvergenceError(f"{method} did not converge in {cfg.max_iters} iterations")
             sq = float(((res.weights.weights - w_star.weights) ** 2).sum())
             reports.append(
                 TrialReport(method, res.weights, w_star, sq, seed64, m, min_eig)

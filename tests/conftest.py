@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from labelshift.simplex import (
-    LabeledSample,
+    LabeledPredictions,
     ProbVector,
     WeightVector,
     grouped_table,
+    normalized_rows,
     project_to_weight_simplex,
 )
 
@@ -49,12 +50,12 @@ def worked_instance_target_table(w_star=W_STAR_3):
     """Population target table p_t(x_i) = Ps @ p_t(y) / 2 on the F rows."""
     pt_y = W_STAR_3 * UNIFORM_3.entries if w_star is W_STAR_3 else np.asarray(w_star) / 3.0
     masses = PS_ROWS @ pt_y / 2.0
-    return grouped_table([ProbVector(r) for r in F_ROWS], masses, "probability")
+    return grouped_table(F_ROWS, masses, "probability")
 
 
 def random_table(rng, n, k, kind="probability"):
     """Random predictor table: Dirichlet outputs with Dirichlet masses."""
-    outputs = [ProbVector.normalized(rng.dirichlet(np.ones(k)), tol=1e-9) for _ in range(n)]
+    outputs = normalized_rows([rng.dirichlet(np.ones(k)) for _ in range(n)], tol=1e-9)
     masses = rng.dirichlet(np.ones(n))
     return grouped_table(outputs, masses, kind)
 
@@ -74,10 +75,7 @@ def random_weight(rng, marginal):
 
 
 def make_samples(outputs, labels):
-    return [
-        LabeledSample(ProbVector(np.asarray(o, dtype=float)), int(y))
-        for o, y in zip(outputs, labels)
-    ]
+    return LabeledPredictions(np.asarray(outputs, dtype=float), np.asarray(labels, dtype=int))
 
 
 @pytest.fixture

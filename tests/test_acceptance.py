@@ -29,7 +29,7 @@ from labelshift.diagnostics import (
 )
 from labelshift.estimators import EstimatorConfig, bbse, mlls_em, mlls_grad
 from labelshift.predictors import GmmSpec, ThresholdPredictorSpec, gmm_posterior, samples_from_outputs, threshold_outputs
-from labelshift.simplex import LabeledSample, ProbVector
+from labelshift.simplex import ProbVector, normalized_rows
 from labelshift.simulation import (
     ExperimentConfig,
     ShiftSpec,
@@ -290,7 +290,7 @@ def test_criterion_8a_em_monotone_500_instances():
         k = int(rng.integers(2, 5))
         table = random_table(rng, int(rng.integers(2, 8)), k)
         p = random_marginal(rng, k)
-        F, masses = table.outputs_matrix(), table.normalized_masses()
+        F, masses = table.support, table.normalized_masses()
         w = np.ones(k)
         prev = None
         for _ in range(30):
@@ -364,7 +364,7 @@ def test_criterion_8c_soft_confusion_is_second_moment():
         if not samples:
             continue
         conf = build_soft_confusion(samples)
-        if np.abs(conf.joint - second_moment(samples)).max() > 1e-12:
+        if np.abs(conf.joint - second_moment(samples.outputs)).max() > 1e-12:
             failures += 1
     ok = failures == 0
     verdict(
@@ -389,14 +389,12 @@ def test_criterion_8d_confusion_row_calibrate_zero_error():
         if np.any(conf.joint.sum(axis=1) == 0):
             continue
         table = confusion_row_calibrate(conf)
-        support_bytes = {out.entries.tobytes() for out, _ in table.support}
+        support_bytes = {row.tobytes() for row in table.support}
         # remap each sample's output to its hard prediction's calibrated row
         row_by_pred = conf.joint / conf.joint.sum(axis=1)[:, None]
-        remapped = []
-        for s in samples:
-            cal = ProbVector.normalized(row_by_pred[int(np.argmax(s.output.entries))], tol=1e-9)
-            assert cal.entries.tobytes() in support_bytes
-            remapped.append(LabeledSample(cal, s.label))
+        cal = normalized_rows(row_by_pred[samples.outputs.argmax(axis=1)], tol=1e-9)
+        assert {row.tobytes() for row in cal} <= support_bytes
+        remapped = make_samples(cal, samples.labels)
         if estimate_calibration_error(remapped).calibration_error > 1e-12:
             failures += 1
         checked += 1

@@ -143,7 +143,7 @@ class TestConfusionRowCalibrate:
             np.array([[0.4, 0.1], [0.1, 0.4]]), ProbVector(np.array([0.5, 0.5])), "hard"
         )
         table = confusion_row_calibrate(conf)
-        rows = {tuple(out.entries): mass for out, mass in table.support}
+        rows = dict(zip(map(tuple, table.support), table.masses))
         np.testing.assert_allclose(rows[(0.8, 0.2)], 0.5)
         np.testing.assert_allclose(rows[(0.2, 0.8)], 0.5)
 
@@ -162,8 +162,7 @@ class TestConfusionRowCalibrate:
             np.array([[0.3, 0.2], [0.1, 0.4]]), ProbVector(np.array([0.4, 0.6])), "hard"
         )
         table = confusion_row_calibrate(conf)
-        posteriors = [out for out, _ in table.support]
-        assert calibration_error_of_table(table, posteriors) == pytest.approx(0.0, abs=1e-12)
+        assert calibration_error_of_table(table, table.support) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestCalibrationError:
@@ -182,7 +181,7 @@ class TestCalibrationError:
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):
-            estimate_calibration_error([])
+            estimate_calibration_error(make_samples(np.empty((0, 2)), []))
 
     @given(seed=st.integers(0, 5000))
     @settings(max_examples=50, deadline=None)
@@ -195,7 +194,9 @@ class TestCalibrationError:
         samples = make_samples(outputs, labels)
         e1 = estimate_calibration_error(samples).calibration_error
         perm = rng.permutation(n)
-        e2 = estimate_calibration_error([samples[i] for i in perm]).calibration_error
+        e2 = estimate_calibration_error(
+            make_samples(samples.outputs[perm], samples.labels[perm])
+        ).calibration_error
         assert e1 == pytest.approx(e2, abs=1e-15)
 
     def test_population_form_matches_empirical(self):
@@ -205,7 +206,7 @@ class TestCalibrationError:
         table = grouped_table(
             [np.array([0.8, 0.2]), np.array([0.4, 0.6])], [0.5, 0.5], "probability"
         )
-        posteriors = [ProbVector(np.array([0.75, 0.25])), ProbVector(np.array([0.25, 0.75]))]
+        posteriors = np.array([[0.75, 0.25], [0.25, 0.75]])
         assert calibration_error_of_table(table, posteriors) == pytest.approx(
             report.calibration_error, abs=1e-12
         )

@@ -71,24 +71,24 @@ class TestSoftConfusion:
             return
         samples = make_samples(outputs, labels)
         conf = build_soft_confusion(samples)
-        M = second_moment(samples)
+        M = second_moment(samples.outputs)
         np.testing.assert_allclose(conf.joint, M, atol=1e-12)
 
 
 class TestTargetMarginal:
     def test_hard(self):
-        outs = [ProbVector(np.array(o)) for o in ([0.9, 0.1], [0.2, 0.8], [0.1, 0.9], [0.3, 0.7])]
+        outs = np.array([[0.9, 0.1], [0.2, 0.8], [0.1, 0.9], [0.3, 0.7]])
         mu = build_target_prediction_marginal(outs, "hard")
         np.testing.assert_allclose(mu.entries, [0.25, 0.75])
 
     def test_soft(self):
-        outs = [ProbVector(np.array(o)) for o in ([0.9, 0.1], [0.1, 0.9])]
+        outs = np.array([[0.9, 0.1], [0.1, 0.9]])
         mu = build_target_prediction_marginal(outs, "soft")
         np.testing.assert_allclose(mu.entries, [0.5, 0.5])
 
     def test_unknown_kind(self):
         with pytest.raises(InputError):
-            build_target_prediction_marginal([ProbVector(np.array([0.5, 0.5]))], "fuzzy")
+            build_target_prediction_marginal(np.array([[0.5, 0.5]]), "fuzzy")
 
 
 class TestConfusionMatrixValidation:
@@ -112,4 +112,4 @@ class TestConfusionMatrixValidation:
 
     def test_empty_samples(self):
         with pytest.raises(InputError):
-            build_hard_confusion([])
+            build_hard_confusion(make_samples(np.empty((0, 2)), []))

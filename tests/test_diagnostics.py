@@ -73,7 +73,7 @@ class TestLikelihoodQuantities:
         import mpmath
 
         table = worked_instance_target_table()
-        F = table.outputs_matrix()
+        F = table.support
         m = table.normalized_masses()
         w = W_MISCAL_OPT
         with mpmath.workdps(50):
@@ -173,7 +173,7 @@ class TestIdentifiability:
 
     def test_accepts_samples(self):
         samples = make_samples([[0.8, 0.2], [0.2, 0.8]], [0, 1])
-        ok, _ = check_identifiability(samples)
+        ok, _ = check_identifiability(samples.outputs)
         assert ok
 
     def test_second_moment_hand_value(self):
@@ -284,7 +284,7 @@ class TestExampleOne:
                 "probability",
             )
             grid = np.linspace(0.0, 2.0, 400_001)
-            F = table.outputs_matrix()
+            F = table.support
             m = table.normalized_masses()
             lls = m @ np.log(F @ np.stack([grid, 2.0 - grid]))
             w0_grid = grid[np.argmax(lls)]

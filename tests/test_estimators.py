@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from labelshift.confusion import ConfusionMatrix
-from labelshift.diagnostics import likelihood_gradient, log_likelihood
+from labelshift.confusion import (
+    ConfusionMatrix,
+    build_soft_confusion,
+    build_target_prediction_marginal,
+)
+from labelshift.diagnostics import likelihood_gradient, log_likelihood, second_moment
 from labelshift.errors import ConvergenceError, IdentifiabilityError, InputError
 from labelshift.estimators import (
     EstimatorConfig,
@@ -16,7 +20,9 @@ from labelshift.estimators import (
     mlls_grad,
     rlls,
 )
-from labelshift.simplex import ProbVector, grouped_table
+from labelshift.predictors import GmmSpec, gmm_posterior
+from labelshift.simplex import PredictorTable, ProbVector, grouped_table, normalized_rows
+from labelshift.simulation import rng_for, sample_gmm, target_table_from_outputs
 from tests.conftest import (
     PS_ROWS,
     UNIFORM_3,
@@ -111,7 +117,7 @@ class TestMllsEm:
         # is exactly w*.
         pt_y = W_STAR_3 / 3.0
         masses = PS_ROWS @ pt_y / 2.0
-        table = grouped_table([ProbVector(r) for r in PS_ROWS], masses, "probability")
+        table = grouped_table(PS_ROWS, masses, "probability")
         res = mlls_em(table, UNIFORM_3, TIGHT)
         np.testing.assert_allclose(res.weights.weights, W_STAR_3, atol=1e-8)
 
@@ -149,7 +155,7 @@ class TestMllsEm:
         n = int(rng.integers(2, 8))
         table = random_table(rng, n, k)
         p = random_marginal(rng, k)
-        F = table.outputs_matrix()
+        F = table.support
         masses = table.normalized_masses()
         w = np.ones(k)
         prev = None
@@ -163,6 +169,112 @@ class TestMllsEm:
             w = (masses @ resp) / p.entries
 
 
+def kkt_residual(table, p, w):
+    """Largest KKT violation of max E_t log f.w over the slice: with
+    g - lam * p, lam = g.w / p.w, zero where w > 0 and <= 0 where w = 0."""
+    g = likelihood_gradient(table, w)
+    r = g - (g @ w) / (p @ w) * p
+    return float(np.max(np.where(w > 0, np.abs(r), np.maximum(r, 0.0))))
+
+
+class TestNewtonPolish:
+    @pytest.mark.parametrize("seed", [10, 12, 19])
+    def test_kkt_exact_on_ten_thousand_distinct_rows(self, seed):
+        # On these instances the polish reaches the KKT point, but its
+        # log-likelihood, a sum of 10k logs, reads a few ulps below the EM
+        # iterate's; a polish rejected on that difference returns the EM
+        # iterate with a residual of about 4e-9.
+        spec = GmmSpec(1.0, UNIFORM_2)
+        p_t = ProbVector.normalized(rng_for(seed, 0).dirichlet([1.0, 1.0]), tol=1e-9)
+        xs, _ = sample_gmm(spec, p_t, 10_000, seed, 2)
+        table = target_table_from_outputs(gmm_posterior(spec, xs))
+        res = mlls_em(table, UNIFORM_2)
+        assert kkt_residual(table, UNIFORM_2.entries, res.weights.weights) < 1e-12
+
+
+def _rows(rng, n, k):
+    return normalized_rows(rng.dirichlet(np.ones(k), size=n), tol=1e-9)
+
+
+class TestArrayPathProperties:
+    """Invariances of MLLS (EM) and soft BBSE on the (n, k) array path: row
+    order, row duplication versus doubled masses, and class relabelling."""
+
+    CFG = EstimatorConfig(method="mlls_em", tol=1e-10, max_iters=100_000)
+
+    @staticmethod
+    def _mlls_instance(seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 5))
+        rows = _rows(rng, int(rng.integers(k + 1, 3 * k + 2)), k)
+        assume(np.linalg.eigvalsh(second_moment(rows))[0] > 1e-6)  # unique optimum
+        return rng, k, rows, random_marginal(rng, k)
+
+    def _mlls(self, rows, masses, p):
+        return mlls_em(grouped_table(rows, masses, "count"), p, self.CFG).weights.weights
+
+    @given(seed=st.integers(0, 100_000))
+    @settings(max_examples=15, deadline=None)
+    def test_mlls_em_row_order_and_duplication(self, seed):
+        rng, _, rows, p = self._mlls_instance(seed)
+        ones = np.ones(len(rows))
+        w = self._mlls(rows, ones, p)
+        perm = rng.permutation(len(rows))
+        np.testing.assert_allclose(self._mlls(rows[perm], ones, p), w, atol=1e-9)
+        doubled = self._mlls(np.vstack([rows, rows]), np.ones(2 * len(rows)), p)
+        direct = mlls_em(PredictorTable(rows, 2.0 * ones, "count"), p, self.CFG)
+        np.testing.assert_allclose(doubled, direct.weights.weights, atol=1e-9)
+        np.testing.assert_allclose(doubled, w, atol=1e-9)
+
+    @given(seed=st.integers(0, 100_000))
+    @settings(max_examples=15, deadline=None)
+    def test_mlls_em_class_permutation(self, seed):
+        rng, k, rows, p = self._mlls_instance(seed)
+        sigma = rng.permutation(k)
+        ones = np.ones(len(rows))
+        w = self._mlls(rows, ones, p)
+        p_perm = ProbVector(p.entries[sigma])
+        np.testing.assert_allclose(self._mlls(rows[:, sigma], ones, p_perm), w[sigma], atol=1e-9)
+
+    @staticmethod
+    def _bbse_soft(outputs, labels, target):
+        conf = build_soft_confusion(make_samples(outputs, labels))
+        return bbse(conf, build_target_prediction_marginal(target, "soft")).weights.weights
+
+    @given(seed=st.integers(0, 100_000))
+    @settings(max_examples=15, deadline=None)
+    def test_bbse_soft_invariances(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 5))
+        n = int(rng.integers(3 * k, 6 * k))
+        outputs = _rows(rng, n, k)
+        labels = np.array([rng.choice(k, p=row) for row in outputs])
+        assume(np.unique(labels).size == k)
+        conf = build_soft_confusion(make_samples(outputs, labels))
+        assume(np.linalg.cond(conf.joint) < 1e6)
+        target = _rows(rng, int(rng.integers(2, 10)), k)
+        w = self._bbse_soft(outputs, labels, target)
+
+        src, tgt = rng.permutation(n), rng.permutation(len(target))
+        np.testing.assert_allclose(
+            self._bbse_soft(outputs[src], labels[src], target[tgt]), w, atol=1e-9
+        )
+        np.testing.assert_allclose(
+            self._bbse_soft(
+                np.vstack([outputs, outputs]), np.tile(labels, 2), np.vstack([target, target])
+            ),
+            w,
+            atol=1e-9,
+        )
+        sigma = rng.permutation(k)
+        relabel = np.argsort(sigma)  # old class y is new class relabel[y]
+        np.testing.assert_allclose(
+            self._bbse_soft(outputs[:, sigma], relabel[labels], target[:, sigma]),
+            w[sigma],
+            atol=1e-9,
+        )
+
+
 class TestMllsGrad:
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=60, deadline=None)
@@ -170,7 +282,7 @@ class TestMllsGrad:
         rng = np.random.default_rng(seed)
         k = int(rng.integers(2, 4))
         table = random_table(rng, k + 2, k)
-        M = table.outputs_matrix().T @ np.diag(table.normalized_masses()) @ table.outputs_matrix()
+        M = table.support.T @ np.diag(table.normalized_masses()) @ table.support
         if np.linalg.eigvalsh(M)[0] < 1e-4:
             return
         p = random_marginal(rng, k)
@@ -198,15 +310,13 @@ class TestMllsCm:
         src_outputs = [[0.9, 0.1]] * 5 + [[0.1, 0.9]] * 5
         src_labels = [0, 0, 0, 0, 1, 0, 1, 1, 1, 1]
         source = make_samples(src_outputs, src_labels)
-        target = [ProbVector(np.array([0.9, 0.1]))] * 35 + [
-            ProbVector(np.array([0.1, 0.9]))
-        ] * 65
+        target = np.array([[0.9, 0.1]] * 35 + [[0.1, 0.9]] * 65)
         res = mlls_cm(source, target, UNIFORM_2, TIGHT)
         np.testing.assert_allclose(res.weights.weights, [0.5, 1.5], atol=1e-8)
 
     def test_unreachable_prediction_rejected(self):
         source = make_samples([[0.1, 0.9]] * 4, [0, 1, 1, 1])  # nothing predicted 0
-        target = [ProbVector(np.array([0.1, 0.9]))]
+        target = np.array([[0.1, 0.9]])
         with pytest.raises(InputError):
             mlls_cm(source, target, UNIFORM_2)
 

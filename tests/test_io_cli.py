@@ -36,6 +36,14 @@ class TestPredictionFiles:
         with pytest.raises(InputError, match="bad.csv:2"):
             read_prediction_file(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_entry_names_line(self, tmp_path, cell):
+        # a NaN row passes both the negativity and the row-sum comparison
+        path = tmp_path / "nan.csv"
+        path.write_text(f"c0,c1\n0.5,0.5\n{cell},0.5\n")
+        with pytest.raises(InputError, match="nan.csv:3"):
+            read_prediction_file(path)
+
     def test_small_drift_renormalized(self, tmp_path):
         path = tmp_path / "drift.csv"
         path.write_text("c0,c1\n0.5000001,0.5\n")
@@ -234,6 +242,18 @@ class TestDiagnoseCommand:
         report = json.loads(out)
         # at the likelihood optimum the constraint-tangent gradient vanishes
         assert report["projected_gradient_norm"] < 1e-5
+
+    @pytest.mark.parametrize("method", ["bbse_hard", "bbse_soft", "rlls", "mlls_cm"])
+    def test_unlabeled_source_exits_2(self, hand_files, tmp_path, capsys, method):
+        src = tmp_path / "unlabeled.csv"
+        write_csv(src, read_prediction_file(hand_files[0])[0])
+        code, out, err = run_cli(
+            capsys, "diagnose", "--source", str(src), "--target", str(hand_files[1]),
+            "--method", method,
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "input"
 
 
 class TestSimulateCommand:

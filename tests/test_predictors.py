@@ -9,7 +9,6 @@ from labelshift.predictors import (
     GmmSpec,
     ThresholdPredictorSpec,
     bin_aggregate,
-    bin_aggregate_arrays,
     gmm_bayes_predict,
     gmm_posterior,
     samples_from_outputs,
@@ -17,7 +16,8 @@ from labelshift.predictors import (
     threshold_outputs,
     threshold_predict,
 )
-from labelshift.simplex import ProbVector
+from labelshift.simplex import LabeledPredictions, ProbVector
+from tests.conftest import make_samples
 
 UNIFORM_2 = ProbVector(np.array([0.5, 0.5]))
 SIGMOID_2 = 0.8807970779778823  # 1 / (1 + exp(-2))
@@ -96,20 +96,20 @@ class TestBinning:
 
     def test_label_mean_values(self):
         outputs, labels = self._toy()
-        pred = bin_aggregate_arrays(outputs, labels, n_bins=2)
+        pred = bin_aggregate(make_samples(outputs, labels), n_bins=2)
         np.testing.assert_allclose(pred.bin_outputs[0], [0.5, 0.5])
         np.testing.assert_allclose(pred.bin_outputs[1], [0.0, 1.0])
         np.testing.assert_allclose(pred.table.normalized_masses(), [0.5, 0.5])
 
     def test_output_mean_values(self):
         outputs, labels = self._toy()
-        pred = bin_aggregate_arrays(outputs, labels, n_bins=2, values="output_mean")
+        pred = bin_aggregate(make_samples(outputs, labels), n_bins=2, values="output_mean")
         np.testing.assert_allclose(pred.bin_outputs[0], [0.15, 0.85])
         np.testing.assert_allclose(pred.bin_outputs[1], [0.85, 0.15])
 
     def test_bin_index_edges(self):
         outputs, labels = self._toy()
-        pred = bin_aggregate_arrays(outputs, labels, n_bins=4)
+        pred = bin_aggregate(make_samples(outputs, labels), n_bins=4)
         assert pred.bin_index(ProbVector(np.array([0.1, 0.9]))) == 0
         assert pred.bin_index(ProbVector(np.array([0.999, 0.001]))) == 3
         assert pred.bin_index(ProbVector(np.array([1.0, 0.0]))) == 3  # right edge closed
@@ -119,14 +119,14 @@ class TestBinning:
 
     def test_remap_matrix(self):
         outputs, labels = self._toy()
-        pred = bin_aggregate_arrays(outputs, labels, n_bins=2)
+        pred = bin_aggregate(make_samples(outputs, labels), n_bins=2)
         remapped = pred.remap_matrix(np.array([[0.05, 0.95], [0.7, 0.3]]))
         np.testing.assert_allclose(remapped[0], [0.5, 0.5])
         np.testing.assert_allclose(remapped[1], [0.0, 1.0])
 
     def test_remap_through_empty_bin_fails(self):
         outputs, labels = self._toy()
-        pred = bin_aggregate_arrays(outputs, labels, n_bins=4)
+        pred = bin_aggregate(make_samples(outputs, labels), n_bins=4)
         assert len(pred.empty_bins) > 0
         empty = pred.empty_bins[0]
         probe = np.array([[(empty + 0.5) / 4.0, 1.0 - (empty + 0.5) / 4.0]])
@@ -151,7 +151,7 @@ class TestBinning:
         labels = (rng.random(n) > f0).astype(int)
         if np.unique(labels).size < 2:
             return
-        pred = bin_aggregate_arrays(outputs, labels, n_bins=n_bins)
+        pred = bin_aggregate(make_samples(outputs, labels), n_bins=n_bins)
         from labelshift.calibration import estimate_calibration_error
 
         remapped = pred.remap_matrix(outputs)
@@ -173,5 +173,5 @@ class TestTabular:
 
     def test_samples_from_outputs(self):
         samples = samples_from_outputs(np.array([[0.3, 0.7]]), np.array([1]))
-        assert samples[0].label == 1
-        assert isinstance(samples[0].output, ProbVector)
+        assert samples.labels[0] == 1
+        assert isinstance(samples, LabeledPredictions)

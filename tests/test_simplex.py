@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from labelshift.errors import InputError
 from labelshift.simplex import (
     SIMPLEX_TOL,
-    LabeledSample,
+    LabeledPredictions,
     PredictorTable,
     ProbVector,
     WeightVector,
@@ -70,14 +70,14 @@ class TestWeightVector:
         np.testing.assert_allclose(q.entries, [0.25, 0.75])
 
 
-class TestLabeledSample:
+class TestLabeledPredictions:
     def test_label_bounds(self):
-        out = ProbVector(np.array([0.2, 0.8]))
-        assert LabeledSample(out, 1).label == 1
+        out = np.array([[0.2, 0.8]])
+        assert LabeledPredictions(out, [1]).labels[0] == 1
         with pytest.raises(InputError):
-            LabeledSample(out, 2)
+            LabeledPredictions(out, [2])
         with pytest.raises(InputError):
-            LabeledSample(out, -1)
+            LabeledPredictions(out, [-1])
 
 
 class TestPredictorTable:
@@ -85,7 +85,7 @@ class TestPredictorTable:
         a = np.array([0.3, 0.7])
         t = grouped_table([a, np.array([0.6, 0.4]), a.copy()], [1.0, 2.0, 3.0], "count")
         assert len(t.support) == 2
-        merged = dict(zip(map(tuple, t.outputs_matrix()), t.masses()))
+        merged = dict(zip(map(tuple, t.support), t.masses))
         assert merged[(0.3, 0.7)] == 4.0
 
     def test_normalized_masses(self):
@@ -97,9 +97,9 @@ class TestPredictorTable:
             grouped_table([np.array([0.3, 0.7])], [0.5], "probability")
 
     def test_rejects_duplicate_support(self):
-        out = ProbVector(np.array([0.3, 0.7]))
+        out = np.array([0.3, 0.7])
         with pytest.raises(InputError):
-            PredictorTable(((out, 0.5), (out, 0.5)), "probability")
+            PredictorTable(np.array([out, out]), np.array([0.5, 0.5]), "probability")
 
 
 def _k2_feasible(w, p):

@@ -99,7 +99,7 @@ class TestSampling:
         outputs = np.array([[0.3, 0.7], [0.3, 0.7], [0.6, 0.4]])
         table = target_table_from_outputs(outputs)
         assert len(table.support) == 2
-        assert table.masses().sum() == pytest.approx(3.0)
+        assert table.masses.sum() == pytest.approx(3.0)
 
 
 class TestShiftSpec:
@@ -164,6 +164,16 @@ class TestTrials:
             assert row.mse == pytest.approx(np.mean(errs))
             assert row.stderr == pytest.approx(np.std(errs, ddof=1) / np.sqrt(len(errs)))
             assert row.n_failed == 0
+
+    def test_non_converged_result_is_a_failed_report(self):
+        # mlls_em returns converged=False and rlls raises; both count as failures
+        cfg = small_config(methods=("mlls_em", "rlls"), max_iters=1)
+        for rep in run_single_trial(cfg, 0, 0, 0):
+            assert rep.w_hat is None
+            assert np.isnan(rep.squared_error)
+            assert "did not converge" in rep.error_message
+        _, rows = run_trials(cfg)
+        assert all(row.n_failed == cfg.n_trials for row in rows)
 
     def test_realized_w_star_mode(self):
         cfg = small_config(w_star_from="realized")
