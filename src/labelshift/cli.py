@@ -223,6 +223,8 @@ def cmd_calibrate(args) -> int:
 def cmd_diagnose(args) -> int:
     src_outputs, src_labels, _ = read_prediction_file(args.source)
     tgt_outputs, _, _ = read_prediction_file(args.target)
+    if tgt_outputs.shape[1] != src_outputs.shape[1]:
+        raise InputError("source and target class counts differ")
     k = src_outputs.shape[1]
     target_rows = normalized_rows(tgt_outputs, tol=1e-6)
     table = grouped_table(target_rows, np.ones(len(target_rows)), "count")

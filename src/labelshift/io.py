@@ -5,11 +5,19 @@ trailing integer "label" column (0-based class index), '.' decimals, one row
 per example. Entries must be finite; probability rows off from 1 by at most
 1e-6 are renormalized; anything worse is rejected. A file reads as an (n, k)
 output array plus an optional (n,) label array.
+
+The body of a file is parsed in one `np.loadtxt` call, streamed from the open
+handle, and checked over whole columns. A file that this parse or its checks
+reject is read again from the start by the row-by-row loop `_read_rows`, which
+either accepts it or names the first bad row as `file:line`; that loop is the
+only source of error messages, and it returns exactly what the single parse
+returns on every file both accept.
 """
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 
 import numpy as np
 
@@ -17,6 +25,7 @@ from .errors import InputError
 from .confusion import ConfusionMatrix
 
 ROW_SUM_TOL = 1e-6
+WRITE_CHUNK_ROWS = 4096  # rows formatted per write, which bounds the text held at once
 
 
 def read_prediction_file(path) -> tuple[np.ndarray, np.ndarray | None, list[str]]:
@@ -26,20 +35,64 @@ def read_prediction_file(path) -> tuple[np.ndarray, np.ndarray | None, list[str]
 
 
 def read_predictions(fh, name: str = "<stream>"):
-    reader = csv.reader(fh)
+    """Read a prediction file from a seekable text handle opened with newline=""."""
+    start = fh.tell()
+    class_names, has_label = _read_header(fh, name)
+    parsed = _parse_body(fh, len(class_names), has_label)
+    if parsed is None:
+        fh.seek(start)
+        return _read_rows(fh, name)
+    return parsed[0], parsed[1], class_names
+
+
+def _read_header(fh, name: str) -> tuple[list[str], bool]:
     try:
-        header = next(reader)
+        header = next(csv.reader(fh))
     except StopIteration:
         raise InputError(f"{name}: empty prediction file") from None
     header = [h.strip() for h in header]
     has_label = bool(header) and header[-1] == "label"
     class_names = header[:-1] if has_label else header
-    k = len(class_names)
-    if k < 2:
+    if len(class_names) < 2:
         raise InputError(f"{name}: need at least two class columns")
+    return class_names, has_label
 
+
+def _parse_body(fh, k: int, has_label: bool):
+    """(outputs, labels or None) of a valid body in one parse, else None."""
+    for first in fh:  # loadtxt warns on a body with no rows, so look for one first
+        if first.strip("\r\n"):
+            break
+    else:
+        return None
+    fields = [("p", np.float64, (k,))] + ([("y", np.int64)] if has_label else [])
+    try:
+        data = np.loadtxt(
+            itertools.chain((first,), fh), dtype=fields,
+            delimiter=",", comments=None, quotechar='"', ndmin=1,
+        )
+    except ValueError:
+        return None
+    probs = data["p"]
+    labels = data["y"].copy() if has_label else None
+    s = probs.sum(axis=1)
+    # NaN fails every comparison and an inf entry makes its row sum inf, so
+    # these also reject non-finite entries
+    if not (
+        (probs >= -ROW_SUM_TOL).all()
+        and (np.abs(s - 1.0) <= ROW_SUM_TOL).all()
+        and (labels is None or ((labels >= 0) & (labels < k)).all())
+    ):
+        return None
+    return np.maximum(probs, 0.0) / np.maximum(s, 1e-300)[:, None], labels
+
+
+def _read_rows(fh, name: str):
+    """Row-by-row reader; names the first bad row as `file:line`."""
+    class_names, has_label = _read_header(fh, name)
+    k = len(class_names)
     outputs, labels = [], []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(csv.reader(fh), start=2):
         if not row:
             continue
         expect = k + 1 if has_label else k
@@ -79,15 +132,17 @@ def write_prediction_file(path, outputs: np.ndarray, labels=None, class_names=No
     n, k = outputs.shape
     if class_names is None:
         class_names = [f"class_{i}" for i in range(k)]
+    # the bytes csv.writer writes for these rows: %.12g cells, \r\n endings
+    fmt = ",".join(["%.12g"] * k) + (",%d" if labels is not None else "") + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         header = list(class_names) + (["label"] if labels is not None else [])
         writer.writerow(header)
-        for i in range(n):
-            row = [f"{v:.12g}" for v in outputs[i]]
+        for start in range(0, n, WRITE_CHUNK_ROWS):
+            cols = outputs[start:start + WRITE_CHUNK_ROWS].T.tolist()
             if labels is not None:
-                row.append(str(int(labels[i])))
-            writer.writerow(row)
+                cols.append(np.asarray(labels[start:start + WRITE_CHUNK_ROWS]).tolist())
+            fh.write("".join(fmt % row for row in zip(*cols, strict=True)))
 
 
 def confusion_to_csv(confusion: ConfusionMatrix, class_names=None) -> str:

@@ -1,14 +1,84 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import labelshift.io
 from labelshift.cli import main
 from labelshift.confusion import ConfusionMatrix
 from labelshift.errors import InputError
-from labelshift.io import confusion_to_csv, read_prediction_file, write_prediction_file
+from labelshift.io import (
+    WRITE_CHUNK_ROWS,
+    _read_rows,
+    confusion_to_csv,
+    read_prediction_file,
+    read_predictions,
+    write_prediction_file,
+)
 from labelshift.simplex import ProbVector
 from tests.conftest import F_ROWS, PS_ROWS, W_MISCAL_OPT
+
+
+# Cells both readers must treat alike: tokens that float()/int() and a C parser
+# may read differently, and values at the edges of the checks.
+ZEROS = ["0", "-0.0", "1e-300", "1e-301", "5e-324", "-1e-7"]
+FAULTS = (
+    [("space", None), ("sum", None), ("negative", None), ("columns", None)]
+    + [("prob", t) for t in ["1_0", "0x1p-1", "nan", "inf", "-inf", "1e400", "", "-1e-5"]]
+    + [("label", t) for t in ["1.0", "1e0", "1_0", "-1", "9" * 25, "", "K"]]  # K: the class count
+)
+
+
+@st.composite
+def prediction_csv_text(draw):
+    """CSV text, k in 2..4: a valid file, or one with one fault in one row."""
+    k = draw(st.integers(2, 4))
+    has_label = draw(st.booleans())
+    n = draw(st.integers(0, 6))
+    fault, token = draw(st.sampled_from([(None, None)] * len(FAULTS) + FAULTS)) if n else (None, None)
+    bad = draw(st.integers(0, n - 1)) if fault else -1
+
+    def cell(text):
+        how = draw(st.sampled_from(["plain", "plain", "quoted", "padded", "quoted_padded"]))
+        return {"plain": text, "quoted": f'"{text}"', "padded": f" {text} ",
+                "quoted_padded": f'" {text} "'}[how]
+
+    lines = [",".join([f"c{j}" for j in range(k)] + (["label"] if has_label else []))]
+    for i in range(n):
+        if draw(st.integers(0, 3)) == 0:
+            lines.append("")
+        if i == bad and fault == "space":
+            lines.append(draw(st.sampled_from([" ", "\t", " \t "])))
+            continue
+        if draw(st.booleans()) or (i == bad and fault == "sum"):
+            w = draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
+            probs = [v / sum(w) for v in w]
+            probs[0] += 1e-5 if i == bad and fault == "sum" else draw(st.sampled_from([0.0, 1e-7, -1e-7]))
+            texts = [draw(st.sampled_from([repr(v), f"{v:.12g}"])) for v in probs]
+        else:
+            texts = [draw(st.sampled_from(ZEROS)) for _ in range(k)]
+            texts[draw(st.integers(0, k - 1))] = draw(st.sampled_from(["1", "1.0", "1.0000001"]))
+        if i == bad and fault == "negative":  # sums to 1 within the tolerance
+            texts = ["1.00001", "-1e-5"] + ["0"] * (k - 2)
+        if i == bad and fault == "prob":
+            texts[draw(st.integers(0, k - 1))] = token
+        if has_label:
+            label = draw(st.integers(0, k - 1))
+            forms = [str(label), "-0" if label == 0 else f"+{label}", f"0{label}"]
+            if i == bad and fault == "label":
+                texts.append(str(k) if token == "K" else token)
+            else:
+                texts.append(draw(st.sampled_from(forms)))
+        cells = [cell(t) for t in texts]
+        if i == bad and fault == "columns":
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["0"]
+        lines.append(",".join(cells))
+    eols = st.sampled_from(["\n", "\r\n", "\r"])
+    return "".join(line + draw(eols) for line in lines)
 
 
 class TestPredictionFiles:
@@ -49,6 +119,69 @@ class TestPredictionFiles:
         path.write_text("c0,c1\n0.5000001,0.5\n")
         out, _, _ = read_prediction_file(path)
         assert out[0].sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_valid_file_is_read_without_the_row_loop(self, tmp_path, monkeypatch):
+        path = tmp_path / "ok.csv"
+        path.write_bytes(b'c0,c1,label\r\n"0.25", 0.75 ,01\r\n\r\n0.6,0.4,-0\r\n')
+
+        def row_loop(fh, name):
+            raise AssertionError("a valid file fell back to the row-by-row reader")
+
+        monkeypatch.setattr(labelshift.io, "_read_rows", row_loop)
+        out, labels, names = read_prediction_file(path)
+        assert out.shape == (2, 2) and labels.tolist() == [1, 0] and names == ["c0", "c1"]
+
+    def test_bad_row_late_in_large_file_names_its_line(self, tmp_path):
+        rows = ["0.25,0.75"] * 60_000
+        rows[49_999] = "0.25,0.8"  # header is line 1, so row i is line i + 2
+        path = tmp_path / "big.csv"
+        path.write_text("c0,c1\n" + "\n".join(rows) + "\n")
+        with pytest.raises(InputError, match=r"big\.csv:50001: probabilities sum to"):
+            read_prediction_file(path)
+
+    @pytest.mark.parametrize("with_labels", [True, False])
+    def test_writer_matches_csv_writer(self, tmp_path, with_labels):
+        rows = np.array([[-0.0, 1.0], [1e-300, 1.0], [1.0 / 3.0, 2.0 / 3.0], [0.5, 0.5]])
+        outputs = np.tile(rows, (WRITE_CHUNK_ROWS // 4 + 1, 1))  # spans two chunks
+        labels = np.arange(len(outputs)) % 2 if with_labels else None
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        writer.writerow(["a", "b"] + (["label"] if with_labels else []))
+        for i, row in enumerate(outputs):
+            writer.writerow([f"{v:.12g}" for v in row] + ([str(labels[i])] if with_labels else []))
+        path = tmp_path / "w.csv"
+        write_prediction_file(path, outputs, labels, class_names=["a", "b"])
+        assert path.read_bytes() == ref.getvalue().encode("utf-8")
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=prediction_csv_text())
+    @example(text="c0,c1\r\n0.5,0.5\r\nnan,0\r\n")
+    @example(text="c0,c1\n0.5,0.5\n1.00001,-1e-5\n")
+    @example(text="c0,c1\n0.5,0.5\n0.5,0.50001\n")
+    @example(text="c0,c1\r\n\r\n")
+    @example(text="c0,c1,label\n0.5,0.5,1\n0.5,0.5,-1\n")
+    @example(text="c0,c1,label\n0.5,0.5,1\n0.5,0.5,2\n")
+    @example(text="c0,c1,label\n0.5,0.5,1\n0.5,0.5,1.0\n")
+    def test_matches_row_reader(self, text):
+        def read(reader):
+            try:
+                return reader(io.StringIO(text, newline=""), "f.csv")
+            except InputError as exc:
+                return str(exc)
+
+        fast, rows = read(read_predictions), read(_read_rows)
+        if isinstance(rows, str):
+            assert fast == rows
+            return
+        assert not isinstance(fast, str), fast
+        assert fast[0].dtype == rows[0].dtype and fast[0].shape == rows[0].shape
+        assert fast[0].tobytes() == rows[0].tobytes()
+        if rows[1] is None:
+            assert fast[1] is None
+        else:
+            assert fast[1].dtype == rows[1].dtype
+            assert fast[1].tobytes() == rows[1].tobytes()
+        assert fast[2] == rows[2]
 
     def test_confusion_to_csv(self):
         conf = ConfusionMatrix(
@@ -242,6 +375,17 @@ class TestDiagnoseCommand:
         report = json.loads(out)
         # at the likelihood optimum the constraint-tangent gradient vanishes
         assert report["projected_gradient_norm"] < 1e-5
+
+    def test_class_count_mismatch_exits_2(self, hand_files, tmp_path, capsys):
+        tgt = tmp_path / "tgt3.csv"
+        write_csv(tgt, np.array([[0.2, 0.3, 0.5]] * 4))
+        code, out, err = run_cli(
+            capsys, "diagnose", "--source", str(hand_files[0]), "--target", str(tgt),
+            "--method", "mlls_em",
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": "input", "message": "source and target class counts differ"}
 
     @pytest.mark.parametrize("method", ["bbse_hard", "bbse_soft", "rlls", "mlls_cm"])
     def test_unlabeled_source_exits_2(self, hand_files, tmp_path, capsys, method):
