@@ -7,11 +7,12 @@ per example. Entries must be finite; probability rows off from 1 by at most
 output array plus an optional (n,) label array.
 
 The body of a file is parsed in one `np.loadtxt` call, streamed from the open
-handle, and checked over whole columns. A file that this parse or its checks
-reject is read again from the start by the row-by-row loop `_read_rows`, which
-either accepts it or names the first bad row as `file:line`; that loop is the
-only source of error messages, and it returns exactly what the single parse
-returns on every file both accept.
+handle, and checked over whole columns; labels are parsed by `int`, as in the
+row loop. A file that this parse or its checks reject is read again from the
+start by the row-by-row loop `_read_rows`, which either accepts it or names the
+first bad row as `file:line`; that loop is the only source of error messages,
+and it returns exactly what the single parse returns on every file both
+accept. A handle that cannot seek back is read by the row loop alone.
 """
 from __future__ import annotations
 
@@ -35,7 +36,12 @@ def read_prediction_file(path) -> tuple[np.ndarray, np.ndarray | None, list[str]
 
 
 def read_predictions(fh, name: str = "<stream>"):
-    """Read a prediction file from a seekable text handle opened with newline=""."""
+    """Read a prediction file from a text handle opened with newline="".
+
+    A handle that cannot seek back (a pipe, stdin) is read by the row loop.
+    """
+    if not fh.seekable():
+        return _read_rows(fh, name)
     start = fh.tell()
     class_names, has_label = _read_header(fh, name)
     parsed = _parse_body(fh, len(class_names), has_label)
@@ -70,6 +76,9 @@ def _parse_body(fh, k: int, has_label: bool):
         data = np.loadtxt(
             itertools.chain((first,), fh), dtype=fields,
             delimiter=",", comments=None, quotechar='"', ndmin=1,
+            # int() is the row loop's label rule; numpy's own integer parse
+            # truncates float text such as "1.5" on some versions
+            converters={k: int} if has_label else None,
         )
     except ValueError:
         return None

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -130,6 +131,29 @@ class TestPredictionFiles:
         monkeypatch.setattr(labelshift.io, "_read_rows", row_loop)
         out, labels, names = read_prediction_file(path)
         assert out.shape == (2, 2) and labels.tolist() == [1, 0] and names == ["c0", "c1"]
+
+    # numpy versions that read float text into an integer field truncate it
+    # with a DeprecationWarning, which the CLI does not turn into an error
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    @pytest.mark.parametrize("label", ["1.0", "1e0", "1.5", "-0.5"])
+    def test_float_text_label_rejected_without_warning_filters(self, tmp_path, label):
+        path = tmp_path / "f.csv"
+        path.write_text(f"c0,c1,label\n0.5,0.5,1\n0.5,0.5,{label}\n")
+        with pytest.raises(InputError, match=r"f\.csv:3: label is not an integer"):
+            read_prediction_file(path)
+
+    def test_pipe_is_read_row_by_row(self, tmp_path):
+        text = "c0,c1,label\r\n0.25,0.75,1\r\n0.6,0.4,0\r\n"
+        path = tmp_path / "p.csv"
+        path.write_text(text, newline="")
+        r, w = os.pipe()
+        os.write(w, text.encode())
+        os.close(w)
+        with open(r, newline="", encoding="utf-8") as fh:
+            assert not fh.seekable()
+            out, labels, names = read_predictions(fh, "p.csv")
+        ref = read_prediction_file(path)
+        assert out.tobytes() == ref[0].tobytes() and labels.tolist() == [1, 0] and names == ref[2]
 
     def test_bad_row_late_in_large_file_names_its_line(self, tmp_path):
         rows = ["0.25,0.75"] * 60_000
