@@ -95,6 +95,7 @@ def bcts_apply_matrix(params: BctsParams, outputs: np.ndarray, eps: float = 1e-1
 
 
 def _bcts_loss_grad(logp, onehot, inv_t, b, loss):
+    """Loss, its (k+1,) gradient in (1/T, b) and the calibrated rows g."""
     g = _bcts_transform(logp, inv_t, b)
     n = logp.shape[0]
     if loss == "nll":
@@ -106,19 +107,50 @@ def _bcts_loss_grad(logp, onehot, inv_t, b, loss):
         # dz through the softmax Jacobian diag(g) - g g^T
         dg = 2.0 * diff / n
         dz = g * (dg - (dg * g).sum(axis=1, keepdims=True))
-    grad_inv_t = float((dz * logp).sum())
-    grad_b = dz.sum(axis=0)
-    return val, grad_inv_t, grad_b
+    grad = np.concatenate(([(dz * logp).sum()], dz.sum(axis=0)))
+    return val, grad, g
+
+
+def _bcts_fisher(logp, g):
+    """Softmax Fisher matrix sum_i J_i^T (diag g_i - g_i g_i^T) J_i / n in
+    (1/T, b), with J_i = [log p_i | I]: the exact Hessian of the NLL. Softmax
+    is shift-invariant, so the b-block has a null direction along 1; adding
+    1/k to every b-block entry removes it without moving a step orthogonal to 1."""
+    n, k = g.shape
+    gl = g * logp
+    m = gl.sum(axis=1)  # g_i . log p_i
+    H = np.empty((k + 1, k + 1))
+    H[0, 0] = ((gl * logp).sum() - m @ m) / n
+    H[0, 1:] = H[1:, 0] = (gl.sum(axis=0) - m @ g) / n
+    H[1:, 1:] = (np.diag(g.sum(axis=0)) - g.T @ g) / n + 1.0 / k
+    return H
+
+
+def _descent_direction(H, grad):
+    """Newton direction -H^{-1} grad, or -grad if the solve fails or does not descend."""
+    try:
+        d = -np.linalg.solve(H, grad)
+    except np.linalg.LinAlgError:
+        return -grad
+    if not np.all(np.isfinite(d)) or grad @ d >= 0:
+        return -grad
+    return d
 
 
 def bcts_fit(
     validation: LabeledPredictions, loss: str = "nll", tol: float = 1e-8, max_iters: int = 10_000
 ) -> BctsFit:
-    """Fit BCTS by full-batch descent on (1/T, b) with backtracking line search.
+    """Fit BCTS on (1/T, b) by damped Newton steps with backtracking line search.
 
-    Deterministic: initialized at the identity (T=1, b=0), Armijo backtracking
-    from unit step. Raises ConvergenceError with the final gradient norm if the
-    iteration budget runs out.
+    The direction solves H d = -grad with H the softmax Fisher matrix at the
+    current point (`_bcts_fisher`): the exact NLL Hessian, and the
+    natural-gradient preconditioner for the MSE loss. If the solve fails or
+    its direction does not descend, the step is along -grad. Deterministic:
+    initialized at the identity (T=1, b=0), Armijo backtracking from unit
+    step, stopping once the gradient norm is below tol. `converged` is False
+    when the line search can no longer lower the loss while the gradient
+    norm is still at least 1e-6. Raises ConvergenceError with the final
+    gradient norm if the iteration budget runs out.
     """
     if loss not in ("nll", "mse"):
         raise InputError(f"unknown loss: {loss}")
@@ -132,39 +164,41 @@ def bcts_fit(
     onehot = np.zeros((n, k))
     onehot[np.arange(n), labels] = 1.0
 
-    inv_t, b = 1.0, np.zeros(k)
-    val, g_t, g_b = _bcts_loss_grad(logp, onehot, inv_t, b, loss)
+    theta = np.concatenate(([1.0], np.zeros(k)))  # (1/T, b)
+    val, grad, g = _bcts_loss_grad(logp, onehot, theta[0], theta[1:], loss)
     trace = [val]
     converged = False
     it = 0
     for it in range(1, max_iters + 1):
-        gnorm = float(np.sqrt(g_t ** 2 + (g_b ** 2).sum()))
+        gnorm = float(np.linalg.norm(grad))
         if gnorm < tol:
             converged = True
             break
+        d = _descent_direction(_bcts_fisher(logp, g), grad)
+        slope = float(grad @ d)
         step = 1.0
-        sq = g_t ** 2 + (g_b ** 2).sum()
         while True:
-            nt, nb = inv_t - step * g_t, b - step * g_b
-            if nt > 0:
-                nval, ng_t, ng_b = _bcts_loss_grad(logp, onehot, nt, nb, loss)
-                if nval <= val - ARMIJO_C * step * sq:
+            nxt = theta + step * d
+            if nxt[0] > 0:
+                nval, ngrad, ng = _bcts_loss_grad(logp, onehot, nxt[0], nxt[1:], loss)
+                if nval <= val + ARMIJO_C * step * slope:
                     break
             step *= ARMIJO_SHRINK
             if step < 1e-18:
-                # flat to machine precision
-                nt, nb, nval, ng_t, ng_b = inv_t, b, val, g_t, g_b
                 break
-        if nval >= val and step < 1e-18:
-            converged = gnorm < 1e-6  # loss-flat stop; gradient nearly zero
+        if step < 1e-18:  # loss flat to machine precision along d
+            converged = gnorm < 1e-6
             break
-        inv_t, b, val, g_t, g_b = nt, nb, nval, ng_t, ng_b
+        theta, val, grad, g = nxt, nval, ngrad, ng
         trace.append(val)
-    gnorm = float(np.sqrt(g_t ** 2 + (g_b ** 2).sum()))
-    params = BctsParams(1.0 / inv_t, b - b.mean())  # softmax is shift-invariant in b
-    if not converged and gnorm >= tol and it >= max_iters:
-        raise ConvergenceError(f"BCTS fit did not converge: final gradient norm {gnorm:.3e}")
-    return BctsFit(params, True, it, gnorm, tuple(trace))
+    else:
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm >= tol:
+            raise ConvergenceError(f"BCTS fit did not converge: final gradient norm {gnorm:.3e}")
+        converged = True
+    b = theta[1:]
+    params = BctsParams(1.0 / theta[0], b - b.mean())  # softmax is shift-invariant in b
+    return BctsFit(params, converged, it, gnorm, tuple(trace))
 
 
 def confusion_row_calibrate(confusion: ConfusionMatrix) -> PredictorTable:

@@ -210,8 +210,8 @@ def cmd_calibrate(args) -> int:
     fit = bcts_fit(samples_from_outputs(outputs, labels), loss=args.loss)
     report = fit.params.to_json()
     report.update(
-        {"iterations": fit.iterations, "final_grad_norm": fit.final_grad_norm,
-         "final_loss": fit.loss_trace[-1]}
+        {"iterations": fit.iterations, "converged": fit.converged,
+         "final_grad_norm": fit.final_grad_norm, "final_loss": fit.loss_trace[-1]}
     )
     json.dump(report, sys.stdout)
     sys.stdout.write("\n")
@@ -219,6 +219,27 @@ def cmd_calibrate(args) -> int:
 
 
 # ---------------------------------------------------------------- diagnose
+
+def _weights_from_json(obj, source_marginal: ProbVector) -> WeightVector:
+    """A weight vector read from JSON, rescaled so that w . p_s = 1."""
+    k = source_marginal.k
+    if not (
+        isinstance(obj, list)
+        and len(obj) == k
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj)
+    ):
+        raise InputError(f"weights file must hold a JSON list of {k} numbers")
+    try:
+        w = np.asarray(obj, dtype=float)
+    except OverflowError:  # an integer beyond float range
+        raise InputError("weights must be finite") from None
+    if not np.all(np.isfinite(w)):
+        raise InputError("weights must be finite")
+    dot = float(w @ source_marginal.entries)
+    if dot <= 0:
+        raise InputError(f"weights give w . p_s = {dot}; it must be positive")
+    return WeightVector(w / dot, source_marginal)
+
 
 def cmd_diagnose(args) -> int:
     src_outputs, src_labels, _ = read_prediction_file(args.source)
@@ -237,8 +258,7 @@ def cmd_diagnose(args) -> int:
 
     if args.weights:
         with open(args.weights, encoding="utf-8") as fh:
-            w = np.asarray(json.load(fh), dtype=float)
-        weights = WeightVector(w / (w @ source_marginal.entries), source_marginal)
+            weights = _weights_from_json(json.load(fh), source_marginal)
     else:
         if src_labels is None and args.method not in ("mlls_em", "mlls_grad"):
             raise InputError(f"method {args.method} needs a source file with a label column")

@@ -170,7 +170,7 @@ class PredictorTable:
             raise InputError(f"{masses.size} masses for {support.shape[0]} support rows")
         if np.any(masses < 0):
             raise InputError(f"negative mass {masses.min()} in predictor table")
-        if np.unique(support, axis=0).shape[0] != support.shape[0]:
+        if not _sorted_runs(support)[1].all():
             raise InputError("duplicate output vector in predictor table support")
         total = masses.sum()
         if self.kind == "probability" and abs(total - 1.0) > SIMPLEX_TOL:
@@ -182,12 +182,35 @@ class PredictorTable:
         return self.masses / self.masses.sum()
 
 
+def _sorted_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable lexicographic order of the rows of an (n, k) array, and the mask
+    over that order of rows that differ from their predecessor by value (the
+    start of each run of equal rows)."""
+    order = np.lexsort(rows.T[::-1])
+    s = rows[order]
+    start = np.ones(rows.shape[0], dtype=bool)
+    start[1:] = (s[1:] != s[:-1]).any(axis=1)
+    return order, start
+
+
 def group_rows(rows) -> tuple[np.ndarray, np.ndarray]:
     """Group equal rows of an (n, k) array: the index of each group's first
-    row, in order of first occurrence, and the group index of every row."""
-    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return first[order], np.argsort(order)[inverse.reshape(-1)]
+    row, in order of first occurrence, and the group index of every row.
+
+    Rows compare by value (-0.0 equals 0.0). One stable lexsort puts equal
+    rows next to each other, earliest first, so each run's first sorted row
+    is its group's first occurrence."""
+    rows = np.asarray(rows)
+    if rows.ndim == 1:
+        rows = rows[:, None]
+    order, start = _sorted_runs(rows)
+    firsts = order[start]  # per run, in sorted order
+    by_first = np.argsort(firsts)
+    rank = np.empty(firsts.size, dtype=np.intp)
+    rank[by_first] = np.arange(firsts.size)
+    group = np.empty(rows.shape[0], dtype=np.intp)
+    group[order] = rank[np.cumsum(start) - 1]
+    return firsts[by_first], group
 
 
 def grouped_table(outputs, masses, kind: str) -> PredictorTable:

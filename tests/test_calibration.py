@@ -5,17 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.optimize import minimize
+from scipy.special import logsumexp
+
+from labelshift import calibration
 from labelshift.calibration import (
     BctsParams,
     bcts_apply,
     bcts_apply_matrix,
     bcts_fit,
     calibration_error_of_table,
+    clip_probs,
     confusion_row_calibrate,
     estimate_calibration_error,
 )
 from labelshift.confusion import ConfusionMatrix, build_hard_confusion
-from labelshift.errors import InputError
+from labelshift.errors import ConvergenceError, InputError
 from labelshift.simplex import ProbVector, grouped_table
 from tests.conftest import make_samples
 
@@ -80,6 +85,17 @@ def calibrated_validation_set():
     return make_samples(outputs, labels)
 
 
+def distorted_ten_class_instance():
+    """Seeded 10-class labels drawn from calibrated outputs, seen through a
+    fixed BCTS distortion; returns the samples and their clipped log-outputs."""
+    rng = np.random.default_rng(2026)
+    n, k = 3000, 10
+    clean = rng.dirichlet(np.full(k, 0.7), size=n)
+    labels = (clean.cumsum(axis=1) > rng.random(n)[:, None]).argmax(axis=1)
+    noisy = bcts_apply_matrix(BctsParams(1.6, rng.normal(0.0, 0.3, k)), clean)
+    return make_samples(noisy, labels), np.log(clip_probs(noisy))
+
+
 class TestBctsFit:
     def test_identity_on_calibrated_data(self):
         # Perfectly calibrated data makes the identity transform stationary for
@@ -93,9 +109,27 @@ class TestBctsFit:
         rng = np.random.default_rng(7)
         probs = rng.dirichlet(np.ones(3), size=60)
         labels = rng.integers(0, 3, size=60)
-        fit = bcts_fit(make_samples(probs, labels))
-        trace = np.array(fit.loss_trace)
-        assert np.all(np.diff(trace) <= 1e-12)
+        for loss in ("nll", "mse"):
+            fit = bcts_fit(make_samples(probs, labels), loss=loss)
+            trace = np.array(fit.loss_trace)
+            assert np.all(np.diff(trace) <= 1e-12)
+
+    def test_boundary_optimum_reports_not_converged(self):
+        # Labels drawn independently of the outputs: the loss keeps falling as
+        # 1/T goes to 0, so the line search stalls at the 1/T > 0 boundary with
+        # a large gradient, and the fit must say it did not converge.
+        rng = np.random.default_rng(7)
+        probs = rng.dirichlet(np.ones(3), size=60)
+        labels = rng.integers(0, 3, size=60)
+        for loss in ("nll", "mse"):
+            fit = bcts_fit(make_samples(probs, labels), loss=loss)
+            assert not fit.converged
+            assert fit.final_grad_norm >= 1e-6
+
+    def test_small_budget_raises(self):
+        samples, _ = distorted_ten_class_instance()
+        with pytest.raises(ConvergenceError, match="final gradient norm"):
+            bcts_fit(samples, max_iters=2)
 
     def test_recovers_distortion(self):
         # Distort calibrated outputs by a fixed BCTS map; fitting on the
@@ -112,6 +146,75 @@ class TestBctsFit:
         restored = bcts_apply_matrix(fit.params, noisy)
         gap = np.abs(restored - clean).max()
         assert gap < 0.05
+
+    def test_newton_fit_converges_in_few_iterations(self):
+        samples, _ = distorted_ten_class_instance()
+        fit = bcts_fit(samples)
+        assert fit.converged
+        assert fit.iterations <= 10
+        assert fit.final_grad_norm < 1e-8
+
+    def test_matches_scipy_optimum(self):
+        # An independent fit: scipy BFGS on the NLL written with logsumexp.
+        samples, logp = distorted_ten_class_instance()
+        n, k = logp.shape
+        rows, y = np.arange(n), samples.labels
+
+        def nll(theta):
+            z = theta[0] * logp + theta[1:]
+            lse = logsumexp(z, axis=1)
+            dz = np.exp(z - lse[:, None])
+            dz[rows, y] -= 1.0
+            dz /= n
+            return (lse - z[rows, y]).mean(), np.concatenate(([(dz * logp).sum()], dz.sum(axis=0)))
+
+        ref = minimize(nll, np.r_[1.0, np.zeros(k)], jac=True, method="BFGS",
+                       options={"gtol": 1e-12, "maxiter": 10_000})
+        fit = bcts_fit(samples)
+        assert fit.params.temperature == pytest.approx(1.0 / ref.x[0], abs=1e-7)
+        np.testing.assert_allclose(fit.params.biases, ref.x[1:] - ref.x[1:].mean(), atol=1e-7)
+
+    def test_fisher_is_nll_hessian_plus_shift_fix(self):
+        # Central differences of the NLL gradient give the Hessian; the Fisher
+        # matrix must equal it plus 1/k on the b-block, and be positive definite.
+        rng = np.random.default_rng(5)
+        n, k = 200, 4
+        logp = np.log(rng.dirichlet(np.ones(k), size=n))
+        onehot = np.eye(k)[rng.integers(0, k, size=n)]
+        theta = np.r_[0.8, rng.normal(0.0, 0.5, k)]
+        _, _, g = calibration._bcts_loss_grad(logp, onehot, theta[0], theta[1:], "nll")
+        H = calibration._bcts_fisher(logp, g)
+        h = 1e-6
+        fd = np.empty((k + 1, k + 1))
+        for j in range(k + 1):
+            e = np.zeros(k + 1)
+            e[j] = h
+            up = calibration._bcts_loss_grad(logp, onehot, theta[0] + e[0], theta[1:] + e[1:], "nll")[1]
+            dn = calibration._bcts_loss_grad(logp, onehot, theta[0] - e[0], theta[1:] - e[1:], "nll")[1]
+            fd[:, j] = (up - dn) / (2 * h)
+        fd[1:, 1:] += 1.0 / k
+        np.testing.assert_allclose(H, fd, atol=1e-7)
+        assert np.linalg.eigvalsh(H)[0] > 0
+
+    def test_falls_back_to_gradient_when_newton_ascends(self, monkeypatch):
+        # With the Fisher matrix replaced by -I every Newton direction points
+        # uphill, so each step must be taken along -grad; plain descent then
+        # reaches the same optimum in more iterations.
+        samples = calibrated_validation_set()
+        distorted = make_samples(
+            bcts_apply_matrix(BctsParams(1.5, np.array([0.3, -0.3])), samples.outputs),
+            samples.labels,
+        )
+        newton = bcts_fit(distorted)
+        monkeypatch.setattr(
+            calibration, "_bcts_fisher", lambda logp, g: -np.eye(logp.shape[1] + 1)
+        )
+        descent = bcts_fit(distorted)
+        assert descent.converged
+        assert descent.iterations > newton.iterations
+        assert np.all(np.diff(descent.loss_trace) <= 1e-12)
+        assert descent.params.temperature == pytest.approx(newton.params.temperature, abs=1e-6)
+        np.testing.assert_allclose(descent.params.biases, newton.params.biases, atol=1e-6)
 
     def test_mse_loss_runs(self):
         fit = bcts_fit(calibrated_validation_set(), loss="mse")

@@ -365,6 +365,7 @@ class TestCalibrateCommand:
         assert code == 0
         report = json.loads(out)
         assert report["temperature"] > 0
+        assert report["converged"] is True
         assert report["final_grad_norm"] < 1e-6
 
     def test_requires_labels(self, tmp_path, capsys):
@@ -410,6 +411,27 @@ class TestDiagnoseCommand:
         assert code == 2
         assert out == ""
         assert json.loads(err) == {"error": "input", "message": "source and target class counts differ"}
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1, 1, 1]", "weights file must hold a JSON list of 2 numbers"),
+            ('[1, "a"]', "weights file must hold a JSON list of 2 numbers"),
+            ("[0, 0]", "weights give w . p_s = 0.0; it must be positive"),
+        ],
+        ids=["wrong_length", "non_numeric", "zero_source_mass"],
+    )
+    def test_bad_weights_file_exits_2(self, hand_files, tmp_path, capsys, text, message):
+        wfile = tmp_path / "w.json"
+        wfile.write_text(text)
+        code, out, err = run_cli(
+            capsys, "diagnose", "--source", str(hand_files[0]), "--target", str(hand_files[1]),
+            "--weights", str(wfile),
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1  # the JSON error alone: no traceback, no warning
+        assert json.loads(err) == {"error": "input", "message": message}
 
     @pytest.mark.parametrize("method", ["bbse_hard", "bbse_soft", "rlls", "mlls_cm"])
     def test_unlabeled_source_exits_2(self, hand_files, tmp_path, capsys, method):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from labelshift.errors import InputError
@@ -10,6 +10,7 @@ from labelshift.simplex import (
     PredictorTable,
     ProbVector,
     WeightVector,
+    group_rows,
     grouped_table,
     project_to_weight_simplex,
     weights_to_target_marginal,
@@ -100,6 +101,62 @@ class TestPredictorTable:
         out = np.array([0.3, 0.7])
         with pytest.raises(InputError):
             PredictorTable(np.array([out, out]), np.array([0.5, 0.5]), "probability")
+
+
+def group_rows_by_unique(rows):
+    """Reference: the former `group_rows`, built on np.unique over rows."""
+    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse.reshape(-1)]
+
+
+@st.composite
+def repeated_rows(draw, probability=False):
+    """(n, k) rows, k in 1..12, picked from a small pool so that rows repeat;
+    a random subset of zero entries is flipped to -0.0."""
+    k = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 40))
+    if probability:
+        values = st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e-300])
+    else:
+        values = st.one_of(
+            st.sampled_from([0.0, 0.5, 1.0, -1.0, 1e-300, 5e-324]),
+            st.floats(-1.0, 1.0, allow_nan=False),
+        )
+    pool = np.array(
+        draw(st.lists(st.lists(values, min_size=k, max_size=k), min_size=1, max_size=6))
+    ).reshape(-1, k)
+    if probability:
+        pool[pool.sum(axis=1) == 0, 0] = 1.0
+        pool /= pool.sum(axis=1, keepdims=True)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = pool[rng.integers(0, len(pool), size=n)]
+    flip = rng.random((n, k)) < 0.5
+    return np.where((rows == 0) & flip, -rows, rows)
+
+
+class TestGroupRows:
+    @given(rows=repeated_rows())
+    @settings(max_examples=300, deadline=None)
+    @example(rows=np.array([[0.25, 0.75]]))
+    @example(rows=np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, -0.0]]))
+    @example(rows=np.array([[0.5] * 12, [0.25] * 12, [0.5] * 12]))
+    @example(rows=np.array([[1.0], [-0.0], [1.0], [0.0]]))
+    def test_matches_unique_reference(self, rows):
+        first, group = group_rows(rows)
+        ref_first, ref_group = group_rows_by_unique(rows)
+        np.testing.assert_array_equal(first, ref_first)
+        np.testing.assert_array_equal(group, ref_group)
+
+    @given(rows=repeated_rows(probability=True))
+    @settings(max_examples=200, deadline=None)
+    def test_table_rejects_support_iff_rows_repeat(self, rows):
+        distinct = group_rows_by_unique(rows)[0].size == rows.shape[0]
+        if distinct:
+            PredictorTable(rows, np.ones(rows.shape[0]), "count")
+        else:
+            with pytest.raises(InputError, match="duplicate output vector"):
+                PredictorTable(rows, np.ones(rows.shape[0]), "count")
 
 
 def _k2_feasible(w, p):
