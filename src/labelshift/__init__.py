@@ -61,6 +61,7 @@ from .diagnostics import (
     diagnostics_report,
     eigenvalue_sandwich_check,
     example1_closed_form,
+    kkt_residual,
     likelihood_gradient,
     likelihood_hessian,
     log_likelihood,

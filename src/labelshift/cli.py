@@ -14,17 +14,17 @@ import sys
 import numpy as np
 
 from .errors import ConvergenceError, IdentifiabilityError, InputError
-from .calibration import BctsParams, bcts_apply_matrix, bcts_fit
+from .calibration import bcts_apply_matrix, bcts_fit
 from .confusion import (
     build_hard_confusion,
     build_soft_confusion,
     build_target_prediction_marginal,
 )
 from .diagnostics import (
-    compute_bound_terms,
     condition_tau,
     check_identifiability,
     diagnostics_report,
+    kkt_residual,
 )
 from .estimators import (
     METHODS,
@@ -104,21 +104,27 @@ def _split_source(outputs, labels, val_fraction: float, seed: int):
 
 
 def _run_estimator(method, est_cfg, source_samples, target_rows, table, source_marginal):
+    """Run one method; a result that did not converge raises ConvergenceError."""
     if method in ("bbse_hard", "bbse_soft"):
         kind = method.split("_")[1]
         conf = (build_hard_confusion if kind == "hard" else build_soft_confusion)(source_samples)
         mu = build_target_prediction_marginal(target_rows, kind)
-        return bbse(conf, mu, clip_negative=est_cfg.clip_negative), conf.column_marginal
-    if method == "rlls":
+        result, marginal = bbse(conf, mu, clip_negative=est_cfg.clip_negative), conf.column_marginal
+    elif method == "rlls":
         conf = build_hard_confusion(source_samples)
         mu = build_target_prediction_marginal(target_rows, "hard")
-        return rlls(conf, mu, est_cfg.rlls_lambda, est_cfg), conf.column_marginal
-    if method in ("mlls_em", "mlls_grad"):
+        result, marginal = rlls(conf, mu, est_cfg.rlls_lambda, est_cfg), conf.column_marginal
+    elif method in ("mlls_em", "mlls_grad"):
         solver = mlls_em if method == "mlls_em" else mlls_grad
-        return solver(table, source_marginal, est_cfg), source_marginal
-    if method == "mlls_cm":
-        return mlls_cm(source_samples, target_rows, source_marginal, est_cfg), source_marginal
-    raise InputError(f"unknown method: {method}")
+        result, marginal = solver(table, source_marginal, est_cfg), source_marginal
+    elif method == "mlls_cm":
+        result = mlls_cm(source_samples, target_rows, source_marginal, est_cfg)
+        marginal = source_marginal
+    else:
+        raise InputError(f"unknown method: {method}")
+    if not result.converged:
+        raise ConvergenceError(f"{method} did not converge in {est_cfg.max_iters} iterations")
+    return result, marginal
 
 
 def cmd_estimate(args) -> int:
@@ -154,6 +160,11 @@ def cmd_estimate(args) -> int:
             samples_from_outputs(val_out, val_lab),
             loss=str(overrides.get("calibration_loss", "nll")),
         )
+        if not fit.converged:
+            raise ConvergenceError(
+                f"BCTS calibration did not converge (gradient norm {fit.final_grad_norm:.3g} "
+                f"after {fit.iterations} iterations)"
+            )
         calibration = fit.params
         est_out = bcts_apply_matrix(fit.params, est_out)
         tgt_outputs = bcts_apply_matrix(fit.params, tgt_outputs)
@@ -170,8 +181,6 @@ def cmd_estimate(args) -> int:
     result, marginal = _run_estimator(
         method, est_cfg, source_samples, target_rows, table, source_marginal
     )
-    if not result.converged:
-        raise ConvergenceError(f"{method} did not converge in {est_cfg.max_iters} iterations")
 
     identifiable, min_eig = check_identifiability(source_samples.outputs)
     tau = condition_tau(table, result.weights) if np.all(result.weights.weights >= 0) else None
@@ -285,6 +294,7 @@ def cmd_diagnose(args) -> int:
             "weights": list(weights.weights),
             "hessian_nsd": hessian_nsd,
             "projected_gradient_norm": float(np.linalg.norm(projected)),
+            "kkt_residual": kkt_residual(g, p, weights.weights),
         }
     )
     json.dump(out, sys.stdout)
@@ -403,13 +413,17 @@ def cmd_benchmark(args) -> int:
             fh.write(csv_text)
     except OSError as exc:
         raise IOError(str(exc)) from exc
-    summary = {}
-    for r in rows:
-        summary.setdefault(r.method, []).append(r.mse)
+    mses = {m: [r.mse for r in rows if r.method == m and r.n_failed < r.n_trials] for m in cfg.methods}
+    failed = [m for m, v in mses.items() if not v]
+    if failed:
+        raise ConvergenceError(
+            f"every trial failed for {', '.join(failed)}; the n_failed column of "
+            f"{args.output} counts the failures per cell"
+        )
     json.dump(
         {
             "output": args.output,
-            "per_method_mean_mse": {m: float(np.nanmean(v)) for m, v in summary.items()},
+            "per_method_mean_mse": {m: float(np.mean(v)) for m, v in mses.items()},
             "rows": len(rows),
         },
         sys.stdout,

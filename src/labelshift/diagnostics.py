@@ -54,14 +54,52 @@ def _weights_array(w) -> np.ndarray:
     return w.weights if isinstance(w, WeightVector) else np.asarray(w, dtype=float)
 
 
-def _inner_or_raise(F, m, w):
+def _inner(F, m, w):
+    """f(x)^T w for every row, with 1 in place of a non-positive value on a
+    row of zero mass; a row of positive mass must have a positive value."""
     inner = F @ w
-    bad = (inner <= 0) & (m > 0)
-    if bad.any():
-        raise InputError(
-            f"non-positive likelihood f(x)^T w at support point {int(np.argmax(bad))}"
-        )
+    if not np.all(inner > 0):
+        bad = (inner <= 0) & (m > 0)
+        if bad.any():
+            raise InputError(
+                f"non-positive likelihood f(x)^T w at support point {int(np.argmax(bad))}"
+            )
+        inner = np.where(inner > 0, inner, 1.0)
     return inner
+
+
+# The likelihood on raw arrays: rows F of the support, masses m summing to 1,
+# and a weight array w. The table functions below and the estimators call these.
+
+def ll_value(F, m, w) -> float:
+    """Mass-weighted mean of log f(x)^T w."""
+    return float(m @ np.log(_inner(F, m, w)))
+
+
+def ll_gradient(F, m, w) -> np.ndarray:
+    """E_t[f(x) / f(x)^T w]."""
+    return F.T @ (m / _inner(F, m, w))
+
+
+def ll_hessian(F, m, w) -> np.ndarray:
+    """-E_t[f(x) f(x)^T / (f(x)^T w)^2]; symmetric negative semidefinite."""
+    scaled = F * (np.sqrt(m) / _inner(F, m, w))[:, None]
+    return -(scaled.T @ scaled)
+
+
+def reduced_gradient(g, p, w) -> np.ndarray:
+    """g - lam * p, with lam = g.w / p.w the multiplier of the slice
+    constraint w . p = 1 at w."""
+    return g - (g @ w) / (p @ w) * p
+
+
+def kkt_residual(g, p, w) -> float:
+    """Largest violation of the KKT conditions for maximizing a concave f
+    over the slice W = {w >= 0 : w . p = 1}, given the gradient g of f at w:
+    the reduced gradient must be zero where w > 0 and nonpositive where w = 0.
+    """
+    r = reduced_gradient(g, p, w)
+    return float(np.max(np.where(w > 0, np.abs(r), np.maximum(r, 0.0))))
 
 
 def log_likelihood(table: PredictorTable, w) -> float:
@@ -69,25 +107,17 @@ def log_likelihood(table: PredictorTable, w) -> float:
 
     Accepts a WeightVector or a raw array (for finite-difference probes off
     the constraint slice)."""
-    F, m = table.support, table.normalized_masses()
-    inner = _inner_or_raise(F, m, _weights_array(w))
-    keep = m > 0
-    return float(m[keep] @ np.log(inner[keep]))
+    return ll_value(table.support, table.normalized_masses(), _weights_array(w))
 
 
 def likelihood_gradient(table: PredictorTable, w) -> np.ndarray:
     """E_t[f(x) / f(x)^T w]."""
-    F, m = table.support, table.normalized_masses()
-    inner = _inner_or_raise(F, m, _weights_array(w))
-    return F.T @ (m / np.where(inner > 0, inner, 1.0))
+    return ll_gradient(table.support, table.normalized_masses(), _weights_array(w))
 
 
 def likelihood_hessian(table: PredictorTable, w) -> np.ndarray:
     """-E_t[f(x) f(x)^T / (f(x)^T w)^2]; symmetric negative semidefinite."""
-    F, m = table.support, table.normalized_masses()
-    inner = _inner_or_raise(F, m, _weights_array(w))
-    scaled = F * (np.sqrt(m) / np.where(inner > 0, inner, 1.0))[:, None]
-    return -(scaled.T @ scaled)
+    return ll_hessian(table.support, table.normalized_masses(), _weights_array(w))
 
 
 def second_moment(arg) -> np.ndarray:

@@ -5,12 +5,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ConvergenceError, IdentifiabilityError, InputError
 from .calibration import confusion_row_calibrate
 from .confusion import ConfusionMatrix, build_hard_confusion
+from .diagnostics import kkt_residual, ll_gradient, ll_hessian, ll_value, reduced_gradient
 from .simplex import (
     LabeledPredictions,
     PredictorTable,
@@ -18,19 +20,22 @@ from .simplex import (
     WeightVector,
     grouped_table,
     normalized_rows,
+    project_onto_slice,
     project_to_weight_simplex,
 )
 
 METHODS = ("bbse_hard", "bbse_soft", "rlls", "mlls_em", "mlls_grad", "mlls_cm")
 
 COND_LIMIT = 1e12
+KKT_TOL = 1e-10  # `converged` means the KKT residual at the result is at most this
+FINISH_STEP = 1e-3  # a first-order step shorter than this starts the Newton finish
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
     method: str = "mlls_em"
-    max_iters: int = 10_000
-    tol: float = 1e-8
+    max_iters: int = 10_000  # first-order steps
+    tol: float = 1e-8  # first-order stopping tolerance; see _solve_on_slice
     rlls_lambda: float = 0.0
     clip_negative: bool = False
 
@@ -68,70 +73,139 @@ def bbse(confusion: ConfusionMatrix, mu: ProbVector, clip_negative: bool = False
         )
     w = np.linalg.solve(C, mu.entries)
     if clip_negative and np.any(w < 0):
-        w = project_to_weight_simplex(np.maximum(w, 0.0), confusion.column_marginal).weights
-        wv = WeightVector(w, confusion.column_marginal)
+        wv = project_to_weight_simplex(np.maximum(w, 0.0), confusion.column_marginal)
     else:
         wv = WeightVector(w, confusion.column_marginal, check_nonneg=False)
     residual = float(np.linalg.norm(C @ wv.weights - mu.entries))
     return EstimateResult(wv, 1, residual, True)
 
 
-def _projected_descent(objective, gradient, source_marginal, config, w0=None):
-    """Minimize a smooth convex objective over the weight slice by projected
-    gradient with Armijo backtracking.
+def _armijo_step(value, p):
+    """First-order step for _solve_on_slice: projected gradient ascent on
+    `value` with Armijo backtracking from a unit step. A candidate outside the
+    domain of `value` fails the test like one that lowers it."""
+    last = [None, 0.0]  # the point this step returned last, and its value
 
-    The iterate sequence is asymptotically geometric, so the raw weight change
-    understates the distance to the optimum on ill-conditioned problems. As in
-    mlls_em, an Aitken extrapolation of the step sequence (projected back onto
-    the slice, accepted only when the objective does not increase) both
-    accelerates the tail and certifies convergence: the loop stops when a step
-    moves less than tol and a further extrapolation attempt also moves less
-    than tol.
-    """
-    p = source_marginal
-    w = np.ones(p.k) if w0 is None else np.array(w0, dtype=float)
-    val = objective(w)
-
-    def aitken_jump(cur, cur_val, d, rho):
-        cand = project_to_weight_simplex(cur + d * (rho / (1.0 - rho)), p).weights
-        try:
-            cand_val = objective(cand)
-        except InputError:
-            return cur, cur_val
-        if cand_val <= cur_val:
-            return cand, cand_val
-        return cur, cur_val
-
-    prev_delta = np.inf
-    for it in range(1, config.max_iters + 1):
-        g = gradient(w)
-        step = 1.0
+    def step(w, g):
+        f0 = last[1] if last[0] is w else value(w)
+        t = 1.0
         while True:
-            cand = project_to_weight_simplex(w - step * g, p).weights
-            cval = objective(cand)
-            if cval <= val + 1e-4 * float(g @ (cand - w)) or step < 1e-16:
+            cand = project_onto_slice(w + t * g, p)
+            try:
+                fc = value(cand)
+            except InputError:
+                fc = -np.inf
+            if fc >= f0 + 1e-4 * float(g @ (cand - w)) or t < 1e-16:
                 break
-            step *= 0.5
-        d = cand - w
-        delta = float(np.abs(d).max())
-        rho = delta / prev_delta if prev_delta > 0 else 1.0
-        prev_delta = delta
-        w, val = cand, cval
-        if delta < config.tol:
-            if not 0.0 < rho < 1.0:
-                return w, it, val, True
-            jumped, jval = aitken_jump(w, val, d, rho)
-            moved = float(np.abs(jumped - w).max())
-            w, val = jumped, jval
-            if moved < config.tol:
-                return w, it, val, True
-            prev_delta = np.inf
-        elif it % 10 == 0 and 0.0 < rho < 1.0:
-            jumped, jval = aitken_jump(w, val, d, rho)
-            if jumped is not w:
-                prev_delta = np.inf
-            w, val = jumped, jval
-    return w, config.max_iters, val, False
+            t *= 0.5
+        last[:] = cand, fc
+        return cand
+
+    return step
+
+
+def _newton_finish(grad, hess, p, w, max_steps=30):
+    """Primal active-set Newton method for a concave maximization over the
+    slice W = {w >= 0 : w . p = 1}, started at a first-order iterate w.
+
+    Coordinates at or below 1e-9 start fixed at 0. Each step solves the
+    equality-constrained Newton system on the free (positive) coordinates. A
+    step that would leave the orthant stops where the first coordinate reaches
+    0 and fixes that coordinate there. Once the free coordinates are
+    stationary, the fixed coordinate with the largest positive reduced gradient
+    (a violated multiplier sign) is released. Steps go on while the KKT
+    residual falls tenfold per step; the point with the smallest residual is
+    returned if that residual is at most KKT_TOL, and None otherwise.
+    """
+    w = np.where(w <= 1e-9, 0.0, w)
+    w /= w @ p
+    best, best_res, prev_res = None, np.inf, np.inf
+    with np.errstate(all="ignore"):  # non-finite values fail the certificate
+        for _ in range(max_steps):
+            try:
+                g = grad(w)
+            except InputError:
+                break
+            res = kkt_residual(g, p, w)
+            if res < best_res:
+                best, best_res = w.copy(), res
+            if best_res <= KKT_TOL and not res < 0.1 * prev_res:
+                break
+            prev_res = res
+            r = reduced_gradient(g, p, w)
+            free = w > 0
+            if np.abs(r[free]).max() <= KKT_TOL:
+                fixed_r = np.where(free, -np.inf, r)
+                if fixed_r.max() > KKT_TOL:
+                    free[np.argmax(fixed_r)] = True
+            f = np.flatnonzero(free)
+            K = np.zeros((f.size + 1, f.size + 1))
+            K[:-1, :-1] = hess(w)[np.ix_(f, f)]
+            K[:-1, -1] = K[-1, :-1] = p[f]
+            rhs = np.append(-g[f], 1.0 - p[f] @ w[f])
+            try:
+                dw = np.linalg.solve(K, rhs)[:-1]
+            except np.linalg.LinAlgError:
+                break
+            wf = w[f]
+            blocked = np.flatnonzero(wf + dw < 0)
+            if blocked.size:
+                ratios = wf[blocked] / -dw[blocked]
+                j = np.argmin(ratios)
+                w[f] = np.maximum(wf + ratios[j] * dw, 0.0)
+                w[f[blocked[j]]] = 0.0
+            else:
+                w[f] = np.maximum(wf + dw, 0.0)
+    return best if best_res <= KKT_TOL else None
+
+
+def _solve_on_slice(step, grad, hess, p, w0, config):
+    """Maximize a concave f over the slice W = {w >= 0 : w . p = 1} from w0.
+
+    `grad` and `hess` give the gradient and Hessian of f; `step(w, g)` is one
+    first-order step from w with gradient g, landing on the slice. After a
+    step smaller than max(tol, FINISH_STEP), and after every 10th step, the
+    active-set Newton finish is tried from the iterate. The loop returns as
+    soon as the finish or the iterate has KKT residual at most KKT_TOL; that
+    certificate is what `converged` reports. Without it, the loop stops once a
+    step moves less than tol or max_iters steps are taken.
+
+    Returns (w, first-order steps taken, converged).
+    """
+    if np.any(p <= 0):
+        raise InputError("the weight slice needs a strictly positive source marginal")
+    w, moved = w0, np.inf
+    for it in range(config.max_iters + 1):
+        g = grad(w)
+        if kkt_residual(g, p, w) <= KKT_TOL:
+            return w, it, True
+        if it == config.max_iters or moved < config.tol:
+            return w, it, False
+        w_next = step(w, g)
+        moved = float(np.abs(w_next - w).max())
+        w = w_next
+        if moved < max(config.tol, FINISH_STEP) or (it + 1) % 10 == 0:
+            finished = _newton_finish(grad, hess, p, w)
+            if finished is not None:
+                return finished, it + 1, True
+
+
+def _least_squares(A, b, lam, source_marginal, w0, config) -> EstimateResult:
+    """Minimize ||A w - b||^2 + lam * ||w - 1||^2 over the weight slice by
+    projected gradient and the Newton finish; the minimum is the objective."""
+    p = source_marginal.entries
+    ones = np.ones(p.size)
+    H = -2.0 * (A.T @ A + lam * np.eye(p.size))
+
+    def value(w):  # negated objective: the solver maximizes
+        r, d = A @ w - b, w - ones
+        return -float(r @ r + lam * (d @ d))
+
+    def grad(w):
+        return -2.0 * (A.T @ (A @ w - b) + lam * (w - ones))
+
+    w, it, ok = _solve_on_slice(_armijo_step(value, p), grad, lambda w: H, p, w0, config)
+    return EstimateResult(WeightVector(w, source_marginal), it, -value(w), ok)
 
 
 def rlls(
@@ -142,110 +216,25 @@ def rlls(
 ) -> EstimateResult:
     """Minimize ||C w - mu||^2 + lam * ||w - 1||^2 over the weight slice."""
     config = config or EstimatorConfig(method="rlls", rlls_lambda=lam)
-    C = confusion.joint
-    ones = np.ones(confusion.k)
-
-    def obj(w):
-        r = C @ w - mu.entries
-        return float(r @ r + lam * ((w - ones) @ (w - ones)))
-
-    def grad(w):
-        return 2.0 * (C.T @ (C @ w - mu.entries)) + 2.0 * lam * (w - ones)
-
-    w, it, val, ok = _projected_descent(obj, grad, confusion.column_marginal, config)
-    if not ok:
+    res = _least_squares(
+        confusion.joint, mu.entries, lam, confusion.column_marginal, np.ones(confusion.k), config
+    )
+    if not res.converged:
         raise ConvergenceError(f"RLLS did not converge in {config.max_iters} iterations")
-    return EstimateResult(WeightVector(w, confusion.column_marginal), it, val, ok)
+    return res
 
 
-def _check_inner(F, m, w):
-    inner = F @ w
-    bad = (inner <= 0) & (m > 0)
-    if bad.any():
-        raise InputError(
-            f"support point {int(np.argmax(bad))} has non-positive likelihood f(x)^T w"
-        )
-    return inner
-
-
-def _slice_newton_polish(F, masses, p, w, boundary_tol=1e-9, max_rounds=8):
-    """Refine an MLLS iterate to the KKT point of the slice-constrained problem.
-
-    First-order solvers (EM, projected gradient) converge linearly and can
-    stall a few orders of magnitude above machine precision on weakly curved
-    instances. Starting from their answer, solve the equality-constrained
-    stationarity system g_free = lambda * p_free, p . w = 1 by Newton's method
-    on the inactive coordinates, releasing active coordinates whose KKT
-    multiplier turns out infeasible. The polished point is returned only if it
-    does not decrease the likelihood by more than the rounding error of the
-    sum that evaluates it; otherwise the input is kept.
-    """
-
-    def ll(cand):
-        """Log-likelihood at cand and a bound on the rounding error of its sum."""
-        inner = F @ cand
-        if np.any((inner <= 0) & (masses > 0)):
-            return -np.inf, 0.0
-        terms = masses[masses > 0] * np.log(inner[masses > 0])
-        rounding = 8.0 * np.finfo(float).eps * terms.size * float(np.abs(terms).sum())
-        return float(terms.sum()), rounding
-
-    w0 = np.asarray(w, dtype=float)
-    w = w0.copy()
-    active = w <= boundary_tol
-    w[active] = 0.0
-    for _ in range(max_rounds):
-        free = ~active
-        if not free.any():
-            break
-        lam = None
-        for _ in range(50):
-            inner = F @ w
-            if np.any((inner <= 0) & (masses > 0)):
-                return w0
-            r = masses / inner
-            g = F.T @ r
-            H = -(F.T * (r / inner)) @ F
-            pf = p[free]
-            lam = float(g[free] @ pf) / float(pf @ pf)
-            kkt = np.zeros(free.sum() + 1)
-            kkt[:-1] = g[free] - lam * pf
-            kkt[-1] = pf @ w[free] - 1.0
-            if float(np.abs(kkt).max()) < 1e-13:
-                break
-            J = np.zeros((free.sum() + 1, free.sum() + 1))
-            J[:-1, :-1] = H[np.ix_(free, free)]
-            J[:-1, -1] = -pf
-            J[-1, :-1] = pf
-            try:
-                delta = np.linalg.solve(J, -kkt)
-            except np.linalg.LinAlgError:
-                return w0
-            dw = delta[:-1]
-            wf = w[free]
-            scale = 1.0
-            shrink = dw < 0
-            if shrink.any():  # stay strictly inside the face
-                scale = min(1.0, 0.9 * float(np.min(-wf[shrink] / dw[shrink])))
-            w[free] = wf + scale * dw
-            if float(np.abs(scale * dw).max()) < 1e-15:
-                break
-        # release boundary coordinates whose multiplier condition fails
-        if lam is None:
-            break
-        inner = F @ w
-        if np.any((inner <= 0) & (masses > 0)):
-            return w0
-        g = F.T @ (masses / inner)
-        violated = active & (g - lam * p > 1e-10)
-        if not violated.any():
-            break
-        w[violated] = boundary_tol
-        active = active & ~violated
-    (ll_new, _), (ll_old, rounding) = ll(w), ll(w0)
-    if np.any(w < 0) or ll_new < ll_old - rounding:
-        return w0
-    return w
+def _mlls(table, source_marginal, config, em: bool) -> EstimateResult:
+    """Likelihood maximization over the weight slice, by EM or by projected
+    gradient, each finished by the Newton method."""
+    F, m = table.support, table.normalized_masses()
+    p = source_marginal.entries
+    value = partial(ll_value, F, m)
+    step = (lambda w, g: w * g / p) if em else _armijo_step(value, p)
+    w, it, ok = _solve_on_slice(
+        step, partial(ll_gradient, F, m), partial(ll_hessian, F, m), p, np.ones(p.size), config
+    )
+    return EstimateResult(WeightVector(w, source_marginal), it, value(w), ok)
 
 
 def mlls_em(
@@ -255,99 +244,23 @@ def mlls_em(
 
     Responsibilities r_i(y) proportional to f_y(x_i) w_y (the posterior under
     the re-weighted prior); the target prior estimate q_t is the mass-weighted
-    mean responsibility, and w = q_t / p_s. The likelihood is non-decreasing
-    across iterations, and a fixed point satisfies the slice-constrained
+    mean responsibility, and w = q_t / p_s. With g the likelihood gradient,
+    this map is w -> w * g / p_s. The likelihood is non-decreasing across
+    iterations, and a fixed point with w > 0 satisfies the slice-constrained
     stationarity condition sum_i m_i f(x_i) / (f(x_i) . w) = p_s.
 
-    Plain EM contracts arbitrarily slowly when the maximizer has zero entries,
-    so the loop periodically attempts an Aitken extrapolation of the step
-    sequence, projected back onto the weight slice and accepted only when it
-    does not decrease the likelihood. Convergence is declared when an EM step
-    moves less than tol and a further extrapolation attempt also moves less
-    than tol, which bounds the remaining geometric tail rather than just the
-    last step.
+    Plain EM contracts arbitrarily slowly when the maximizer has zero entries;
+    the Newton finish of the shared solver lands on that face and certifies
+    the KKT point.
     """
-    config = config or EstimatorConfig(method="mlls_em")
-    F, masses = table.support, table.normalized_masses()
-    p = source_marginal.entries
-
-    def safe_ll(cand):
-        inner = F @ cand
-        if np.any((inner <= 0) & (masses > 0)):
-            return -np.inf
-        return float(masses[masses > 0] @ np.log(inner[masses > 0]))
-
-    def em_step(cur):
-        resp = F * cur
-        denom = resp.sum(axis=1)
-        if np.any((denom <= 0) & (masses > 0)):
-            raise InputError("EM hit a support point with zero likelihood under w")
-        resp /= denom[:, None]
-        return (masses @ resp) / p
-
-    def aitken_jump(cur, d, rho):
-        cand = project_to_weight_simplex(
-            cur + d * (rho / (1.0 - rho)), source_marginal
-        ).weights
-        if np.any(cand < 0) or safe_ll(cand) < safe_ll(cur):
-            return cur
-        return cand
-
-    w = np.ones_like(p)
-    it = 0
-    converged = False
-    prev_step = np.inf
-    for it in range(1, config.max_iters + 1):
-        w_new = em_step(w)
-        d = w_new - w
-        step = float(np.abs(d).max())
-        rho = step / prev_step if prev_step > 0 else 1.0
-        prev_step = step
-        if step < config.tol:
-            if not 0.0 < rho < 1.0:
-                w = w_new
-                converged = True
-                break
-            jumped = aitken_jump(w_new, d, rho)
-            moved = float(np.abs(jumped - w_new).max())
-            w = jumped
-            if moved < config.tol:
-                converged = True
-                break
-            prev_step = np.inf
-        elif it % 10 == 0 and 0.0 < rho < 1.0:
-            jumped = aitken_jump(w_new, d, rho)
-            if jumped is not w_new:
-                prev_step = np.inf
-            w = jumped
-        else:
-            w = w_new
-    w = _slice_newton_polish(F, masses, p, w)
-    inner = _check_inner(F, masses, w)
-    ll = float(masses @ np.log(inner))
-    wv = project_to_weight_simplex(w, source_marginal)  # exact constraint cleanup
-    return EstimateResult(wv, it, ll, converged)
+    return _mlls(table, source_marginal, config or EstimatorConfig(method="mlls_em"), em=True)
 
 
 def mlls_grad(
     table: PredictorTable, source_marginal: ProbVector, config: EstimatorConfig | None = None
 ) -> EstimateResult:
     """Projected gradient ascent on the empirical log-likelihood."""
-    config = config or EstimatorConfig(method="mlls_grad")
-    F, masses = table.support, table.normalized_masses()
-
-    def obj(w):  # negated, for the shared descent loop
-        inner = _check_inner(F, masses, w)
-        return -float(masses @ np.log(inner))
-
-    def grad(w):
-        inner = _check_inner(F, masses, w)
-        return -(F.T @ (masses / inner))
-
-    w, it, val, ok = _projected_descent(obj, grad, source_marginal, config)
-    w = _slice_newton_polish(F, masses, source_marginal.entries, w)
-    wv = project_to_weight_simplex(w, source_marginal)  # exact constraint cleanup
-    return EstimateResult(wv, it, float(-obj(wv.weights)), ok)
+    return _mlls(table, source_marginal, config or EstimatorConfig(method="mlls_grad"), em=False)
 
 
 def mlls_cm(
@@ -383,9 +296,8 @@ def distribution_match_lsq(
 
     J is p_s(z, y) for a finite latent space Z (|Z| rows); with |Z| = k and an
     invertible J this reproduces the confusion-inversion solution. A
-    rank-deficient J triggers a warning and the returned point is the
-    projection of the minimum-norm least-squares solution refined by projected
-    gradient.
+    rank-deficient J triggers a warning. The solver starts from the projection
+    of the minimum-norm least-squares solution.
     """
     config = config or EstimatorConfig(method="mlls_grad")
     J = np.asarray(joint, dtype=float)
@@ -397,15 +309,5 @@ def distribution_match_lsq(
     if np.linalg.matrix_rank(J, tol=1e-10) < J.shape[1]:
         warnings.warn("rank-deficient joint: weights are not identifiable", stacklevel=2)
 
-    w0, *_ = np.linalg.lstsq(J, t, rcond=None)
-    w0 = project_to_weight_simplex(w0, source_marginal).weights
-
-    def obj(w):
-        r = J @ w - t
-        return float(r @ r)
-
-    def grad(w):
-        return 2.0 * (J.T @ (J @ w - t))
-
-    w, it, val, ok = _projected_descent(obj, grad, source_marginal, config, w0=w0)
-    return EstimateResult(WeightVector(w, source_marginal), it, val, ok)
+    w0 = project_to_weight_simplex(np.linalg.lstsq(J, t, rcond=None)[0], source_marginal)
+    return _least_squares(J, t, 0.0, source_marginal, w0.weights, config)

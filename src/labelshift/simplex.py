@@ -225,38 +225,34 @@ def grouped_table(outputs, masses, kind: str) -> PredictorTable:
     return PredictorTable(outputs[first], np.bincount(group, masses, first.size), kind)
 
 
-def project_to_weight_simplex(v, source_marginal: ProbVector) -> WeightVector:
-    """Euclidean projection of v onto W = {w >= 0 : w . p_s = 1}.
+def project_onto_slice(v: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Euclidean projection of a raw array v onto W = {w >= 0 : w . p = 1}
+    for a strictly positive p, returned as a raw array.
 
-    Solves the KKT system of min ||v - w||^2: w_y = max(0, v_y - lam * p_y)
-    with lam chosen so the affine constraint holds. The active set is a prefix
-    of the coordinates sorted by v_y / p_y, so we scan prefixes directly.
+    The minimizer of ||v - w||^2 is w_y = max(0, v_y - lam * p_y). Sorted by
+    v_y / p_y, the positive coordinates form a prefix, and lam is the value the
+    constraint fixes on the longest prefix whose last coordinate stays
+    positive (sort plus cumsum; Condat, Math. Program. 2016, weighted form).
     """
+    order = np.argsort(-(v / p))
+    vs, ps = v[order], p[order]
+    lams = (np.cumsum(vs * ps) - 1.0) / np.cumsum(ps * ps)
+    lam = lams[np.flatnonzero(vs > lams * ps)[-1]]
+    w = np.maximum(v - lam * p, 0.0)
+    return w / (w @ p)  # remove last-bit drift
+
+
+def project_to_weight_simplex(v, source_marginal: ProbVector) -> WeightVector:
+    """Euclidean projection of v onto W = {w >= 0 : w . p_s = 1}."""
     p = source_marginal.entries
     if np.any(p <= 0):
         raise InputError("projection requires a strictly positive source marginal")
     v = np.asarray(v, dtype=float)
     if v.shape != p.shape:
         raise InputError("vector and source marginal have mismatched lengths")
-
-    order = np.argsort(-(v / p))  # descending ratios; active sets are prefixes
-    vs, ps = v[order], p[order]
-    lam = None
-    for j in range(1, len(v) + 1):
-        cand = (vs[:j] @ ps[:j] - 1.0) / (ps[:j] ** 2).sum()
-        # consistent iff coordinates in the prefix stay nonnegative and the
-        # first excluded coordinate would be clipped
-        if vs[j - 1] - cand * ps[j - 1] < -1e-12:
-            continue
-        if j < len(v) and vs[j] - cand * ps[j] > 1e-12:
-            continue
-        lam = cand
-        break
-    if lam is None:  # numerically impossible, guarded for safety
-        lam = (vs @ ps - 1.0) / (ps ** 2).sum()
-    w = np.maximum(v - lam * p, 0.0)
-    w /= w @ p  # remove last-bit drift
-    return WeightVector(w, source_marginal)
+    if not np.all(np.isfinite(v)):
+        raise InputError("cannot project a vector with non-finite entries")
+    return WeightVector(project_onto_slice(v, p), source_marginal)
 
 
 def weights_to_target_marginal(w: WeightVector) -> ProbVector:

@@ -150,9 +150,10 @@ def resample_by_marginal(pool_xs, pool_labels, target_marginal: ProbVector, n: i
 
 
 def target_table_from_outputs(outputs: np.ndarray) -> PredictorTable:
-    """Group an (m, k) output matrix into a count table over distinct rows."""
-    uniq, counts = np.unique(np.asarray(outputs, dtype=float), axis=0, return_counts=True)
-    return grouped_table(normalized_rows(uniq, tol=1e-6), counts.astype(float), "count")
+    """Group an (m, k) output matrix into a count table over distinct rows,
+    in order of first occurrence."""
+    rows = normalized_rows(outputs, tol=1e-6)
+    return grouped_table(rows, np.ones(rows.shape[0]), "count")
 
 
 def _estimate_once(method, cfg, source_samples, target_rows, target_table, source_marginal):
@@ -312,7 +313,9 @@ def run_trials(cfg: ExperimentConfig, max_workers: int = 1):
 
 
 def aggregate_to_csv(rows) -> str:
-    lines = ["shift_param,method,m,n_trials,mse,stderr"]
+    lines = ["shift_param,method,m,n_trials,n_failed,mse,stderr"]
     for r in rows:
-        lines.append(f"{r.shift_param},{r.method},{r.m},{r.n_trials},{r.mse:.10g},{r.stderr:.10g}")
+        lines.append(
+            f"{r.shift_param},{r.method},{r.m},{r.n_trials},{r.n_failed},{r.mse:.10g},{r.stderr:.10g}"
+        )
     return "\n".join(lines) + "\n"

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,10 +11,20 @@ from labelshift.confusion import (
     build_soft_confusion,
     build_target_prediction_marginal,
 )
-from labelshift.diagnostics import likelihood_gradient, log_likelihood, second_moment
+from labelshift.confusion import build_hard_confusion
+from labelshift.diagnostics import (
+    kkt_residual,
+    likelihood_gradient,
+    ll_gradient,
+    ll_hessian,
+    log_likelihood,
+    second_moment,
+)
 from labelshift.errors import ConvergenceError, IdentifiabilityError, InputError
 from labelshift.estimators import (
+    KKT_TOL,
     EstimatorConfig,
+    _newton_finish,
     bbse,
     distribution_match_lsq,
     mlls_cm,
@@ -169,27 +181,111 @@ class TestMllsEm:
             w = (masses @ resp) / p.entries
 
 
-def kkt_residual(table, p, w):
-    """Largest KKT violation of max E_t log f.w over the slice: with
-    g - lam * p, lam = g.w / p.w, zero where w > 0 and <= 0 where w = 0."""
-    g = likelihood_gradient(table, w)
-    r = g - (g @ w) / (p @ w) * p
-    return float(np.max(np.where(w > 0, np.abs(r), np.maximum(r, 0.0))))
+def likelihood_kkt(table, p, w):
+    return kkt_residual(likelihood_gradient(table, w), p, w)
 
 
 class TestNewtonPolish:
     @pytest.mark.parametrize("seed", [10, 12, 19])
     def test_kkt_exact_on_ten_thousand_distinct_rows(self, seed):
-        # On these instances the polish reaches the KKT point, but its
-        # log-likelihood, a sum of 10k logs, reads a few ulps below the EM
-        # iterate's; a polish rejected on that difference returns the EM
-        # iterate with a residual of about 4e-9.
+        # On these instances the KKT point's log-likelihood, a sum of 10k
+        # logs, reads a few ulps below that of nearby EM iterates; a finish
+        # judged by that difference rather than by the KKT residual would
+        # return an EM iterate with a residual of about 4e-9.
         spec = GmmSpec(1.0, UNIFORM_2)
         p_t = ProbVector.normalized(rng_for(seed, 0).dirichlet([1.0, 1.0]), tol=1e-9)
         xs, _ = sample_gmm(spec, p_t, 10_000, seed, 2)
         table = target_table_from_outputs(gmm_posterior(spec, xs))
         res = mlls_em(table, UNIFORM_2)
-        assert kkt_residual(table, UNIFORM_2.entries, res.weights.weights) < 1e-12
+        assert likelihood_kkt(table, UNIFORM_2.entries, res.weights.weights) < 1e-12
+
+
+class TestNewtonFinish:
+    """The active-set moves of the Newton finish, on likelihoods whose
+    maximizer is known in closed form."""
+
+    @staticmethod
+    def _problem(rows, masses):
+        F = np.array(rows)
+        m = np.array(masses) / np.sum(masses)
+        return partial(ll_gradient, F, m), partial(ll_hessian, F, m)
+
+    def test_blocked_step_fixes_the_coordinate(self):
+        # max (1/3) log(f1.w) + (2/3) log(f2.w) with p uniform: on the face
+        # w_1 = 0 the stationarity condition gives w = [1/3, 0, 8/3], where
+        # the reduced gradient of w_1 is 2/7 - 1/3 < 0.
+        grad, hess = self._problem([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]], [1.0, 2.0])
+        p = UNIFORM_3.entries
+        w = _newton_finish(grad, hess, p, np.ones(3))
+        np.testing.assert_allclose(w, [1.0 / 3.0, 0.0, 8.0 / 3.0], atol=1e-14)
+        assert w[1] == 0.0
+        assert _newton_finish(grad, hess, p, np.ones(3), max_steps=1) is None
+
+    def test_violated_multiplier_releases_the_coordinate(self):
+        # the worked instance's maximizer is interior; started on the face
+        # w_0 = 0, the finish must release w_0 to reach it
+        table = worked_instance_target_table()
+        grad, hess = self._problem(table.support, table.normalized_masses())
+        w = _newton_finish(grad, hess, UNIFORM_3.entries, np.array([0.0, 1.5, 1.5]))
+        np.testing.assert_allclose(w, W_MISCAL_OPT, atol=1e-12)
+
+
+class TestKktCertificate:
+    """The convergence contract: a converged result is a KKT point of its
+    problem, with residual at most KKT_TOL, on the slice w . p_s = 1."""
+
+    @staticmethod
+    def _check(res, g, p):
+        w = res.weights.weights
+        assert res.converged
+        assert kkt_residual(g, p, w) <= KKT_TOL
+        assert abs(w @ p - 1.0) <= 1e-12
+
+    @given(seed=st.integers(0, 100_000))
+    @settings(max_examples=60, deadline=None)
+    def test_mlls_em_and_grad(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 6))
+        table = random_table(rng, int(rng.integers(2, 3 * k + 1)), k)
+        p = random_marginal(rng, k)
+        for solver in (mlls_em, mlls_grad):
+            res = solver(table, p)
+            self._check(res, likelihood_gradient(table, res.weights), p.entries)
+
+    @given(seed=st.integers(0, 100_000))
+    @settings(max_examples=40, deadline=None)
+    def test_mlls_cm(self, seed):
+        # the likelihood of mlls_cm is that of the target rows replaced by the
+        # confusion rows p_s(y | yhat) of their hard predictions
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 5))
+        outputs = _rows(rng, 12 * k, k)
+        labels = rng.integers(0, k, size=12 * k)
+        assume(np.unique(labels).size == k and np.unique(outputs.argmax(axis=1)).size == k)
+        source = make_samples(outputs, labels)
+        target = _rows(rng, int(rng.integers(1, 30)), k)
+        conf = build_hard_confusion(source)
+        p = conf.column_marginal
+        res = mlls_cm(source, target, p)
+        rows = conf.joint / conf.joint.sum(axis=1, keepdims=True)
+        pred = target.argmax(axis=1)
+        table = grouped_table(normalized_rows(rows[pred], tol=1e-9), np.ones(pred.size), "count")
+        self._check(res, likelihood_gradient(table, res.weights), p.entries)
+
+    @given(seed=st.integers(0, 100_000), lam=st.sampled_from([0.0, 1e-3, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_rlls(self, seed, lam):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 6))
+        p = random_marginal(rng, k)
+        C = rng.dirichlet(np.ones(k), size=k).T * p.entries  # column y sums to p_y
+        assume(np.linalg.cond(C) < 1e8)
+        conf = ConfusionMatrix(C, p, "hard")
+        mu = ProbVector.normalized(rng.dirichlet(np.ones(k)), tol=1e-9)
+        res = rlls(conf, mu, lam)
+        w = res.weights.weights
+        g = -2.0 * (C.T @ (C @ w - mu.entries) + lam * (w - 1.0))
+        self._check(res, g, p.entries)
 
 
 def _rows(rng, n, k):

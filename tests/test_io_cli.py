@@ -2,16 +2,20 @@ import csv
 import io
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import labelshift.cli
 import labelshift.io
-from labelshift.cli import main
+from labelshift.cli import _parse_benchmark_config, main
 from labelshift.confusion import ConfusionMatrix
 from labelshift.errors import InputError
+from labelshift.estimators import EstimateResult
 from labelshift.io import (
     WRITE_CHUNK_ROWS,
     _read_rows,
@@ -20,7 +24,7 @@ from labelshift.io import (
     read_predictions,
     write_prediction_file,
 )
-from labelshift.simplex import ProbVector
+from labelshift.simplex import ProbVector, WeightVector
 from tests.conftest import F_ROWS, PS_ROWS, W_MISCAL_OPT
 
 
@@ -352,6 +356,22 @@ class TestEstimateCommand:
         assert code == 4
         assert json.loads(err)["error"] == "convergence"
 
+    def test_calibration_not_converged_exits_4(self, tmp_path, capsys):
+        # labels drawn independently of the outputs: the BCTS fit runs off to
+        # 1/T = 0, where every calibrated row is the same vector
+        rng = np.random.default_rng(6)
+        src_path, tgt_path = tmp_path / "src.csv", tmp_path / "tgt.csv"
+        write_csv(src_path, rng.dirichlet(np.ones(3), size=600), rng.integers(0, 3, size=600))
+        write_csv(tgt_path, rng.dirichlet(np.ones(3), size=100))
+        code, out, err = run_cli(
+            capsys, "estimate", "--source", str(src_path), "--target", str(tgt_path)
+        )
+        assert code == 4
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "convergence"
+        assert error["message"].startswith("BCTS calibration did not converge")
+
 
 class TestCalibrateCommand:
     def test_reports_fit(self, tmp_path, capsys):
@@ -400,6 +420,21 @@ class TestDiagnoseCommand:
         report = json.loads(out)
         # at the likelihood optimum the constraint-tangent gradient vanishes
         assert report["projected_gradient_norm"] < 1e-5
+        assert report["kkt_residual"] <= 1e-10
+
+    def test_estimator_not_converged_exits_4(self, hand_files, capsys, monkeypatch):
+        def stalled(table, source_marginal, config):
+            w = WeightVector(np.ones(source_marginal.k), source_marginal)
+            return EstimateResult(w, config.max_iters, 0.0, False)
+
+        monkeypatch.setattr(labelshift.cli, "mlls_em", stalled)
+        src, tgt = hand_files
+        code, out, err = run_cli(
+            capsys, "diagnose", "--source", str(src), "--target", str(tgt), "--method", "mlls_em"
+        )
+        assert code == 4
+        assert out == ""
+        assert json.loads(err)["error"] == "convergence"
 
     def test_class_count_mismatch_exits_2(self, hand_files, tmp_path, capsys):
         tgt = tmp_path / "tgt3.csv"
@@ -532,8 +567,32 @@ class TestBenchmarkCommand:
         summary = json.loads(out)
         assert "bbse_hard" in summary["per_method_mean_mse"]
         lines = out_path.read_text().strip().split("\n")
-        assert lines[0] == "shift_param,method,m,n_trials,mse,stderr"
+        assert lines[0] == "shift_param,method,m,n_trials,n_failed,mse,stderr"
         assert len(lines) == 2
+
+    def test_every_trial_failing_exits_4(self, tmp_path, capsys):
+        cfg_path, out_path = tmp_path / "cfg.json", tmp_path / "out.csv"
+        cfg_path.write_text(
+            json.dumps(self.benchmark_config(methods=["rlls", "mlls_em"], max_iters=1))
+        )
+        code, out, err = run_cli(
+            capsys, "benchmark", "--config", str(cfg_path), "--output", str(out_path)
+        )
+        assert code == 4
+        assert out == ""
+        assert len(err.splitlines()) == 1  # the JSON error alone: no warning
+        error = json.loads(err)
+        assert error["error"] == "convergence"
+        assert "rlls, mlls_em" in error["message"]
+        rows = list(csv.DictReader(io.StringIO(out_path.read_text())))
+        assert [r["method"] for r in rows] == ["rlls", "mlls_em"]
+        assert all(r["n_failed"] == r["n_trials"] == "2" for r in rows)
+
+    def test_readme_config_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+        cfg = _parse_benchmark_config(json.loads(block))
+        assert cfg.gmm.source_marginal.k == 2
 
     def test_thread_env_keeps_results_identical(self, tmp_path, capsys, monkeypatch):
         cfg_path = tmp_path / "cfg.json"

@@ -194,5 +194,5 @@ class TestTrials:
         rows = [AggregateRow("alpha=1", "bbse_hard", 100, 5, 0.25, 0.01)]
         csv = aggregate_to_csv(rows)
         lines = csv.strip().split("\n")
-        assert lines[0] == "shift_param,method,m,n_trials,mse,stderr"
-        assert lines[1].startswith("alpha=1,bbse_hard,100,5,0.25,0.01")
+        assert lines[0] == "shift_param,method,m,n_trials,n_failed,mse,stderr"
+        assert lines[1].startswith("alpha=1,bbse_hard,100,5,0,0.25,0.01")
