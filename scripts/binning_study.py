@@ -23,7 +23,6 @@ def main() -> None:
     ap.add_argument("--n-source", type=int, default=10000)
     ap.add_argument("--n-trials", type=int, default=100)
     ap.add_argument("--seed", type=int, default=3)
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
     pt = np.array([float(v) for v in args.target_marginal.split(",")])
@@ -40,7 +39,7 @@ def main() -> None:
             n_source=args.n_source,
             bins=bins,
         )
-        _, rows = run_trials(cfg, max_workers=args.workers)
+        _, rows = run_trials(cfg)
         r = rows[0]
         print(f"{bins},{r.mean_min_eig:.6g},{r.mse:.6g},{r.stderr:.6g}")
 

@@ -22,7 +22,6 @@ def main() -> None:
     ap.add_argument("--n-trials", type=int, default=100)
     ap.add_argument("--n-source", type=int, default=2000)
     ap.add_argument("--seed", type=int, default=11)
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
     pt = np.array([float(v) for v in args.target_marginal.split(",")])
@@ -36,7 +35,7 @@ def main() -> None:
         base_seed=args.seed,
         n_source=args.n_source,
     )
-    _, rows = run_trials(cfg, max_workers=args.workers)
+    _, rows = run_trials(cfg)
     print("m,mse,stderr")
     for r in rows:
         print(f"{r.m},{r.mse:.6g},{r.stderr:.6g}")

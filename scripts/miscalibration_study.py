@@ -25,7 +25,6 @@ def main() -> None:
     ap.add_argument("--n-trials", type=int, default=30)
     ap.add_argument("--seed", type=int, default=5)
     ap.add_argument("--mc-samples", type=int, default=200_000)
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
     pt = np.array([float(v) for v in args.target_marginal.split(",")])
@@ -51,7 +50,7 @@ def main() -> None:
             n_source=args.n_source,
             miscalibration=mis,
         )
-        _, rows = run_trials(cfg, max_workers=args.workers)
+        _, rows = run_trials(cfg)
         r = rows[0]
         print(f"{temperature},{calib_error:.6g},{r.mse:.6g},{r.stderr:.6g}")
 

@@ -18,11 +18,10 @@ from .predictors import (
     GmmSpec,
     ThresholdPredictorSpec,
     bin_aggregate,
-    gmm_bayes_predict,
     gmm_posterior,
     samples_from_outputs,
     tabular_predictor,
-    threshold_predict,
+    threshold_outputs,
 )
 from .confusion import (
     ConfusionMatrix,
@@ -34,7 +33,6 @@ from .calibration import (
     BctsFit,
     BctsParams,
     CalibrationReport,
-    bcts_apply,
     bcts_apply_matrix,
     bcts_fit,
     clip_probs,
@@ -74,7 +72,6 @@ from .simulation import (
     rng_for,
     run_single_trial,
     run_trials,
-    sample_dirichlet_shift,
     sample_gmm,
 )
 

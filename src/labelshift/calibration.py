@@ -11,7 +11,6 @@ from .confusion import ConfusionMatrix
 from .simplex import (
     LabeledPredictions,
     PredictorTable,
-    ProbVector,
     group_rows,
     grouped_table,
     normalized_rows,
@@ -79,13 +78,6 @@ def _bcts_transform(logp: np.ndarray, inv_t: float, b: np.ndarray) -> np.ndarray
     z -= z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def bcts_apply(params: BctsParams, output: ProbVector) -> ProbVector:
-    """softmax(log(output)/T + b) of one vector. Requires strictly positive entries."""
-    if np.any(output.entries <= 0):
-        raise InputError("bcts_apply requires strictly positive probabilities (pre-clip zeros)")
-    return ProbVector.normalized(bcts_apply_matrix(params, output.entries), tol=1e-9)
 
 
 def bcts_apply_matrix(params: BctsParams, outputs: np.ndarray, eps: float = 1e-12) -> np.ndarray:

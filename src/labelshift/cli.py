@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -103,13 +102,15 @@ def _split_source(outputs, labels, val_fraction: float, seed: int):
     return (outputs[val], labels[val]), (outputs[est], labels[est])
 
 
-def _run_estimator(method, est_cfg, source_samples, target_rows, table, source_marginal):
+def _run_estimator(
+    method, est_cfg, source_samples, target_rows, table, source_marginal, clip_negative=False
+):
     """Run one method; a result that did not converge raises ConvergenceError."""
     if method in ("bbse_hard", "bbse_soft"):
         kind = method.split("_")[1]
         conf = (build_hard_confusion if kind == "hard" else build_soft_confusion)(source_samples)
         mu = build_target_prediction_marginal(target_rows, kind)
-        result, marginal = bbse(conf, mu, clip_negative=est_cfg.clip_negative), conf.column_marginal
+        result, marginal = bbse(conf, mu, clip_negative=clip_negative), conf.column_marginal
     elif method == "rlls":
         conf = build_hard_confusion(source_samples)
         mu = build_target_prediction_marginal(target_rows, "hard")
@@ -139,8 +140,8 @@ def cmd_estimate(args) -> int:
         max_iters=int(overrides.get("max_iters", 10_000)),
         tol=float(overrides.get("tol", 1e-8)),
         rlls_lambda=float(overrides.get("rlls_lambda", args.rlls_lambda)),
-        clip_negative=bool(overrides.get("clip_negative", args.clip_negative)),
     )
+    clip_negative = bool(overrides.get("clip_negative", args.clip_negative))
 
     src_outputs, src_labels, _ = read_prediction_file(args.source)
     if src_labels is None:
@@ -179,7 +180,7 @@ def cmd_estimate(args) -> int:
     table = grouped_table(target_rows, np.ones(len(target_rows)), "count")
 
     result, marginal = _run_estimator(
-        method, est_cfg, source_samples, target_rows, table, source_marginal
+        method, est_cfg, source_samples, target_rows, table, source_marginal, clip_negative
     )
 
     identifiable, min_eig = check_identifiability(source_samples.outputs)
@@ -405,8 +406,7 @@ def _parse_benchmark_config(obj: dict) -> ExperimentConfig:
 def cmd_benchmark(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
         cfg = _parse_benchmark_config(json.load(fh))
-    workers = max(1, int(os.environ.get("LABELSHIFT_THREADS", "1")))
-    _, rows = run_trials(cfg, max_workers=workers)
+    _, rows = run_trials(cfg)
     csv_text = aggregate_to_csv(rows)
     try:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -9,7 +9,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConvergenceError, IdentifiabilityError, InputError
+from .errors import IdentifiabilityError, InputError
 from .calibration import confusion_row_calibrate
 from .confusion import ConfusionMatrix, build_hard_confusion
 from .diagnostics import kkt_residual, ll_gradient, ll_hessian, ll_value, reduced_gradient
@@ -37,7 +37,6 @@ class EstimatorConfig:
     max_iters: int = 10_000  # first-order steps
     tol: float = 1e-8  # first-order stopping tolerance; see _solve_on_slice
     rlls_lambda: float = 0.0
-    clip_negative: bool = False
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -216,12 +215,9 @@ def rlls(
 ) -> EstimateResult:
     """Minimize ||C w - mu||^2 + lam * ||w - 1||^2 over the weight slice."""
     config = config or EstimatorConfig(method="rlls", rlls_lambda=lam)
-    res = _least_squares(
+    return _least_squares(
         confusion.joint, mu.entries, lam, confusion.column_marginal, np.ones(confusion.k), config
     )
-    if not res.converged:
-        raise ConvergenceError(f"RLLS did not converge in {config.max_iters} iterations")
-    return res
 
 
 def _mlls(table, source_marginal, config, em: bool) -> EstimateResult:

@@ -47,16 +47,6 @@ def gmm_posterior(spec: GmmSpec, x) -> np.ndarray:
     return np.stack([p0, 1.0 - p0], axis=-1)
 
 
-def gmm_bayes_predict(spec: GmmSpec, x: float) -> ProbVector:
-    """Posterior p_s(y|x) at a single point."""
-    return ProbVector(gmm_posterior(spec, float(x)))
-
-
-def threshold_predict(spec: ThresholdPredictorSpec, x: float) -> ProbVector:
-    """Output of threshold_outputs at a single point."""
-    return ProbVector(threshold_outputs(spec, [x])[0])
-
-
 def threshold_outputs(spec: ThresholdPredictorSpec, xs) -> np.ndarray:
     """[c, 1-c] for x >= 0, else [1-c, c], over an array of inputs.
 
@@ -77,15 +67,8 @@ class BinnedPredictor:
     bin_outputs: dict  # bin index -> np.ndarray output
     empty_bins: tuple
 
-    def bin_index(self, output: ProbVector) -> int:
-        return int(self.bin_indices(output.entries[None])[0])
-
     def bin_indices(self, outputs: np.ndarray) -> np.ndarray:
         return np.minimum((outputs[:, 0] * self.n_bins).astype(int), self.n_bins - 1)
-
-    def remap(self, output: ProbVector) -> ProbVector:
-        """Replace an output by its bin's aggregated vector."""
-        return ProbVector(self.remap_matrix(output.entries[None])[0])
 
     def remap_matrix(self, outputs: np.ndarray) -> np.ndarray:
         """Replace each row of an (n, 2) output matrix by its bin's aggregated vector."""

@@ -2,8 +2,7 @@
 shift, trial execution, and MSE aggregation.
 
 All randomness flows through a counter-based generator (Philox) keyed by a
-base seed and trial indices, so any trial can be reproduced in isolation and
-trials may run concurrently without sharing state.
+base seed and trial indices, so every trial reproduces from its key alone.
 """
 from __future__ import annotations
 
@@ -118,14 +117,6 @@ def sample_gmm(spec: GmmSpec, marginal: ProbVector, n: int, seed, *indices) -> t
     return xs, labels
 
 
-def sample_dirichlet_shift(alpha: float, k: int, seed, *indices) -> ProbVector:
-    """Symmetric Dirichlet(alpha) draw."""
-    if alpha <= 0:
-        raise InputError("alpha must be positive")
-    rng = seed if isinstance(seed, np.random.Generator) else rng_for(seed, *indices)
-    return ProbVector.normalized(rng.dirichlet(np.full(k, alpha)), tol=1e-9)
-
-
 def resample_by_marginal(pool_xs, pool_labels, target_marginal: ProbVector, n: int, seed, *indices):
     """Two-stage target sampling: y ~ p_t(y), then x uniform (with replacement)
     among pool examples with that label."""
@@ -162,7 +153,6 @@ def _estimate_once(method, cfg, source_samples, target_rows, target_table, sourc
         max_iters=cfg.max_iters,
         tol=cfg.tol,
         rlls_lambda=cfg.rlls_lambda,
-        clip_negative=True,
     )
     if method in ("bbse_hard", "bbse_soft"):
         kind = "hard" if method == "bbse_hard" else "soft"
@@ -223,9 +213,9 @@ def run_single_trial(cfg: ExperimentConfig, shift_idx: int, m_idx: int, trial: i
         w_star_vec = freq / p_s.entries
     w_star = WeightVector(w_star_vec / (w_star_vec @ p_s.entries), p_s)
 
+    seed64 = int(np.random.SeedSequence(cfg.base_seed, spawn_key=seed_key).generate_state(1)[0])
     reports = []
     for method in cfg.methods:
-        seed64 = int(np.random.SeedSequence(cfg.base_seed, spawn_key=seed_key).generate_state(1)[0])
         try:
             res = _estimate_once(method, cfg, source_samples, target_rows, target_table, p_s)
             if not res.converged:
@@ -253,63 +243,44 @@ class AggregateRow:
     mean_min_eig: float | None = None
 
 
-def aggregate(cfg: ExperimentConfig, reports_by_cell: dict) -> list:
+def _aggregate_cell(methods, shift_param: str, m: int, reports: list) -> list:
+    """One row per method over the reports of one (shift, m) cell."""
     rows = []
-    for (shift_idx, m_idx), cell_reports in sorted(reports_by_cell.items()):
-        by_method: dict[str, list] = {m: [] for m in cfg.methods}
-        for rep in cell_reports:
-            by_method[rep.method].append(rep)
-        for method in cfg.methods:
-            reps = by_method[method]
-            errs = np.array([r.squared_error for r in reps])
-            ok = errs[~np.isnan(errs)]
-            mse = float(ok.mean()) if ok.size else math.nan
-            stderr = float(ok.std(ddof=1) / math.sqrt(ok.size)) if ok.size > 1 else math.nan
-            eigs = [r.min_eig for r in reps if r.min_eig is not None]
-            rows.append(
-                AggregateRow(
-                    cfg.shifts[shift_idx].param_label,
-                    method,
-                    cfg.m_values[m_idx],
-                    len(reps),
-                    mse,
-                    stderr,
-                    int(np.isnan(errs).sum()),
-                    float(np.mean(eigs)) if eigs else None,
-                )
+    for method in methods:
+        reps = [r for r in reports if r.method == method]
+        errs = np.array([r.squared_error for r in reps])
+        ok = errs[~np.isnan(errs)]
+        mse = float(ok.mean()) if ok.size else math.nan
+        stderr = float(ok.std(ddof=1) / math.sqrt(ok.size)) if ok.size > 1 else math.nan
+        eigs = [r.min_eig for r in reps if r.min_eig is not None]
+        rows.append(
+            AggregateRow(
+                shift_param,
+                method,
+                m,
+                len(reps),
+                mse,
+                stderr,
+                int(np.isnan(errs).sum()),
+                float(np.mean(eigs)) if eigs else None,
             )
+        )
     return rows
 
 
-def run_trials(cfg: ExperimentConfig, max_workers: int = 1):
+def run_trials(cfg: ExperimentConfig):
     """Execute the full sweep; byte-identical results for identical configs.
 
-    Returns (reports, aggregate rows). Reports are keyed by trial indices and
-    reduced in key order, so worker count never changes the output.
+    Walks (shift, m, trial) in key order and aggregates each (shift, m) cell
+    once its trials are done. Returns (reports, aggregate rows).
     """
-    cells = [
-        (si, mi, t)
-        for si in range(len(cfg.shifts))
-        for mi in range(len(cfg.m_values))
-        for t in range(cfg.n_trials)
-    ]
-    results: dict = {}
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            for key, reps in zip(cells, pool.map(lambda c: run_single_trial(cfg, *c), cells)):
-                results[key] = reps
-    else:
-        for key in cells:
-            results[key] = run_single_trial(cfg, *key)
-
-    reports_by_cell: dict = {}
-    all_reports = []
-    for (si, mi, t) in cells:
-        reports_by_cell.setdefault((si, mi), []).extend(results[(si, mi, t)])
-        all_reports.extend(results[(si, mi, t)])
-    return all_reports, aggregate(cfg, reports_by_cell)
+    reports, rows = [], []
+    for si, shift in enumerate(cfg.shifts):
+        for mi, m in enumerate(cfg.m_values):
+            cell = [rep for t in range(cfg.n_trials) for rep in run_single_trial(cfg, si, mi, t)]
+            reports.extend(cell)
+            rows.extend(_aggregate_cell(cfg.methods, shift.param_label, m, cell))
+    return reports, rows
 
 
 def aggregate_to_csv(rows) -> str:

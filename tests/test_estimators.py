@@ -20,7 +20,7 @@ from labelshift.diagnostics import (
     log_likelihood,
     second_moment,
 )
-from labelshift.errors import ConvergenceError, IdentifiabilityError, InputError
+from labelshift.errors import IdentifiabilityError, InputError
 from labelshift.estimators import (
     KKT_TOL,
     EstimatorConfig,
@@ -108,9 +108,10 @@ class TestRlls:
         assert res.weights.weights[0] == pytest.approx(best, abs=1e-4)
 
     def test_budget_exhaustion_raises(self):
+        # the budget runs out: rlls reports it in `converged`, as every method does
         mu = ProbVector(np.array([0.35, 0.65]))
-        with pytest.raises(ConvergenceError):
-            rlls(HAND_CONF, mu, lam=0.0, config=EstimatorConfig("rlls", tol=1e-14, max_iters=1))
+        res = rlls(HAND_CONF, mu, lam=0.0, config=EstimatorConfig("rlls", tol=1e-14, max_iters=1))
+        assert not res.converged
 
 
 class TestMllsEm:

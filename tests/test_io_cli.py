@@ -604,6 +604,20 @@ class TestBenchmarkCommand:
         capsys.readouterr()
         assert out1.read_text() == out2.read_text()
 
+    @pytest.mark.parametrize("threads", ["abc", "0"])
+    def test_thread_env_is_ignored(self, threads, tmp_path, capsys, monkeypatch):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(self.benchmark_config()))
+        unset, with_env = tmp_path / "unset.csv", tmp_path / "env.csv"
+        monkeypatch.delenv("LABELSHIFT_THREADS", raising=False)
+        assert main(["benchmark", "--config", str(cfg_path), "--output", str(unset)]) == 0
+        monkeypatch.setenv("LABELSHIFT_THREADS", threads)
+        code, _, err = run_cli(
+            capsys, "benchmark", "--config", str(cfg_path), "--output", str(with_env)
+        )
+        assert code == 0 and err == ""
+        assert with_env.read_bytes() == unset.read_bytes()
+
     def test_empty_methods_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(self.benchmark_config(methods=[])))
