@@ -7,18 +7,21 @@ per example. Entries must be finite; probability rows off from 1 by at most
 output array plus an optional (n,) label array.
 
 The body of a file is parsed in one `np.loadtxt` call, streamed from the open
-handle, and checked over whole columns; labels are parsed by `int`, as in the
-row loop. A file that this parse or its checks reject is read again from the
-start by the row-by-row loop `_read_rows`, which either accepts it or names the
-first bad row as `file:line`; that loop is the only source of error messages,
-and it returns exactly what the single parse returns on every file both
-accept. A handle that cannot seek back is read by the row loop alone.
+handle, and checked over whole columns; labels are parsed in C by numpy's
+integer field parser, which accepts a subset of what the row loop's `int`
+accepts, with equal values. A file that this parse or its checks reject, or
+whose parse raises a warning, is read again from the start by the row-by-row
+loop `_read_rows`, which either accepts it or names the first bad row as
+`file:line`; that loop is the only source of error messages, and it returns
+exactly what the single parse returns on every file both accept. A handle that
+cannot seek back is read by the row loop alone.
 """
 from __future__ import annotations
 
 import csv
 import io
 import itertools
+import warnings
 
 import numpy as np
 
@@ -73,14 +76,17 @@ def _parse_body(fh, k: int, has_label: bool):
         return None
     fields = [("p", np.float64, (k,))] + ([("y", np.int64)] if has_label else [])
     try:
-        data = np.loadtxt(
-            itertools.chain((first,), fh), dtype=fields,
-            delimiter=",", comments=None, quotechar='"', ndmin=1,
-            # int() is the row loop's label rule; numpy's own integer parse
-            # truncates float text such as "1.5" on some versions
-            converters={k: int} if has_label else None,
-        )
-    except ValueError:
+        with warnings.catch_warnings():
+            # numpy reads labels with its C integer parse, which accepts a
+            # subset of what int() accepts; releases that truncate float text
+            # such as "1.5" into an integer field warn as they do, and a
+            # warning sends the file to the row loop like a parse error
+            warnings.simplefilter("error")
+            data = np.loadtxt(
+                itertools.chain((first,), fh), dtype=fields,
+                delimiter=",", comments=None, quotechar='"', ndmin=1,
+            )
+    except (ValueError, Warning):
         return None
     probs = data["p"]
     labels = data["y"].copy() if has_label else None

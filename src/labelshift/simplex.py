@@ -96,14 +96,17 @@ def _check_rows(rows: np.ndarray, what: str) -> None:
     the error names the first bad row and gives ProbVector's reason."""
     if rows.ndim != 2 or rows.size == 0:
         raise InputError(f"{what} rows must form a nonempty (n, k) array")
-    bad = ~np.isfinite(rows).all(axis=1) | (rows < 0).any(axis=1)
-    bad |= np.abs(rows.sum(axis=1) - 1.0) > SIMPLEX_TOL
-    if bad.any():
-        i = int(np.argmax(bad))
-        try:
-            ProbVector(rows[i])
-        except InputError as exc:
-            raise InputError(f"{what} row {i}: {exc}") from None
+    off = np.abs(rows.sum(axis=1) - 1.0) > SIMPLEX_TOL
+    # NaN fails every comparison and an inf entry makes its row sum inf, so
+    # these two whole-array tests also reject non-finite entries
+    if (rows >= 0).all() and not off.any():
+        return
+    bad = ~np.isfinite(rows).all(axis=1) | (rows < 0).any(axis=1) | off
+    i = int(np.argmax(bad))
+    try:
+        ProbVector(rows[i])
+    except InputError as exc:
+        raise InputError(f"{what} row {i}: {exc}") from None
 
 
 def normalized_rows(rows, tol: float) -> np.ndarray:
@@ -170,7 +173,7 @@ class PredictorTable:
             raise InputError(f"{masses.size} masses for {support.shape[0]} support rows")
         if np.any(masses < 0):
             raise InputError(f"negative mass {masses.min()} in predictor table")
-        if not _sorted_runs(support)[1].all():
+        if not (_first_column_distinct(support) or _sorted_runs(support)[1].all()):
             raise InputError("duplicate output vector in predictor table support")
         total = masses.sum()
         if self.kind == "probability" and abs(total - 1.0) > SIMPLEX_TOL:
@@ -180,6 +183,14 @@ class PredictorTable:
 
     def normalized_masses(self) -> np.ndarray:
         return self.masses / self.masses.sum()
+
+
+def _first_column_distinct(rows: np.ndarray) -> bool:
+    """Whether no two entries of the first column of an (n, k) array are
+    equal by value, which certifies that no two rows are equal. One sort of
+    one column; a False says nothing about the rows."""
+    col = np.sort(rows[:, 0])
+    return not (col[1:] == col[:-1]).any()
 
 
 def _sorted_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -199,10 +210,13 @@ def group_rows(rows) -> tuple[np.ndarray, np.ndarray]:
 
     Rows compare by value (-0.0 equals 0.0). One stable lexsort puts equal
     rows next to each other, earliest first, so each run's first sorted row
-    is its group's first occurrence."""
+    is its group's first occurrence. Rows whose first column has no repeated
+    value are all distinct, and form n groups of one without the lexsort."""
     rows = np.asarray(rows)
     if rows.ndim == 1:
         rows = rows[:, None]
+    if _first_column_distinct(rows):
+        return np.arange(rows.shape[0]), np.arange(rows.shape[0])
     order, start = _sorted_runs(rows)
     firsts = order[start]  # per run, in sorted order
     by_first = np.argsort(firsts)

@@ -18,7 +18,7 @@ from labelshift.calibration import (
     confusion_row_calibrate,
     estimate_calibration_error,
 )
-from labelshift.confusion import ConfusionMatrix, build_hard_confusion
+from labelshift.confusion import ConfusionMatrix
 from labelshift.errors import ConvergenceError, InputError
 from labelshift.simplex import ProbVector, grouped_table
 from tests.conftest import make_samples

@@ -25,7 +25,6 @@ from labelshift.simplex import ProbVector, WeightVector, grouped_table
 from tests.conftest import (
     F_ROWS,
     PS_ROWS,
-    UNIFORM_3,
     W_MISCAL_OPT,
     W_STAR_3,
     make_samples,

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +74,8 @@ def prediction_csv_text(draw):
             texts[draw(st.integers(0, k - 1))] = token
         if has_label:
             label = draw(st.integers(0, k - 1))
-            forms = [str(label), "-0" if label == 0 else f"+{label}", f"0{label}"]
+            # Arabic-Indic digits: int() reads them, numpy's parser does not
+            forms = [str(label), "-0" if label == 0 else f"+{label}", f"0{label}", chr(0x660 + label)]
             if i == bad and fault == "label":
                 texts.append(str(k) if token == "K" else token)
             else:
@@ -143,6 +145,23 @@ class TestPredictionFiles:
     def test_float_text_label_rejected_without_warning_filters(self, tmp_path, label):
         path = tmp_path / "f.csv"
         path.write_text(f"c0,c1,label\n0.5,0.5,1\n0.5,0.5,{label}\n")
+        with pytest.raises(InputError, match=r"f\.csv:3: label is not an integer"):
+            read_prediction_file(path)
+
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_parse_that_warns_goes_to_the_row_loop(self, tmp_path, monkeypatch):
+        # older numpy warns while it truncates "1.5" to 1 in an integer field
+        loadtxt = np.loadtxt
+
+        def truncating_loadtxt(lines, dtype, **kwargs):
+            lines = [line.replace("1.5", "1") for line in lines]
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+            return loadtxt(lines, dtype=dtype, **kwargs)
+
+        monkeypatch.setattr(labelshift.io.np, "loadtxt", truncating_loadtxt)
+        path = tmp_path / "f.csv"
+        path.write_text("c0,c1,label\n0.5,0.5,1\n0.5,0.5,1.5\n")
         with pytest.raises(InputError, match=r"f\.csv:3: label is not an integer"):
             read_prediction_file(path)
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from labelshift.errors import InputError
 from labelshift.predictors import (
-    BinnedPredictor,
     GmmSpec,
     ThresholdPredictorSpec,
     bin_aggregate,

@@ -10,6 +10,7 @@ from labelshift.simplex import (
     PredictorTable,
     ProbVector,
     WeightVector,
+    _first_column_distinct,
     group_rows,
     grouped_table,
     project_to_weight_simplex,
@@ -135,6 +136,46 @@ def repeated_rows(draw, probability=False):
     return np.where((rows == 0) & flip, -rows, rows)
 
 
+@st.composite
+def certificate_rows(draw):
+    """(n, k) probability rows built to reach one branch of `group_rows`, and
+    whether the first-column certificate holds on them:
+    - "distinct": k >= 2, no repeated value in the first column (no lexsort);
+    - "tied": k >= 3, a repeated first-column value over distinct rows
+      (lexsort);
+    - "signed_zero": k >= 3, first column 0.0 and -0.0, which compare equal
+      (lexsort);
+    - "tiny": n = 0 or n = 1 (the certificate holds).
+    Outside "tiny", one row may be copied onto another, which ties the first
+    column and makes two rows equal."""
+    branch = draw(st.sampled_from(["distinct", "tied", "signed_zero", "tiny"]))
+    k = draw(st.integers(2 if branch in ("distinct", "tiny") else 3, 6))
+    n = draw(st.integers(0, 1) if branch == "tiny" else st.integers(2, 30))
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    if branch == "tied":  # n draws from at most n - 1 values
+        pool = draw(st.lists(unit, min_size=1, max_size=n - 1))
+        first = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    elif branch == "signed_zero":
+        more = st.lists(st.sampled_from([0.0, -0.0, 0.5]), min_size=n - 2, max_size=n - 2)
+        first = [0.0, -0.0] + draw(more)
+    else:  # unique=True keeps 0.0 and -0.0 apart, since they compare equal
+        first = draw(st.lists(unit, min_size=n, max_size=n, unique=branch == "distinct"))
+    first = np.array(first, dtype=float).reshape(n, 1)
+    # rows share 1 - |first| out; distinct second entries keep rows apart
+    share = np.ones((n, 1))
+    if k > 2:
+        second = np.arange(1, n + 1)[:, None] / (n + 1.0)
+        rest = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n * (k - 2), max_size=n * (k - 2))))
+        rest = rest.reshape(n, k - 2)
+        share = np.hstack([second, (1.0 - second) * rest / rest.sum(axis=1, keepdims=True)])
+    rows = np.hstack([first, (1.0 - np.abs(first)) * share])
+    copied = branch != "tiny" and draw(st.booleans())
+    if copied:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        rows[j] = rows[i]
+    return rows, branch == "tiny" or (branch == "distinct" and not copied)
+
+
 class TestGroupRows:
     @given(rows=repeated_rows())
     @settings(max_examples=300, deadline=None)
@@ -157,6 +198,29 @@ class TestGroupRows:
         else:
             with pytest.raises(InputError, match="duplicate output vector"):
                 PredictorTable(rows, np.ones(rows.shape[0]), "count")
+
+    @given(case=certificate_rows())
+    @settings(max_examples=300, deadline=None)
+    @example(case=(np.empty((0, 2)), True))
+    @example(case=(np.array([[0.25, 0.75]]), True))
+    @example(case=(np.array([[0.0, 0.5, 0.5], [-0.0, 0.25, 0.75]]), False))
+    @example(case=(np.array([[0.0, 0.5, 0.5], [-0.0, 0.5, 0.5]]), False))
+    def test_certificate_branches_match_reference_and_table(self, case):
+        rows, certified = case
+        assert _first_column_distinct(rows) == certified
+        first, group = group_rows(rows)
+        ref_first, ref_group = group_rows_by_unique(rows)
+        np.testing.assert_array_equal(first, ref_first)
+        np.testing.assert_array_equal(group, ref_group)
+        masses = np.ones(rows.shape[0])
+        if rows.shape[0] == 0:
+            with pytest.raises(InputError, match="nonempty"):
+                PredictorTable(rows, masses, "count")
+        elif ref_first.size == rows.shape[0]:
+            PredictorTable(rows, masses, "count")
+        else:
+            with pytest.raises(InputError, match="duplicate output vector"):
+                PredictorTable(rows, masses, "count")
 
 
 def _k2_feasible(w, p):
