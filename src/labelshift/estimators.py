@@ -28,13 +28,15 @@ METHODS = ("bbse_hard", "bbse_soft", "rlls", "mlls_em", "mlls_grad", "mlls_cm")
 
 COND_LIMIT = 1e12
 KKT_TOL = 1e-10  # `converged` means the KKT residual at the result is at most this
-FINISH_STEP = 1e-3  # a first-order step shorter than this starts the Newton finish
+FINISH_STEP = 1e-3  # a first-order step shorter than this starts another Newton finish
+NEWTON_STEPS = 30  # most Newton steps in one attempt of the finish
+STALL_STEPS = 5  # an attempt ends after this many steps without a new smallest residual
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
     method: str = "mlls_em"
-    max_iters: int = 10_000  # first-order steps
+    max_iters: int = 10_000  # first-order and Newton steps together
     tol: float = 1e-8  # first-order stopping tolerance; see _solve_on_slice
     rlls_lambda: float = 0.0
 
@@ -103,32 +105,53 @@ def _armijo_step(value, p):
     return step
 
 
-def _newton_finish(grad, hess, p, w, max_steps=30):
+def _newton_finish(grad, hess, p, w, max_steps=NEWTON_STEPS):
     """Primal active-set Newton method for a concave maximization over the
-    slice W = {w >= 0 : w . p = 1}, started at a first-order iterate w.
+    slice W = {w >= 0 : w . p = 1}, started at w.
 
     Coordinates at or below 1e-9 start fixed at 0. Each step solves the
     equality-constrained Newton system on the free (positive) coordinates. A
     step that would leave the orthant stops where the first coordinate reaches
     0 and fixes that coordinate there. Once the free coordinates are
     stationary, the fixed coordinate with the largest positive reduced gradient
-    (a violated multiplier sign) is released. Steps go on while the KKT
-    residual falls tenfold per step; the point with the smallest residual is
-    returned if that residual is at most KKT_TOL, and None otherwise.
+    (a violated multiplier sign) is released.
+
+    The point after each step is checked, so max_steps steps check
+    max_steps + 1 points. Once some point has KKT residual at most KKT_TOL,
+    the finish stops at the first point whose residual is at the rounding
+    level of the gradient or not a tenth of the residual one step before.
+    It also ends after max_steps steps, after STALL_STEPS steps without a
+    new smallest residual, at a singular Newton system, or at a point
+    outside the domain of `grad`.
+
+    Returns (w, steps): the point with the smallest residual if that residual
+    is at most KKT_TOL and None otherwise, and the Newton steps taken.
     """
     w = np.where(w <= 1e-9, 0.0, w)
     w /= w @ p
     best, best_res, prev_res = None, np.inf, np.inf
+    steps = stalled = 0
     with np.errstate(all="ignore"):  # non-finite values fail the certificate
-        for _ in range(max_steps):
+        while True:
             try:
                 g = grad(w)
             except InputError:
                 break
             res = kkt_residual(g, p, w)
             if res < best_res:
-                best, best_res = w.copy(), res
-            if best_res <= KKT_TOL and not res < 0.1 * prev_res:
+                best, best_res, stalled = w.copy(), res, 0
+            else:
+                stalled += 1
+            # Rounding level: the reduced gradient g - (g.w / p.w) p is formed
+            # from terms of size up to max|g|, and its inner products and
+            # subtraction each err by a few eps * max|g| (a factor that grows
+            # slowly with k and with the rows summed into g). A residual below
+            # 64 eps max|g| cannot be told from 0; another step would only
+            # move the last bits of w.
+            rounding = 64.0 * np.finfo(float).eps * np.abs(g).max()
+            if best_res <= KKT_TOL and (res <= rounding or not res < 0.1 * prev_res):
+                break
+            if steps == max_steps or stalled == STALL_STEPS:
                 break
             prev_res = res
             r = reduced_gradient(g, p, w)
@@ -155,43 +178,53 @@ def _newton_finish(grad, hess, p, w, max_steps=30):
                 w[f[blocked[j]]] = 0.0
             else:
                 w[f] = np.maximum(wf + dw, 0.0)
-    return best if best_res <= KKT_TOL else None
+            steps += 1
+    return (best if best_res <= KKT_TOL else None), steps
 
 
 def _solve_on_slice(step, grad, hess, p, w0, config):
     """Maximize a concave f over the slice W = {w >= 0 : w . p = 1} from w0.
 
     `grad` and `hess` give the gradient and Hessian of f; `step(w, g)` is one
-    first-order step from w with gradient g, landing on the slice. After a
-    step smaller than max(tol, FINISH_STEP), and after every 10th step, the
-    active-set Newton finish is tried from the iterate. The loop returns as
-    soon as the finish or the iterate has KKT residual at most KKT_TOL; that
-    certificate is what `converged` reports. Without it, the loop stops once a
-    step moves less than tol or max_iters steps are taken.
+    first-order step from w with gradient g, landing on the slice. The
+    active-set Newton finish runs first, from w0. Only if it cannot certify
+    do first-order steps run from w0; after a step smaller than
+    max(tol, FINISH_STEP), and after every 10th step, the finish is tried
+    again from the iterate. The solver returns as soon as the finish or the
+    iterate has KKT residual at most KKT_TOL; that certificate is what
+    `converged` reports. Without it, the loop stops once a first-order step
+    moves less than tol or the budget is spent: max_iters bounds the steps of
+    both kinds together.
 
-    Returns (w, first-order steps taken, converged).
+    Returns (w, steps taken of both kinds, converged).
     """
     if np.any(p <= 0):
         raise InputError("the weight slice needs a strictly positive source marginal")
-    w, moved = w0, np.inf
-    for it in range(config.max_iters + 1):
+    budget, taken = config.max_iters, 0
+    w, moved, first_order = w0, np.inf, 0
+    while True:
+        # first_order % 10 == 0 holds at the start, so the finish leads
+        if taken < budget and (first_order % 10 == 0 or moved < max(config.tol, FINISH_STEP)):
+            finished, newton = _newton_finish(grad, hess, p, w, min(NEWTON_STEPS, budget - taken))
+            taken += newton
+            if finished is not None:
+                return finished, taken, True
         g = grad(w)
         if kkt_residual(g, p, w) <= KKT_TOL:
-            return w, it, True
-        if it == config.max_iters or moved < config.tol:
-            return w, it, False
+            return w, taken, True
+        if taken >= budget or moved < config.tol:
+            return w, taken, False
         w_next = step(w, g)
+        taken += 1
+        first_order += 1
         moved = float(np.abs(w_next - w).max())
         w = w_next
-        if moved < max(config.tol, FINISH_STEP) or (it + 1) % 10 == 0:
-            finished = _newton_finish(grad, hess, p, w)
-            if finished is not None:
-                return finished, it + 1, True
 
 
 def _least_squares(A, b, lam, source_marginal, w0, config) -> EstimateResult:
     """Minimize ||A w - b||^2 + lam * ||w - 1||^2 over the weight slice by
-    projected gradient and the Newton finish; the minimum is the objective."""
+    the Newton finish, with projected gradient as its fallback; the minimum
+    is the objective."""
     p = source_marginal.entries
     ones = np.ones(p.size)
     H = -2.0 * (A.T @ A + lam * np.eye(p.size))
@@ -221,8 +254,8 @@ def rlls(
 
 
 def _mlls(table, source_marginal, config, em: bool) -> EstimateResult:
-    """Likelihood maximization over the weight slice, by EM or by projected
-    gradient, each finished by the Newton method."""
+    """Likelihood maximization over the weight slice by the Newton finish,
+    with EM or projected gradient as its fallback."""
     F, m = table.support, table.normalized_masses()
     p = source_marginal.entries
     value = partial(ll_value, F, m)
@@ -246,8 +279,8 @@ def mlls_em(
     stationarity condition sum_i m_i f(x_i) / (f(x_i) . w) = p_s.
 
     Plain EM contracts arbitrarily slowly when the maximizer has zero entries;
-    the Newton finish of the shared solver lands on that face and certifies
-    the KKT point.
+    the Newton finish of the shared solver, which runs before any EM step and
+    again from EM iterates, lands on that face and certifies the KKT point.
     """
     return _mlls(table, source_marginal, config or EstimatorConfig(method="mlls_em"), em=True)
 
@@ -255,7 +288,8 @@ def mlls_em(
 def mlls_grad(
     table: PredictorTable, source_marginal: ProbVector, config: EstimatorConfig | None = None
 ) -> EstimateResult:
-    """Projected gradient ascent on the empirical log-likelihood."""
+    """Likelihood max over the weight slice, with projected gradient ascent
+    on the empirical log-likelihood as the fallback of the Newton finish."""
     return _mlls(table, source_marginal, config or EstimatorConfig(method="mlls_grad"), em=False)
 
 

@@ -215,6 +215,8 @@ def group_rows(rows) -> tuple[np.ndarray, np.ndarray]:
     rows = np.asarray(rows)
     if rows.ndim == 1:
         rows = rows[:, None]
+    if rows.ndim != 2 or rows.shape[1] == 0:
+        raise InputError("rows must form an (n, k) array with k >= 1")
     if _first_column_distinct(rows):
         return np.arange(rows.shape[0]), np.arange(rows.shape[0])
     order, start = _sorted_runs(rows)

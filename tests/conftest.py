@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from labelshift.confusion import ConfusionMatrix
+from labelshift.estimators import rlls
 from labelshift.simplex import (
     LabeledPredictions,
     ProbVector,
@@ -44,6 +46,25 @@ UNIFORM_3 = ProbVector(np.full(3, 1.0 / 3.0))
 # Unique maximizer of the six-point instance's population likelihood, frozen
 # from a 50-digit stationarity solve; test_diagnostics re-derives it.
 W_MISCAL_OPT = np.array([2.4064411551209213, 0.2534617142311249, 0.3400971306479538])
+
+
+# Three-class RLLS instance whose minimizer lies on a face of the weight
+# slice. The joint confusion (7 I + J) / 30 has every column summing to 1/3;
+# against the target prediction marginal [0.6, 0.4, 0] its unconstrained
+# solution is [15, 9, -3] / 7. From w = 1 the first Newton step is blocked
+# where w_2 reaches 0, at [1.8, 1.2, 0], and a second step on that face
+# reaches the minimizer [27, 15, 0] / 14 (at lambda = 0). A budget of one
+# step therefore runs out. Two-class RLLS is a quadratic on a segment, which
+# one Newton step solves from any start, so no two-class instance can do this.
+FACE_CONFUSION = ConfusionMatrix((7.0 * np.eye(3) + 1.0) / 30.0, UNIFORM_3, "hard")
+FACE_MU = ProbVector(np.array([0.6, 0.4, 0.0]))
+W_FACE = np.array([27.0, 15.0, 0.0]) / 14.0
+
+
+def face_rlls(confusion, mu, lam, config):
+    """`rlls` solving the face instance in place of the problem it is given,
+    under the caller's lambda and budget."""
+    return rlls(FACE_CONFUSION, FACE_MU, lam, config)
 
 
 def worked_instance_target_table(w_star=W_STAR_3):

@@ -12,9 +12,12 @@ from labelshift.confusion import (
     build_target_prediction_marginal,
 )
 from labelshift.confusion import build_hard_confusion
+from labelshift import estimators
 from labelshift.diagnostics import (
+    check_identifiability,
     kkt_residual,
     likelihood_gradient,
+    likelihood_hessian,
     ll_gradient,
     ll_hessian,
     log_likelihood,
@@ -23,6 +26,7 @@ from labelshift.diagnostics import (
 from labelshift.errors import IdentifiabilityError, InputError
 from labelshift.estimators import (
     KKT_TOL,
+    NEWTON_STEPS,
     EstimatorConfig,
     _newton_finish,
     bbse,
@@ -36,8 +40,11 @@ from labelshift.predictors import GmmSpec, gmm_posterior
 from labelshift.simplex import PredictorTable, ProbVector, grouped_table, normalized_rows
 from labelshift.simulation import rng_for, sample_gmm, target_table_from_outputs
 from tests.conftest import (
+    FACE_CONFUSION,
+    FACE_MU,
     PS_ROWS,
     UNIFORM_3,
+    W_FACE,
     W_MISCAL_OPT,
     W_STAR_3,
     make_samples,
@@ -108,10 +115,16 @@ class TestRlls:
         assert res.weights.weights[0] == pytest.approx(best, abs=1e-4)
 
     def test_budget_exhaustion_raises(self):
-        # the budget runs out: rlls reports it in `converged`, as every method does
-        mu = ProbVector(np.array([0.35, 0.65]))
-        res = rlls(HAND_CONF, mu, lam=0.0, config=EstimatorConfig("rlls", tol=1e-14, max_iters=1))
+        # the budget runs out: rlls reports it in `converged`, as every method
+        # does. max_iters counts Newton steps too, and the face instance needs
+        # a blocked step and then a second step.
+        res = rlls(FACE_CONFUSION, FACE_MU, 0.0, EstimatorConfig("rlls", tol=1e-14, max_iters=1))
         assert not res.converged
+        assert res.iterations == 1
+        res = rlls(FACE_CONFUSION, FACE_MU, 0.0, EstimatorConfig("rlls", tol=1e-14, max_iters=2))
+        assert res.converged
+        assert res.iterations == 2
+        np.testing.assert_allclose(res.weights.weights, W_FACE, atol=1e-14)
 
 
 class TestMllsEm:
@@ -217,18 +230,94 @@ class TestNewtonFinish:
         # the reduced gradient of w_1 is 2/7 - 1/3 < 0.
         grad, hess = self._problem([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]], [1.0, 2.0])
         p = UNIFORM_3.entries
-        w = _newton_finish(grad, hess, p, np.ones(3))
+        w, _ = _newton_finish(grad, hess, p, np.ones(3))
         np.testing.assert_allclose(w, [1.0 / 3.0, 0.0, 8.0 / 3.0], atol=1e-14)
         assert w[1] == 0.0
-        assert _newton_finish(grad, hess, p, np.ones(3), max_steps=1) is None
+        assert _newton_finish(grad, hess, p, np.ones(3), max_steps=1) == (None, 1)
 
     def test_violated_multiplier_releases_the_coordinate(self):
         # the worked instance's maximizer is interior; started on the face
         # w_0 = 0, the finish must release w_0 to reach it
         table = worked_instance_target_table()
         grad, hess = self._problem(table.support, table.normalized_masses())
-        w = _newton_finish(grad, hess, UNIFORM_3.entries, np.array([0.0, 1.5, 1.5]))
+        w, _ = _newton_finish(grad, hess, UNIFORM_3.entries, np.array([0.0, 1.5, 1.5]))
         np.testing.assert_allclose(w, W_MISCAL_OPT, atol=1e-12)
+
+    def test_failed_attempt_ends_early(self):
+        # Columns 0 and 1 of the support are equal to 1e-9: the table is not
+        # identifiable to working precision. From w = 1 the finish reaches
+        # the face w_1 = 0, where the reduced gradient of w_1 is 5e-10. It
+        # releases w_1, and the Newton step blocks w_1 at once, step after
+        # step, at the same point. Without a new smallest residual the
+        # attempt ends after STALL_STEPS such steps, not after 30.
+        a, d = np.array([0.05, 0.1, 0.4]), 1e-9 * np.array([1.0, -1.0, 1.0])
+        rows = np.column_stack([a, a + d, 1.0 - 2.0 * a - d])
+        table = grouped_table(rows, np.ones(3), "count")
+        assert not check_identifiability(table)[0]
+        p = ProbVector(np.array([0.25, 0.25, 0.5]))
+        calls = []
+
+        def hess(w):
+            calls.append(1)
+            return ll_hessian(rows, np.ones(3) / 3.0, w)
+
+        grad = partial(ll_gradient, rows, np.ones(3) / 3.0)
+        assert _newton_finish(grad, hess, p.entries, np.ones(3)) == (None, len(calls))
+        assert len(calls) < NEWTON_STEPS / 2
+        # the solver goes on to its documented result: a flag that reports
+        # whether the returned point is certified, within the budget
+        for solver in (mlls_em, mlls_grad):
+            cfg = EstimatorConfig(solver.__name__, max_iters=200)
+            res = solver(table, p, cfg)
+            assert res.iterations <= cfg.max_iters
+            residual = likelihood_kkt(table, p.entries, res.weights.weights)
+            assert res.converged == (residual <= KKT_TOL)
+
+
+def _declining_first(finish):
+    """_newton_finish that declines its first attempt, the one at the start
+    point, and runs every later attempt."""
+    attempts = []
+
+    def declining(grad, hess, p, w, max_steps=NEWTON_STEPS):
+        attempts.append(max_steps)
+        return (None, 0) if len(attempts) == 1 else finish(grad, hess, p, w, max_steps)
+
+    return declining, attempts
+
+
+class TestFirstOrderFallback:
+    """The EM map and the Armijo steps run only when the Newton finish cannot
+    certify at the start point. Made to run, each must certify the answer
+    that the finish gives when it leads."""
+
+    @given(seed=st.integers(0, 100_000))
+    @settings(max_examples=60, deadline=None)
+    def test_em_and_armijo_fallbacks_match_finish_first(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 5))
+        table = random_table(rng, int(rng.integers(2 * k, 4 * k + 1)), k)
+        p = random_marginal(rng, k)
+        lead = {solver: solver(table, p) for solver in (mlls_em, mlls_grad)}
+        # Both answers end at a KKT residual near the rounding level of the
+        # gradient, ~1e-14; where the curvature is at least 1e-2 the two can
+        # then differ by no more than ~1e-12.
+        hessian = likelihood_hessian(table, lead[mlls_em].weights)
+        assume(np.linalg.eigvalsh(-hessian)[0] >= 1e-2)
+        for solver, res in lead.items():
+            assert res.converged
+            declining, attempts = _declining_first(estimators._newton_finish)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(estimators, "_newton_finish", declining)
+                fallback = solver(table, p)
+            assert attempts[0] == NEWTON_STEPS
+            assert fallback.converged
+            assert fallback.iterations > 0
+            g = likelihood_gradient(table, fallback.weights)
+            assert kkt_residual(g, p.entries, fallback.weights.weights) <= KKT_TOL
+            np.testing.assert_allclose(
+                fallback.weights.weights, res.weights.weights, rtol=0, atol=1e-12
+            )
 
 
 class TestKktCertificate:

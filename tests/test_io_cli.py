@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import labelshift.cli
 import labelshift.io
+import labelshift.simulation
 from labelshift.cli import _parse_benchmark_config, main
 from labelshift.confusion import ConfusionMatrix
 from labelshift.errors import InputError
@@ -26,7 +27,7 @@ from labelshift.io import (
     write_prediction_file,
 )
 from labelshift.simplex import ProbVector, WeightVector
-from tests.conftest import F_ROWS, PS_ROWS, W_MISCAL_OPT
+from tests.conftest import F_ROWS, PS_ROWS, W_MISCAL_OPT, face_rlls
 
 
 # Cells both readers must treat alike: tokens that float()/int() and a C parser
@@ -264,6 +265,19 @@ def hand_files(tmp_path):
     return src_path, tgt_path
 
 
+@pytest.fixture
+def face_files(tmp_path):
+    """Three-class source/target pair whose hard confusion and target
+    prediction marginal are those of the RLLS face instance in conftest."""
+    rows = np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
+    # of the 10 rows of each class y, 8 predict y and one each of the others
+    pred = [(y + max(i - 7, 0)) % 3 for y in range(3) for i in range(10)]
+    src_path, tgt_path = tmp_path / "src.csv", tmp_path / "tgt.csv"
+    write_csv(src_path, rows[pred], np.repeat(np.arange(3), 10))
+    write_csv(tgt_path, rows[[0] * 60 + [1] * 40])
+    return src_path, tgt_path
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -363,8 +377,8 @@ class TestEstimateCommand:
         assert code == 3
         assert json.loads(err)["error"] == "identifiability"
 
-    def test_budget_exhaustion_exits_4(self, hand_files, tmp_path, capsys):
-        src, tgt = hand_files
+    def test_budget_exhaustion_exits_4(self, face_files, tmp_path, capsys):
+        src, tgt = face_files
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"method": "rlls", "max_iters": 1, "tol": 1e-14}))
         code, _, err = run_cli(
@@ -589,7 +603,10 @@ class TestBenchmarkCommand:
         assert lines[0] == "shift_param,method,m,n_trials,n_failed,mse,stderr"
         assert len(lines) == 2
 
-    def test_every_trial_failing_exits_4(self, tmp_path, capsys):
+    def test_every_trial_failing_exits_4(self, tmp_path, capsys, monkeypatch):
+        # one step cannot solve the face instance (see conftest), nor the
+        # likelihood of any trial; two-class rlls would be solved by it
+        monkeypatch.setattr(labelshift.simulation, "rlls", face_rlls)
         cfg_path, out_path = tmp_path / "cfg.json", tmp_path / "out.csv"
         cfg_path.write_text(
             json.dumps(self.benchmark_config(methods=["rlls", "mlls_em"], max_iters=1))

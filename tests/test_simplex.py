@@ -98,6 +98,10 @@ class TestPredictorTable:
         with pytest.raises(InputError):
             grouped_table([np.array([0.3, 0.7])], [0.5], "probability")
 
+    def test_grouped_table_rejects_rows_without_columns(self):
+        with pytest.raises(InputError, match="k >= 1"):
+            grouped_table(np.empty((3, 0)), np.ones(3), "count")
+
     def test_rejects_duplicate_support(self):
         out = np.array([0.3, 0.7])
         with pytest.raises(InputError):
@@ -198,6 +202,11 @@ class TestGroupRows:
         else:
             with pytest.raises(InputError, match="duplicate output vector"):
                 PredictorTable(rows, np.ones(rows.shape[0]), "count")
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 0), (2, 2, 2)])
+    def test_rejects_arrays_that_are_not_rows(self, shape):
+        with pytest.raises(InputError, match=r"\(n, k\) array"):
+            group_rows(np.empty(shape))
 
     @given(case=certificate_rows())
     @settings(max_examples=300, deadline=None)

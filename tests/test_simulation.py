@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from labelshift import simulation
 from labelshift.errors import InputError
 from labelshift.predictors import GmmSpec
 from labelshift.simplex import ProbVector
@@ -16,6 +17,7 @@ from labelshift.simulation import (
     sample_gmm,
     target_table_from_outputs,
 )
+from tests.conftest import face_rlls
 
 UNIFORM_2 = ProbVector(np.array([0.5, 0.5]))
 GMM = GmmSpec(mu=1.0, source_marginal=UNIFORM_2)
@@ -164,8 +166,11 @@ class TestTrials:
             assert row.stderr == pytest.approx(np.std(errs, ddof=1) / np.sqrt(len(errs)))
             assert row.n_failed == 0
 
-    def test_non_converged_result_is_a_failed_report(self):
-        # mlls_em and rlls both return converged=False; each counts as a failure
+    def test_non_converged_result_is_a_failed_report(self, monkeypatch):
+        # mlls_em and rlls both return converged=False; each counts as a
+        # failure. One step solves no trial's likelihood, and rlls is given
+        # the face instance, which needs two (see conftest).
+        monkeypatch.setattr(simulation, "rlls", face_rlls)
         cfg = small_config(methods=("mlls_em", "rlls"), max_iters=1)
         for rep in run_single_trial(cfg, 0, 0, 0):
             assert rep.w_hat is None
