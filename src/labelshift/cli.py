@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -36,13 +37,7 @@ from .estimators import (
 )
 from .io import read_prediction_file, write_prediction_file
 from .predictors import GmmSpec, gmm_posterior, samples_from_outputs
-from .simplex import (
-    ProbVector,
-    WeightVector,
-    grouped_table,
-    normalized_rows,
-    weights_to_target_marginal,
-)
+from .simplex import ProbVector, WeightVector, normalized_rows, weights_to_target_marginal
 from .simulation import (
     ExperimentConfig,
     ShiftSpec,
@@ -50,14 +45,14 @@ from .simulation import (
     rng_for,
     run_trials,
     sample_gmm,
+    target_table_from_outputs,
 )
 
 EXIT_INPUT, EXIT_IDENT, EXIT_CONV, EXIT_IO = 2, 3, 4, 5
 
 
 def _fail(code: int, kind: str, message: str) -> int:
-    json.dump({"error": kind, "message": message}, sys.stderr)
-    sys.stderr.write("\n")
+    print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
     return code
 
 
@@ -65,31 +60,70 @@ def _prob_vector(text: str) -> ProbVector:
     return ProbVector.normalized(np.array([float(v) for v in text.split(",")]), tol=1e-6)
 
 
+# ---------------------------------------------------------------- config values
+
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
+               list: "a list", dict: "an object"}
+
+
+def _config_value(obj: dict, key: str, kind, default=None):
+    """obj[key], or `default` when the key is absent, as JSON of the given
+    kind; [kind] is a list of that kind, and a key without a default must be
+    present. An integer passes as a number, and nothing else is converted: a
+    value of another kind, null or a non-finite number is an InputError
+    naming the key."""
+    if isinstance(kind, list):
+        return [_config_value({key: v}, key, kind[0]) for v in _config_value(obj, key, list, default)]
+    if key not in obj and default is None:
+        raise InputError(f"config is missing {key!r}")
+    value = obj.get(key, default)
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
+    if type(value) is not kind or (kind is float and not math.isfinite(value)):
+        raise InputError(f"config key {key!r} must be {_KIND_NAMES[kind]}, not {json.dumps(value)}")
+    return value
+
+
 # ---------------------------------------------------------------- estimate
 
-ESTIMATE_CONFIG_KEYS = {
-    "method",
-    "max_iters",
-    "tol",
-    "rlls_lambda",
-    "clip_negative",
-    "calibration_loss",
-    "val_fraction",
-    "seed",
+# key -> (kind, default). A flag of the same name, when given, beats the key
+# of a --config file, which beats the default.
+ESTIMATE_SETTINGS = {
+    "method": (str, "mlls_em"),
+    "seed": (int, 0),
+    "val_fraction": (float, 0.5),
+    "rlls_lambda": (float, 1e-3),
+    "clip_negative": (bool, False),
+    "calibration_loss": (str, "nll"),
+    "max_iters": (int, 10_000),
+    "tol": (float, 1e-8),
 }
 
 
-def _load_overrides(path) -> dict:
-    if path is None:
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise InputError("config overrides must be a JSON object")
-    unknown = set(obj) - ESTIMATE_CONFIG_KEYS
-    if unknown:
-        raise InputError(f"unknown config keys: {sorted(unknown)}")
-    return obj
+def _estimate_settings(args) -> argparse.Namespace:
+    """Every `estimate` setting, checked before a prediction file is read."""
+    overrides = {}
+    if args.config is not None:
+        with open(args.config, encoding="utf-8") as fh:
+            overrides = json.load(fh)
+        if not isinstance(overrides, dict):
+            raise InputError("config overrides must be a JSON object")
+        unknown = set(overrides) - set(ESTIMATE_SETTINGS)
+        if unknown:
+            raise InputError(f"unknown config keys: {sorted(unknown)}")
+    s = argparse.Namespace()
+    for key, (kind, default) in ESTIMATE_SETTINGS.items():
+        flag = getattr(args, key, None)
+        setattr(s, key, flag if flag is not None else _config_value(overrides, key, kind, default))
+    if s.method not in METHODS:
+        raise InputError(f"unknown method {s.method!r}")
+    if s.seed < 0:
+        raise InputError(f"seed must be nonnegative, got {s.seed}")
+    if not 0 < s.val_fraction < 1:
+        raise InputError(f"val_fraction must lie in (0, 1), got {s.val_fraction}")
+    if not s.rlls_lambda >= 0:
+        raise InputError(f"rlls_lambda must be nonnegative, got {s.rlls_lambda}")
+    return s
 
 
 def _split_source(outputs, labels, val_fraction: float, seed: int):
@@ -103,45 +137,32 @@ def _split_source(outputs, labels, val_fraction: float, seed: int):
 
 
 def _run_estimator(
-    method, est_cfg, source_samples, target_rows, table, source_marginal, clip_negative=False
+    method, est_cfg, rlls_lambda, source_samples, table, source_marginal, clip_negative=False
 ):
     """Run one method; a result that did not converge raises ConvergenceError."""
-    if method in ("bbse_hard", "bbse_soft"):
-        kind = method.split("_")[1]
+    if method in ("bbse_hard", "bbse_soft", "rlls"):
+        kind = "soft" if method == "bbse_soft" else "hard"
         conf = (build_hard_confusion if kind == "hard" else build_soft_confusion)(source_samples)
-        mu = build_target_prediction_marginal(target_rows, kind)
-        result, marginal = bbse(conf, mu, clip_negative=clip_negative), conf.column_marginal
-    elif method == "rlls":
-        conf = build_hard_confusion(source_samples)
-        mu = build_target_prediction_marginal(target_rows, "hard")
-        result, marginal = rlls(conf, mu, est_cfg.rlls_lambda, est_cfg), conf.column_marginal
+        mu = build_target_prediction_marginal(table, kind)
+        if method == "rlls":
+            result = rlls(conf, mu, rlls_lambda, est_cfg)
+        else:
+            result = bbse(conf, mu, clip_negative=clip_negative)
     elif method in ("mlls_em", "mlls_grad"):
         solver = mlls_em if method == "mlls_em" else mlls_grad
-        result, marginal = solver(table, source_marginal, est_cfg), source_marginal
+        result = solver(table, source_marginal, est_cfg)
     elif method == "mlls_cm":
-        result = mlls_cm(source_samples, target_rows, source_marginal, est_cfg)
-        marginal = source_marginal
+        result = mlls_cm(source_samples, table, source_marginal, est_cfg)
     else:
         raise InputError(f"unknown method: {method}")
     if not result.converged:
         raise ConvergenceError(f"{method} did not converge in {est_cfg.max_iters} iterations")
-    return result, marginal
+    return result
 
 
 def cmd_estimate(args) -> int:
-    overrides = _load_overrides(args.config)
-    method = args.method or overrides.get("method", "mlls_em")
-    if method not in METHODS:
-        raise InputError(f"unknown method {method!r}")
-    seed = args.seed if args.seed is not None else int(overrides.get("seed", 0))
-    val_fraction = float(overrides.get("val_fraction", args.val_fraction))
-    est_cfg = EstimatorConfig(
-        method=method,
-        max_iters=int(overrides.get("max_iters", 10_000)),
-        tol=float(overrides.get("tol", 1e-8)),
-        rlls_lambda=float(overrides.get("rlls_lambda", args.rlls_lambda)),
-    )
-    clip_negative = bool(overrides.get("clip_negative", args.clip_negative))
+    s = _estimate_settings(args)
+    est_cfg = EstimatorConfig(max_iters=s.max_iters, tol=s.tol)
 
     src_outputs, src_labels, _ = read_prediction_file(args.source)
     if src_labels is None:
@@ -155,12 +176,9 @@ def cmd_estimate(args) -> int:
         est_out, est_lab = src_outputs, src_labels
     else:
         (val_out, val_lab), (est_out, est_lab) = _split_source(
-            src_outputs, src_labels, val_fraction, seed
+            src_outputs, src_labels, s.val_fraction, s.seed
         )
-        fit = bcts_fit(
-            samples_from_outputs(val_out, val_lab),
-            loss=str(overrides.get("calibration_loss", "nll")),
-        )
+        fit = bcts_fit(samples_from_outputs(val_out, val_lab), loss=s.calibration_loss)
         if not fit.converged:
             raise ConvergenceError(
                 f"BCTS calibration did not converge (gradient norm {fit.final_grad_norm:.3g} "
@@ -176,26 +194,19 @@ def cmd_estimate(args) -> int:
     if np.any(counts == 0):
         raise InputError("a class is absent from the source estimation split")
     source_marginal = ProbVector(counts / counts.sum())
-    target_rows = normalized_rows(tgt_outputs, tol=1e-6)
-    table = grouped_table(target_rows, np.ones(len(target_rows)), "count")
+    table = target_table_from_outputs(tgt_outputs)
 
-    result, marginal = _run_estimator(
-        method, est_cfg, source_samples, target_rows, table, source_marginal, clip_negative
+    result = _run_estimator(
+        s.method, est_cfg, s.rlls_lambda, source_samples, table, source_marginal, s.clip_negative
     )
 
     identifiable, min_eig = check_identifiability(source_samples.outputs)
-    tau = condition_tau(table, result.weights) if np.all(result.weights.weights >= 0) else None
+    nonneg = bool(np.all(result.weights.weights >= 0))
     report = {
-        "method": method,
+        "method": s.method,
         "weights": list(result.weights.weights),
-        "source_marginal": list(marginal.entries),
-        "target_marginal": list(
-            weights_to_target_marginal(
-                WeightVector(np.maximum(result.weights.weights, 0), marginal, check_nonneg=False)
-            ).entries
-        )
-        if np.all(result.weights.weights >= 0)
-        else None,
+        "source_marginal": list(result.weights.source_marginal.entries),
+        "target_marginal": list(weights_to_target_marginal(result.weights).entries) if nonneg else None,
         "iterations": result.iterations,
         "converged": result.converged,
         "final_objective": result.final_objective,
@@ -203,11 +214,10 @@ def cmd_estimate(args) -> int:
         "diagnostics": {
             "identifiable": identifiable,
             "second_moment_min_eig": min_eig,
-            "tau": tau,
+            "tau": condition_tau(table, result.weights) if nonneg else None,
         },
     }
-    json.dump(report, sys.stdout)
-    sys.stdout.write("\n")
+    print(json.dumps(report))
     return 0
 
 
@@ -223,8 +233,7 @@ def cmd_calibrate(args) -> int:
         {"iterations": fit.iterations, "converged": fit.converged,
          "final_grad_norm": fit.final_grad_norm, "final_loss": fit.loss_trace[-1]}
     )
-    json.dump(report, sys.stdout)
-    sys.stdout.write("\n")
+    print(json.dumps(report))
     return 0
 
 
@@ -257,8 +266,7 @@ def cmd_diagnose(args) -> int:
     if tgt_outputs.shape[1] != src_outputs.shape[1]:
         raise InputError("source and target class counts differ")
     k = src_outputs.shape[1]
-    target_rows = normalized_rows(tgt_outputs, tol=1e-6)
-    table = grouped_table(target_rows, np.ones(len(target_rows)), "count")
+    table = target_table_from_outputs(tgt_outputs)
 
     if src_labels is not None:
         counts = np.bincount(src_labels, minlength=k).astype(float)
@@ -272,12 +280,12 @@ def cmd_diagnose(args) -> int:
     else:
         if src_labels is None and args.method not in ("mlls_em", "mlls_grad"):
             raise InputError(f"method {args.method} needs a source file with a label column")
-        est_cfg = EstimatorConfig(method=args.method)
         source_samples = (
             samples_from_outputs(src_outputs, src_labels) if src_labels is not None else None
         )
-        result, _ = _run_estimator(
-            args.method, est_cfg, source_samples, target_rows, table, source_marginal
+        # diagnose has no lambda setting: rlls runs unregularized
+        result = _run_estimator(
+            args.method, EstimatorConfig(), 0.0, source_samples, table, source_marginal
         )
         weights = result.weights
 
@@ -298,8 +306,7 @@ def cmd_diagnose(args) -> int:
             "kkt_residual": kkt_residual(g, p, weights.weights),
         }
     )
-    json.dump(out, sys.stdout)
-    sys.stdout.write("\n")
+    print(json.dumps(out))
     return 0
 
 
@@ -324,8 +331,7 @@ def cmd_simulate(args) -> int:
         write_prediction_file(args.source_out, gmm_posterior(spec, src_x), src_y)
         write_prediction_file(args.target_out, gmm_posterior(spec, tgt_x))
         with open(args.marginal_out, "w", encoding="utf-8") as fh:
-            json.dump({"target_marginal": list(p_t.entries), "seed": args.seed}, fh)
-            fh.write("\n")
+            print(json.dumps({"target_marginal": list(p_t.entries), "seed": args.seed}), file=fh)
     except OSError as exc:
         raise IOError(str(exc)) from exc
     return 0
@@ -355,51 +361,36 @@ def _parse_benchmark_config(obj: dict) -> ExperimentConfig:
     unknown = set(obj) - BENCHMARK_KEYS
     if unknown:
         raise InputError(f"unknown benchmark config keys: {sorted(unknown)}")
-    for key in ("gmm", "shifts", "methods", "m_values", "n_trials", "base_seed"):
-        if key not in obj:
-            raise InputError(f"benchmark config missing {key!r}")
-    gmm_obj = obj["gmm"]
+    gmm_obj = _config_value(obj, "gmm", dict)
     if set(gmm_obj) - {"mu", "source_marginal"}:
         raise InputError("gmm section accepts only mu and source_marginal")
-    marg = gmm_obj.get("source_marginal", [0.5, 0.5])
-    gmm = GmmSpec(float(gmm_obj["mu"]), ProbVector.normalized(np.asarray(marg, float), tol=1e-6))
+    marg = _config_value(gmm_obj, "source_marginal", [float], [0.5, 0.5])
+    gmm = GmmSpec(_config_value(gmm_obj, "mu", float), ProbVector.normalized(np.asarray(marg), tol=1e-6))
     shifts = []
-    for s in obj["shifts"]:
+    for s in _config_value(obj, "shifts", [dict]):
         if s.get("mode") == "dirichlet":
-            shifts.append(ShiftSpec("dirichlet", alpha=float(s["alpha"])))
+            shifts.append(ShiftSpec("dirichlet", alpha=_config_value(s, "alpha", float)))
         elif s.get("mode") == "explicit":
-            shifts.append(
-                ShiftSpec(
-                    "explicit",
-                    target_marginal=ProbVector.normalized(
-                        np.asarray(s["target_marginal"], float), tol=1e-6
-                    ),
-                )
-            )
+            p_t = np.asarray(_config_value(s, "target_marginal", [float]))
+            shifts.append(ShiftSpec("explicit", target_marginal=ProbVector.normalized(p_t, tol=1e-6)))
         else:
             raise InputError(f"unknown shift spec: {s}")
-    methods = tuple(obj["methods"])
-    if not methods:
-        raise InputError("benchmark method list is empty")
-    for m in methods:
-        if m not in METHODS:
-            raise InputError(f"unknown method {m!r}")
-    base_seed = int(obj["base_seed"])
+    base_seed = _config_value(obj, "base_seed", int)
     if base_seed < 0 or base_seed > 2 ** 64 - 1:
         raise InputError("base_seed must be a 64-bit unsigned integer")
     return ExperimentConfig(
         gmm=gmm,
         shifts=tuple(shifts),
-        methods=methods,
-        m_values=tuple(int(m) for m in obj["m_values"]),
-        n_trials=int(obj["n_trials"]),
+        methods=tuple(_config_value(obj, "methods", [str])),
+        m_values=tuple(_config_value(obj, "m_values", [int])),
+        n_trials=_config_value(obj, "n_trials", int),
         base_seed=base_seed,
-        n_source=int(obj.get("n_source", 1000)),
-        rlls_lambda=float(obj.get("rlls_lambda", 1e-3)),
-        tol=float(obj.get("tol", 1e-6)),
-        max_iters=int(obj.get("max_iters", 2000)),
-        bins=None if obj.get("bins") is None else int(obj["bins"]),
-        w_star_from=str(obj.get("w_star_from", "marginal")),
+        n_source=_config_value(obj, "n_source", int, 1000),
+        rlls_lambda=_config_value(obj, "rlls_lambda", float, 1e-3),
+        tol=_config_value(obj, "tol", float, 1e-6),
+        max_iters=_config_value(obj, "max_iters", int, 2000),
+        bins=None if obj.get("bins") is None else _config_value(obj, "bins", int),
+        w_star_from=_config_value(obj, "w_star_from", str, "marginal"),
     )
 
 
@@ -420,15 +411,11 @@ def cmd_benchmark(args) -> int:
             f"every trial failed for {', '.join(failed)}; the n_failed column of "
             f"{args.output} counts the failures per cell"
         )
-    json.dump(
-        {
-            "output": args.output,
-            "per_method_mean_mse": {m: float(np.mean(v)) for m, v in mses.items()},
-            "rows": len(rows),
-        },
-        sys.stdout,
-    )
-    sys.stdout.write("\n")
+    print(json.dumps({
+        "output": args.output,
+        "per_method_mean_mse": {m: float(np.mean(v)) for m, v in mses.items()},
+        "rows": len(rows),
+    }))
     return 0
 
 
@@ -445,9 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--seed", type=int)
     est.add_argument("--config", help="JSON overrides file")
     est.add_argument("--no-calibration", action="store_true")
-    est.add_argument("--clip-negative", action="store_true")
-    est.add_argument("--val-fraction", type=float, default=0.5)
-    est.add_argument("--rlls-lambda", type=float, default=1e-3)
+    # defaults live in ESTIMATE_SETTINGS, so that a flag left out defers to --config
+    est.add_argument("--clip-negative", action="store_true", default=None)
+    est.add_argument("--val-fraction", type=float)
+    est.add_argument("--rlls-lambda", type=float)
     est.set_defaults(func=cmd_estimate)
 
     cal = sub.add_parser("calibrate", help="fit temperature-plus-bias calibration")

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .simplex import SIMPLEX_TOL, LabeledPredictions, ProbVector, _freeze
+from .simplex import SIMPLEX_TOL, LabeledPredictions, PredictorTable, ProbVector, _freeze
 
 
 @dataclass(frozen=True)
@@ -68,16 +68,13 @@ def build_soft_confusion(samples: LabeledPredictions) -> ConfusionMatrix:
     return ConfusionMatrix(joint, ProbVector.normalized(joint.sum(axis=0), tol=1e-9), "soft")
 
 
-def build_target_prediction_marginal(target_outputs, kind: str) -> ProbVector:
-    """mu-hat = p_t(yhat) from (m, k) target outputs: argmax frequencies
-    (hard) or mean output (soft)."""
-    outputs = np.asarray(target_outputs, dtype=float)
-    if outputs.ndim != 2 or outputs.shape[0] == 0:
-        raise InputError("target prediction marginal needs at least one output")
-    n, k = outputs.shape
+def build_target_prediction_marginal(table: PredictorTable, kind: str) -> ProbVector:
+    """mu-hat = p_t(yhat) from the target table: mass-weighted argmax
+    frequencies (hard) or mean output (soft)."""
+    support, masses = table.support, table.masses
+    total = masses.sum()
     if kind == "hard":
-        counts = np.bincount(outputs.argmax(axis=1), minlength=k).astype(float)
-        return ProbVector(counts / n)
+        return ProbVector(np.bincount(support.argmax(axis=1), masses, support.shape[1]) / total)
     if kind == "soft":
-        return ProbVector.normalized(outputs.mean(axis=0), tol=1e-9)
+        return ProbVector.normalized((support * masses[:, None]).sum(axis=0) / total, tol=1e-9)
     raise InputError(f"unknown marginal kind: {kind}")

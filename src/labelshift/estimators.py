@@ -35,15 +35,13 @@ STALL_STEPS = 5  # an attempt ends after this many steps without a new smallest 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    method: str = "mlls_em"
+    """The solver budget of the iterative estimators."""
+
     max_iters: int = 10_000  # first-order and Newton steps together
     tol: float = 1e-8  # first-order stopping tolerance; see _solve_on_slice
-    rlls_lambda: float = 0.0
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise InputError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if self.max_iters < 1 or self.tol <= 0 or self.rlls_lambda < 0:
+        if self.max_iters < 1 or self.tol <= 0:
             raise InputError("invalid estimator configuration")
 
 
@@ -244,10 +242,11 @@ def rlls(
     confusion: ConfusionMatrix,
     mu: ProbVector,
     lam: float,
-    config: EstimatorConfig | None = None,
+    config: EstimatorConfig = EstimatorConfig(),
 ) -> EstimateResult:
     """Minimize ||C w - mu||^2 + lam * ||w - 1||^2 over the weight slice."""
-    config = config or EstimatorConfig(method="rlls", rlls_lambda=lam)
+    if not lam >= 0:
+        raise InputError(f"rlls needs lambda >= 0, got {lam}")
     return _least_squares(
         confusion.joint, mu.entries, lam, confusion.column_marginal, np.ones(confusion.k), config
     )
@@ -267,7 +266,7 @@ def _mlls(table, source_marginal, config, em: bool) -> EstimateResult:
 
 
 def mlls_em(
-    table: PredictorTable, source_marginal: ProbVector, config: EstimatorConfig | None = None
+    table: PredictorTable, source_marginal: ProbVector, config: EstimatorConfig = EstimatorConfig()
 ) -> EstimateResult:
     """EM fixed point for the likelihood max over the weight slice.
 
@@ -282,35 +281,34 @@ def mlls_em(
     the Newton finish of the shared solver, which runs before any EM step and
     again from EM iterates, lands on that face and certifies the KKT point.
     """
-    return _mlls(table, source_marginal, config or EstimatorConfig(method="mlls_em"), em=True)
+    return _mlls(table, source_marginal, config, em=True)
 
 
 def mlls_grad(
-    table: PredictorTable, source_marginal: ProbVector, config: EstimatorConfig | None = None
+    table: PredictorTable, source_marginal: ProbVector, config: EstimatorConfig = EstimatorConfig()
 ) -> EstimateResult:
     """Likelihood max over the weight slice, with projected gradient ascent
     on the empirical log-likelihood as the fallback of the Newton finish."""
-    return _mlls(table, source_marginal, config or EstimatorConfig(method="mlls_grad"), em=False)
+    return _mlls(table, source_marginal, config, em=False)
 
 
 def mlls_cm(
     source_samples: LabeledPredictions,
-    target_outputs,
+    target_table: PredictorTable,
     source_marginal: ProbVector,
-    config: EstimatorConfig | None = None,
+    config: EstimatorConfig = EstimatorConfig(),
 ) -> EstimateResult:
     """Likelihood estimation through the confusion-row-calibrated predictor.
 
-    Each row of the (m, k) target outputs is replaced by the row p_s(y | yhat)
-    of its hard prediction, and EM runs on the resulting table with at most k
-    support points.
+    Each target row is replaced by the row p_s(y | yhat) of its hard
+    prediction, and EM runs on the resulting table with at most k support
+    points, each carrying the target mass of its prediction.
     """
-    config = config or EstimatorConfig(method="mlls_cm")
     conf = build_hard_confusion(source_samples)
     confusion_row_calibrate(conf)  # validates that every hard prediction is reachable
     rows = conf.joint / conf.joint.sum(axis=1)[:, None]
-    pred = np.asarray(target_outputs, dtype=float).argmax(axis=1)
-    counts = np.bincount(pred, minlength=conf.k).astype(float)
+    support, masses = target_table.support, target_table.masses
+    counts = np.bincount(support.argmax(axis=1), masses, conf.k)
     keep = counts > 0
     table = grouped_table(normalized_rows(rows[keep], tol=1e-9), counts[keep], "count")
     return mlls_em(table, source_marginal, config)
@@ -320,7 +318,7 @@ def distribution_match_lsq(
     joint: np.ndarray,
     target: np.ndarray,
     source_marginal: ProbVector,
-    config: EstimatorConfig | None = None,
+    config: EstimatorConfig = EstimatorConfig(),
 ) -> EstimateResult:
     """Least-squares distribution matching: min ||J w - t||^2 over the slice.
 
@@ -329,7 +327,6 @@ def distribution_match_lsq(
     rank-deficient J triggers a warning. The solver starts from the projection
     of the minimum-norm least-squares solution.
     """
-    config = config or EstimatorConfig(method="mlls_grad")
     J = np.asarray(joint, dtype=float)
     t = np.asarray(target, dtype=float)
     if J.ndim != 2 or J.shape[0] != t.size:

@@ -17,6 +17,7 @@ from .calibration import bcts_apply_matrix, BctsParams
 from .confusion import build_hard_confusion, build_soft_confusion, build_target_prediction_marginal
 from .diagnostics import check_identifiability
 from .estimators import (
+    METHODS,
     EstimatorConfig,
     bbse,
     mlls_cm,
@@ -96,8 +97,11 @@ class ExperimentConfig:
     miscalibration: BctsParams | None = None
 
     def __post_init__(self):
-        if not self.methods:
-            raise InputError("experiment needs at least one method")
+        if not self.methods or not set(self.methods) <= set(METHODS):
+            raise InputError(f"methods must be a nonempty selection from {METHODS}, not {self.methods}")
+        if not self.rlls_lambda >= 0:
+            raise InputError("rlls_lambda must be nonnegative")
+        EstimatorConfig(self.max_iters, self.tol)  # rejects a bad solver budget before any trial
         if self.n_trials < 1 or self.n_source < 1:
             raise InputError("invalid trial configuration")
         if self.w_star_from not in ("marginal", "realized"):
@@ -147,27 +151,20 @@ def target_table_from_outputs(outputs: np.ndarray) -> PredictorTable:
     return grouped_table(rows, np.ones(rows.shape[0]), "count")
 
 
-def _estimate_once(method, cfg, source_samples, target_rows, target_table, source_marginal):
-    est_cfg = EstimatorConfig(
-        method=method,
-        max_iters=cfg.max_iters,
-        tol=cfg.tol,
-        rlls_lambda=cfg.rlls_lambda,
-    )
-    if method in ("bbse_hard", "bbse_soft"):
-        kind = "hard" if method == "bbse_hard" else "soft"
+def _estimate_once(method, cfg, source_samples, target_table, source_marginal):
+    est_cfg = EstimatorConfig(max_iters=cfg.max_iters, tol=cfg.tol)
+    if method in ("bbse_hard", "bbse_soft", "rlls"):
+        kind = "soft" if method == "bbse_soft" else "hard"
         conf = (build_hard_confusion if kind == "hard" else build_soft_confusion)(source_samples)
-        mu = build_target_prediction_marginal(target_rows, kind)
+        mu = build_target_prediction_marginal(target_table, kind)
+        if method == "rlls":
+            return rlls(conf, mu, cfg.rlls_lambda, est_cfg)
         return bbse(conf, mu, clip_negative=True)
-    if method == "rlls":
-        conf = build_hard_confusion(source_samples)
-        mu = build_target_prediction_marginal(target_rows, "hard")
-        return rlls(conf, mu, cfg.rlls_lambda, est_cfg)
     if method in ("mlls_em", "mlls_grad"):
         solver = mlls_em if method == "mlls_em" else mlls_grad
         return solver(target_table, source_marginal, est_cfg)
     if method == "mlls_cm":
-        return mlls_cm(source_samples, target_rows, source_marginal, est_cfg)
+        return mlls_cm(source_samples, target_table, source_marginal, est_cfg)
     raise InputError(f"unknown method: {method}")
 
 
@@ -203,7 +200,6 @@ def run_single_trial(cfg: ExperimentConfig, shift_idx: int, m_idx: int, trial: i
         _, min_eig = check_identifiability(binned.table)
 
     source_samples = samples_from_outputs(src_outputs, src_y)
-    target_rows = normalized_rows(tgt_outputs, tol=1e-6)
     target_table = target_table_from_outputs(tgt_outputs)
 
     if cfg.w_star_from == "marginal":
@@ -217,7 +213,7 @@ def run_single_trial(cfg: ExperimentConfig, shift_idx: int, m_idx: int, trial: i
     reports = []
     for method in cfg.methods:
         try:
-            res = _estimate_once(method, cfg, source_samples, target_rows, target_table, p_s)
+            res = _estimate_once(method, cfg, source_samples, target_table, p_s)
             if not res.converged:
                 raise ConvergenceError(f"{method} did not converge in {cfg.max_iters} iterations")
             sq = float(((res.weights.weights - w_star.weights) ** 2).sum())

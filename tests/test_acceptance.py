@@ -75,7 +75,7 @@ def test_criterion_1_counterexample_reproduction():
     res = mlls_em(
         worked_instance_target_table(),
         UNIFORM_3,
-        EstimatorConfig("mlls_em", tol=1e-12, max_iters=200_000),
+        EstimatorConfig(tol=1e-12, max_iters=200_000),
     )
     elapsed = time.perf_counter() - start
     w_f = res.weights.weights
@@ -110,7 +110,7 @@ def test_criterion_1_companion_corrected_optimum():
     calibration alone leaves a bias of about 0.062 from w*, which does not
     vanish with more target data."""
     table = worked_instance_target_table()
-    res = mlls_em(table, UNIFORM_3, EstimatorConfig("mlls_em", tol=1e-12, max_iters=200_000))
+    res = mlls_em(table, UNIFORM_3, EstimatorConfig(tol=1e-12, max_iters=200_000))
     w_f = res.weights.weights
     np.testing.assert_allclose(w_f, W_MISCAL_OPT, atol=1e-9)
     # stationarity on the constraint slice: the tangent gradient vanishes at
@@ -138,7 +138,7 @@ def _mlls_error_for_threshold(alpha: float, c: float, m: int, seed_keys) -> floa
     marginal = ProbVector(np.array([alpha, 1.0 - alpha]))
     xs, _ = sample_gmm(GMM, marginal, m, *seed_keys)
     table = target_table_from_outputs(threshold_outputs(spec, xs))
-    res = mlls_em(table, UNIFORM_2, EstimatorConfig("mlls_em", tol=1e-12, max_iters=200_000))
+    res = mlls_em(table, UNIFORM_2, EstimatorConfig(tol=1e-12, max_iters=200_000))
     return float(np.abs(res.weights.weights - np.array([2 * alpha, 2 * (1 - alpha)])).sum())
 
 
@@ -445,7 +445,7 @@ def test_criterion_8f_em_grad_agreement_100_instances():
         if not certified or min_eig <= 1e-6:
             continue
         p = random_marginal(rng, k)
-        cfg = EstimatorConfig("mlls_em", tol=tol, max_iters=100_000)
+        cfg = EstimatorConfig(tol=tol, max_iters=100_000)
         em = mlls_em(table, p, cfg)
         gr = mlls_grad(table, p, cfg)
         gap = float(np.abs(em.weights.weights - gr.weights.weights).max())

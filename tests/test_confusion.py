@@ -11,7 +11,8 @@ from labelshift.confusion import (
 )
 from labelshift.diagnostics import second_moment
 from labelshift.errors import InputError
-from labelshift.simplex import ProbVector
+from labelshift.simplex import ProbVector, grouped_table
+from labelshift.simulation import target_table_from_outputs
 from tests.conftest import make_samples
 
 
@@ -78,17 +79,27 @@ class TestSoftConfusion:
 class TestTargetMarginal:
     def test_hard(self):
         outs = np.array([[0.9, 0.1], [0.2, 0.8], [0.1, 0.9], [0.3, 0.7]])
-        mu = build_target_prediction_marginal(outs, "hard")
+        mu = build_target_prediction_marginal(target_table_from_outputs(outs), "hard")
         np.testing.assert_allclose(mu.entries, [0.25, 0.75])
 
     def test_soft(self):
         outs = np.array([[0.9, 0.1], [0.1, 0.9]])
-        mu = build_target_prediction_marginal(outs, "soft")
+        mu = build_target_prediction_marginal(target_table_from_outputs(outs), "soft")
         np.testing.assert_allclose(mu.entries, [0.5, 0.5])
+
+    @pytest.mark.parametrize("kind", ["hard", "soft"])
+    def test_masses_weight_the_support(self, kind):
+        # a count table over two rows equals the table of its rows repeated
+        support = np.array([[0.9, 0.1], [0.2, 0.8]])
+        grouped = grouped_table(support, np.array([3.0, 1.0]), "count")
+        repeated = target_table_from_outputs(support[[0, 0, 0, 1]])
+        mu = build_target_prediction_marginal(grouped, kind)
+        np.testing.assert_allclose(mu.entries, build_target_prediction_marginal(repeated, kind).entries)
+        np.testing.assert_allclose(mu.entries, [0.75, 0.25] if kind == "hard" else [0.725, 0.275])
 
     def test_unknown_kind(self):
         with pytest.raises(InputError):
-            build_target_prediction_marginal(np.array([[0.5, 0.5]]), "fuzzy")
+            build_target_prediction_marginal(target_table_from_outputs(np.array([[0.5, 0.5]])), "fuzzy")
 
 
 class TestConfusionMatrixValidation:

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from functools import partial
 
 import numpy as np
@@ -55,7 +56,7 @@ from tests.conftest import (
 
 UNIFORM_2 = ProbVector(np.array([0.5, 0.5]))
 HAND_CONF = ConfusionMatrix(np.array([[0.4, 0.1], [0.1, 0.4]]), UNIFORM_2, "hard")
-TIGHT = EstimatorConfig(method="mlls_em", tol=1e-12, max_iters=100_000)
+TIGHT = EstimatorConfig(tol=1e-12, max_iters=100_000)
 
 
 class TestBbse:
@@ -84,16 +85,27 @@ class TestBbse:
             bbse(HAND_CONF, ProbVector(np.full(3, 1.0 / 3.0)))
 
 
+class TestEstimatorConfig:
+    def test_holds_the_solver_budget_alone(self):
+        assert [f.name for f in fields(EstimatorConfig)] == ["max_iters", "tol"]
+
+
 class TestRlls:
+    @pytest.mark.parametrize("lam", [-1e-3, float("nan")])
+    def test_rejects_negative_lambda(self, lam):
+        mu = ProbVector(np.array([0.35, 0.65]))
+        with pytest.raises(InputError):
+            rlls(HAND_CONF, mu, lam, EstimatorConfig())
+
     def test_zero_lambda_matches_bbse(self):
         mu = ProbVector(np.array([0.35, 0.65]))
-        res = rlls(HAND_CONF, mu, lam=0.0, config=EstimatorConfig("rlls", tol=1e-12))
+        res = rlls(HAND_CONF, mu, lam=0.0, config=EstimatorConfig(tol=1e-12))
         np.testing.assert_allclose(res.weights.weights, [0.5, 1.5], atol=1e-8)
 
     def test_lambda_shrinks_toward_one(self):
         mu = ProbVector(np.array([0.35, 0.65]))
-        w0 = rlls(HAND_CONF, mu, lam=0.0, config=EstimatorConfig("rlls", tol=1e-12))
-        w1 = rlls(HAND_CONF, mu, lam=1.0, config=EstimatorConfig("rlls", tol=1e-12))
+        w0 = rlls(HAND_CONF, mu, lam=0.0, config=EstimatorConfig(tol=1e-12))
+        w1 = rlls(HAND_CONF, mu, lam=1.0, config=EstimatorConfig(tol=1e-12))
         ones = np.ones(2)
         assert np.linalg.norm(w1.weights.weights - ones) < np.linalg.norm(
             w0.weights.weights - ones
@@ -103,7 +115,7 @@ class TestRlls:
         # k=2: the feasible slice is the segment w = [t, 2 - t], t in [0, 2].
         mu = ProbVector(np.array([0.35, 0.65]))
         lam = 0.7
-        res = rlls(HAND_CONF, mu, lam=lam, config=EstimatorConfig("rlls", tol=1e-12))
+        res = rlls(HAND_CONF, mu, lam=lam, config=EstimatorConfig(tol=1e-12))
 
         def obj(t):
             w = np.array([t, 2.0 - t])
@@ -118,10 +130,10 @@ class TestRlls:
         # the budget runs out: rlls reports it in `converged`, as every method
         # does. max_iters counts Newton steps too, and the face instance needs
         # a blocked step and then a second step.
-        res = rlls(FACE_CONFUSION, FACE_MU, 0.0, EstimatorConfig("rlls", tol=1e-14, max_iters=1))
+        res = rlls(FACE_CONFUSION, FACE_MU, 0.0, EstimatorConfig(tol=1e-14, max_iters=1))
         assert not res.converged
         assert res.iterations == 1
-        res = rlls(FACE_CONFUSION, FACE_MU, 0.0, EstimatorConfig("rlls", tol=1e-14, max_iters=2))
+        res = rlls(FACE_CONFUSION, FACE_MU, 0.0, EstimatorConfig(tol=1e-14, max_iters=2))
         assert res.converged
         assert res.iterations == 2
         np.testing.assert_allclose(res.weights.weights, W_FACE, atol=1e-14)
@@ -267,7 +279,7 @@ class TestNewtonFinish:
         # the solver goes on to its documented result: a flag that reports
         # whether the returned point is certified, within the budget
         for solver in (mlls_em, mlls_grad):
-            cfg = EstimatorConfig(solver.__name__, max_iters=200)
+            cfg = EstimatorConfig(max_iters=200)
             res = solver(table, p, cfg)
             assert res.iterations <= cfg.max_iters
             residual = likelihood_kkt(table, p.entries, res.weights.weights)
@@ -356,7 +368,7 @@ class TestKktCertificate:
         target = _rows(rng, int(rng.integers(1, 30)), k)
         conf = build_hard_confusion(source)
         p = conf.column_marginal
-        res = mlls_cm(source, target, p)
+        res = mlls_cm(source, target_table_from_outputs(target), p)
         rows = conf.joint / conf.joint.sum(axis=1, keepdims=True)
         pred = target.argmax(axis=1)
         table = grouped_table(normalized_rows(rows[pred], tol=1e-9), np.ones(pred.size), "count")
@@ -386,7 +398,7 @@ class TestArrayPathProperties:
     """Invariances of MLLS (EM) and soft BBSE on the (n, k) array path: row
     order, row duplication versus doubled masses, and class relabelling."""
 
-    CFG = EstimatorConfig(method="mlls_em", tol=1e-10, max_iters=100_000)
+    CFG = EstimatorConfig(tol=1e-10, max_iters=100_000)
 
     @staticmethod
     def _mlls_instance(seed):
@@ -425,7 +437,8 @@ class TestArrayPathProperties:
     @staticmethod
     def _bbse_soft(outputs, labels, target):
         conf = build_soft_confusion(make_samples(outputs, labels))
-        return bbse(conf, build_target_prediction_marginal(target, "soft")).weights.weights
+        mu = build_target_prediction_marginal(target_table_from_outputs(target), "soft")
+        return bbse(conf, mu).weights.weights
 
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=15, deadline=None)
@@ -472,7 +485,7 @@ class TestMllsGrad:
         if np.linalg.eigvalsh(M)[0] < 1e-4:
             return
         p = random_marginal(rng, k)
-        cfg = EstimatorConfig("mlls_em", tol=1e-10, max_iters=50_000)
+        cfg = EstimatorConfig(tol=1e-10, max_iters=50_000)
         em = mlls_em(table, p, cfg)
         gr = mlls_grad(table, p, cfg)
         assert em.converged and gr.converged
@@ -480,7 +493,7 @@ class TestMllsGrad:
 
     def test_stationarity_at_solution(self):
         table = worked_instance_target_table()
-        res = mlls_grad(table, UNIFORM_3, EstimatorConfig("mlls_grad", tol=1e-12, max_iters=100_000))
+        res = mlls_grad(table, UNIFORM_3, EstimatorConfig(tol=1e-12, max_iters=100_000))
         g = likelihood_gradient(table, res.weights)
         # project the gradient onto the tangent of the affine constraint
         p = UNIFORM_3.entries
@@ -497,20 +510,28 @@ class TestMllsCm:
         src_labels = [0, 0, 0, 0, 1, 0, 1, 1, 1, 1]
         source = make_samples(src_outputs, src_labels)
         target = np.array([[0.9, 0.1]] * 35 + [[0.1, 0.9]] * 65)
-        res = mlls_cm(source, target, UNIFORM_2, TIGHT)
+        res = mlls_cm(source, target_table_from_outputs(target), UNIFORM_2, TIGHT)
+        np.testing.assert_allclose(res.weights.weights, [0.5, 1.5], atol=1e-8)
+
+    def test_counts_weight_the_target_rows(self):
+        # the grouped table of the 100 target rows, two rows with masses
+        # 35 and 65, gives the same estimate as the rows themselves
+        source = make_samples([[0.9, 0.1]] * 5 + [[0.1, 0.9]] * 5, [0, 0, 0, 0, 1, 0, 1, 1, 1, 1])
+        table = grouped_table(np.array([[0.9, 0.1], [0.1, 0.9]]), np.array([35.0, 65.0]), "count")
+        res = mlls_cm(source, table, UNIFORM_2, TIGHT)
         np.testing.assert_allclose(res.weights.weights, [0.5, 1.5], atol=1e-8)
 
     def test_unreachable_prediction_rejected(self):
         source = make_samples([[0.1, 0.9]] * 4, [0, 1, 1, 1])  # nothing predicted 0
         target = np.array([[0.1, 0.9]])
         with pytest.raises(InputError):
-            mlls_cm(source, target, UNIFORM_2)
+            mlls_cm(source, target_table_from_outputs(target), UNIFORM_2)
 
 
 class TestDistributionMatchLsq:
     def test_confusion_as_joint(self):
         t = HAND_CONF.joint @ np.array([0.5, 1.5])
-        res = distribution_match_lsq(HAND_CONF.joint, t, UNIFORM_2, EstimatorConfig("rlls", tol=1e-12))
+        res = distribution_match_lsq(HAND_CONF.joint, t, UNIFORM_2, EstimatorConfig(tol=1e-12))
         np.testing.assert_allclose(res.weights.weights, [0.5, 1.5], atol=1e-8)
 
     def test_binned_gmm_population_recovery(self):
@@ -528,7 +549,7 @@ class TestDistributionMatchLsq:
             J[b, 1] = 0.5 * (norm.cdf(edges_x[b + 1] + mu) - norm.cdf(edges_x[b] + mu))
         w_star = np.array([0.5, 1.5])
         res = distribution_match_lsq(
-            J, J @ w_star, UNIFORM_2, EstimatorConfig("rlls", tol=1e-13, max_iters=100_000)
+            J, J @ w_star, UNIFORM_2, EstimatorConfig(tol=1e-13, max_iters=100_000)
         )
         np.testing.assert_allclose(res.weights.weights, w_star, atol=1e-6)
 

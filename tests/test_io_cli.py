@@ -278,6 +278,19 @@ def face_files(tmp_path):
     return src_path, tgt_path
 
 
+@pytest.fixture
+def calibration_files(tmp_path):
+    """400 calibrated two-class source rows and 50 target rows that all
+    predict class 1, so that BBSE gives a negative weight."""
+    rng = np.random.default_rng(0)
+    f0 = rng.random(400) * 0.9 + 0.05
+    outputs = np.column_stack([f0, 1.0 - f0])
+    src_path, tgt_path = tmp_path / "src.csv", tmp_path / "tgt.csv"
+    write_csv(src_path, outputs, (rng.random(400) > f0).astype(int))
+    write_csv(tgt_path, outputs[f0 < 0.5][:50])
+    return src_path, tgt_path
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -353,6 +366,66 @@ class TestEstimateCommand:
         )
         assert code == 2
         assert json.loads(err)["error"] == "input"
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"max_iters": "abc"},
+            {"rlls_lambda": None},
+            {"seed": -3},
+            {"tol": "1e-8"},
+            {"clip_negative": "yes"},
+        ],
+        ids=["string_max_iters", "null_lambda", "negative_seed", "string_tol", "string_flag"],
+    )
+    def test_bad_config_value_exits_2(self, calibration_files, tmp_path, capsys, overrides):
+        src, tgt = calibration_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        code, out, err = run_cli(
+            capsys, "estimate", "--source", str(src), "--target", str(tgt), "--config", str(cfg)
+        )
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "input"
+        assert next(iter(overrides)) in error["message"]
+
+    @pytest.mark.parametrize("value", [-0.5, 0.0, 1.0, 1.5])
+    @pytest.mark.parametrize("given_by", ["flag", "config"])
+    def test_val_fraction_outside_unit_interval_exits_2(
+        self, calibration_files, tmp_path, capsys, value, given_by
+    ):
+        src, tgt = calibration_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"val_fraction": value}))
+        how = ["--val-fraction", str(value)] if given_by == "flag" else ["--config", str(cfg)]
+        code, out, err = run_cli(capsys, "estimate", "--source", str(src), "--target", str(tgt), *how)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "input", "message": f"val_fraction must lie in (0, 1), got {value}"
+        }
+
+    def test_flag_beats_config_key(self, calibration_files, tmp_path, capsys):
+        src, tgt = calibration_files
+        cases = [  # (flag, conflicting config key, arguments both runs share)
+            (["--method", "bbse_hard"], {"method": "mlls_em"}, ["--no-calibration"]),
+            (["--seed", "1"], {"seed": 2}, []),
+            (["--val-fraction", "0.3"], {"val_fraction": 0.7}, []),
+            (["--rlls-lambda", "0"], {"rlls_lambda": 10.0}, ["--method", "rlls", "--no-calibration"]),
+            (["--clip-negative"], {"clip_negative": False}, ["--method", "bbse_hard", "--no-calibration"]),
+        ]
+        for flag, key, shared in cases:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(key))
+            base = ["estimate", "--source", str(src), "--target", str(tgt), *shared]
+            by_flag = run_cli(capsys, *base, *flag)
+            by_key = run_cli(capsys, *base, "--config", str(cfg))
+            both = run_cli(capsys, *base, *flag, "--config", str(cfg))
+            assert by_flag[0] == by_key[0] == 0
+            assert by_flag[1] != by_key[1], flag  # the setting changes the report
+            assert both == by_flag, flag
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -661,6 +734,31 @@ class TestBenchmarkCommand:
             capsys, "benchmark", "--config", str(cfg_path), "--output", str(tmp_path / "o.csv")
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"shifts": [{"mode": "dirichlet"}]}, "alpha"),
+            ({"n_source": "x"}, "n_source"),
+            ({"shifts": "abc"}, "shifts"),
+            ({"m_values": [100.5]}, "m_values"),
+            ({"gmm": {"mu": None}}, "mu"),
+            ({"max_iters": 0}, "estimator configuration"),
+        ],
+        ids=["dirichlet_without_alpha", "string_n_source", "string_shifts", "float_m", "null_mu",
+             "no_budget"],
+    )
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, overrides, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(self.benchmark_config(**overrides)))
+        code, out, err = run_cli(
+            capsys, "benchmark", "--config", str(cfg_path), "--output", str(tmp_path / "o.csv")
+        )
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "input"
+        assert key in error["message"]
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -194,6 +194,15 @@ class TestTrials:
         with pytest.raises(InputError):
             small_config(w_star_from="guess")
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"methods": ("bbse_hard", "mlls")}, {"rlls_lambda": -1e-3}, {"max_iters": 0}, {"tol": 0.0}],
+        ids=["unknown_method", "negative_lambda", "no_budget", "zero_tol"],
+    )
+    def test_config_rejects_before_any_trial(self, overrides):
+        with pytest.raises(InputError):
+            small_config(**overrides)
+
     def test_csv_round_shape(self):
         rows = [AggregateRow("alpha=1", "bbse_hard", 100, 5, 0.25, 0.01)]
         csv = aggregate_to_csv(rows)
