@@ -20,7 +20,6 @@ from .predictors import (
     bin_aggregate,
     gmm_posterior,
     samples_from_outputs,
-    tabular_predictor,
     threshold_outputs,
 )
 from .confusion import (

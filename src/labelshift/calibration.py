@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, InputError
+from .errors import InputError
 from .confusion import ConfusionMatrix
 from .simplex import (
     LabeledPredictions,
@@ -18,6 +18,7 @@ from .simplex import (
 
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
+CLIP_EPS = 1e-12  # floor on an entry before its log
 
 
 @dataclass(frozen=True)
@@ -39,10 +40,6 @@ class BctsParams:
 
     def to_json(self) -> dict:
         return {"temperature": self.temperature, "biases": list(self.biases)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BctsParams":
-        return cls(float(obj["temperature"]), np.asarray(obj["biases"], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -66,10 +63,10 @@ class CalibrationReport:
     masses: np.ndarray
 
 
-def clip_probs(rows, eps: float = 1e-12) -> np.ndarray:
-    """Clip entries below eps to eps and renormalize each row (for
+def clip_probs(rows) -> np.ndarray:
+    """Clip entries below CLIP_EPS to CLIP_EPS and renormalize each row (for
     log-domain transforms)."""
-    p = np.maximum(np.asarray(rows, dtype=float), eps)
+    p = np.maximum(np.asarray(rows, dtype=float), CLIP_EPS)
     return p / p.sum(axis=-1, keepdims=True)
 
 
@@ -80,9 +77,9 @@ def _bcts_transform(logp: np.ndarray, inv_t: float, b: np.ndarray) -> np.ndarray
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def bcts_apply_matrix(params: BctsParams, outputs: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+def bcts_apply_matrix(params: BctsParams, outputs: np.ndarray) -> np.ndarray:
     """softmax(log(p)/T + b) of each row of an (n, k) matrix, clipping zeros first."""
-    logp = np.log(clip_probs(outputs, eps))
+    logp = np.log(clip_probs(outputs))
     return _bcts_transform(logp, 1.0 / params.temperature, params.biases)
 
 
@@ -141,8 +138,8 @@ def bcts_fit(
     initialized at the identity (T=1, b=0), Armijo backtracking from unit
     step, stopping once the gradient norm is below tol. `converged` is False
     when the line search can no longer lower the loss while the gradient
-    norm is still at least 1e-6. Raises ConvergenceError with the final
-    gradient norm if the iteration budget runs out.
+    norm is still at least 1e-6, and when the iteration budget runs out
+    with the gradient norm still at least tol.
     """
     if loss not in ("nll", "mse"):
         raise InputError(f"unknown loss: {loss}")
@@ -159,7 +156,6 @@ def bcts_fit(
     theta = np.concatenate(([1.0], np.zeros(k)))  # (1/T, b)
     val, grad, g = _bcts_loss_grad(logp, onehot, theta[0], theta[1:], loss)
     trace = [val]
-    converged = False
     it = 0
     for it in range(1, max_iters + 1):
         gnorm = float(np.linalg.norm(grad))
@@ -183,11 +179,9 @@ def bcts_fit(
             break
         theta, val, grad, g = nxt, nval, ngrad, ng
         trace.append(val)
-    else:
+    else:  # budget spent; the last step may still have brought the norm below tol
         gnorm = float(np.linalg.norm(grad))
-        if gnorm >= tol:
-            raise ConvergenceError(f"BCTS fit did not converge: final gradient norm {gnorm:.3e}")
-        converged = True
+        converged = gnorm < tol
     b = theta[1:]
     params = BctsParams(1.0 / theta[0], b - b.mean())  # softmax is shift-invariant in b
     return BctsFit(params, converged, it, gnorm, tuple(trace))

@@ -7,6 +7,7 @@ Exit codes: 0 ok, 2 input, 3 identifiability, 4 convergence, 5 I/O.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -95,8 +96,8 @@ ESTIMATE_SETTINGS = {
     "rlls_lambda": (float, 1e-3),
     "clip_negative": (bool, False),
     "calibration_loss": (str, "nll"),
-    "max_iters": (int, 10_000),
-    "tol": (float, 1e-8),
+    "max_iters": (int, EstimatorConfig.max_iters),
+    "tol": (float, EstimatorConfig.tol),
 }
 
 
@@ -131,8 +132,9 @@ def _split_source(outputs, labels, val_fraction: float, seed: int):
     perm = rng_for(seed, 0).permutation(n)
     n_val = int(round(n * val_fraction))
     val, est = perm[:n_val], perm[n_val:]
-    if est.size == 0:
-        raise InputError("validation split leaves no estimation samples")
+    for half, rows in (("validation", val), ("estimation", est)):
+        if rows.size == 0:
+            raise InputError(f"val_fraction {val_fraction} leaves no {half} rows of the {n} source rows")
     return (outputs[val], labels[val]), (outputs[est], labels[est])
 
 
@@ -151,25 +153,30 @@ def _run_estimator(
     elif method in ("mlls_em", "mlls_grad"):
         solver = mlls_em if method == "mlls_em" else mlls_grad
         result = solver(table, source_marginal, est_cfg)
-    elif method == "mlls_cm":
+    else:  # mlls_cm
         result = mlls_cm(source_samples, table, source_marginal, est_cfg)
-    else:
-        raise InputError(f"unknown method: {method}")
     if not result.converged:
         raise ConvergenceError(f"{method} did not converge in {est_cfg.max_iters} iterations")
     return result
+
+
+def _read_inputs(args):
+    """(source outputs, source labels or None, target outputs) of --source
+    and --target, which must have the same class count."""
+    src_outputs, src_labels, _ = read_prediction_file(args.source)
+    tgt_outputs, _, _ = read_prediction_file(args.target)
+    if tgt_outputs.shape[1] != src_outputs.shape[1]:
+        raise InputError("source and target class counts differ")
+    return src_outputs, src_labels, tgt_outputs
 
 
 def cmd_estimate(args) -> int:
     s = _estimate_settings(args)
     est_cfg = EstimatorConfig(max_iters=s.max_iters, tol=s.tol)
 
-    src_outputs, src_labels, _ = read_prediction_file(args.source)
+    src_outputs, src_labels, tgt_outputs = _read_inputs(args)
     if src_labels is None:
         raise InputError("source file must carry a label column")
-    tgt_outputs, _, _ = read_prediction_file(args.target)
-    if tgt_outputs.shape[1] != src_outputs.shape[1]:
-        raise InputError("source and target class counts differ")
 
     calibration = None
     if args.no_calibration:
@@ -261,10 +268,7 @@ def _weights_from_json(obj, source_marginal: ProbVector) -> WeightVector:
 
 
 def cmd_diagnose(args) -> int:
-    src_outputs, src_labels, _ = read_prediction_file(args.source)
-    tgt_outputs, _, _ = read_prediction_file(args.target)
-    if tgt_outputs.shape[1] != src_outputs.shape[1]:
-        raise InputError("source and target class counts differ")
+    src_outputs, src_labels, tgt_outputs = _read_inputs(args)
     k = src_outputs.shape[1]
     table = target_table_from_outputs(tgt_outputs)
 
@@ -339,20 +343,8 @@ def cmd_simulate(args) -> int:
 
 # ---------------------------------------------------------------- benchmark
 
-BENCHMARK_KEYS = {
-    "gmm",
-    "shifts",
-    "methods",
-    "m_values",
-    "n_trials",
-    "base_seed",
-    "n_source",
-    "rlls_lambda",
-    "tol",
-    "max_iters",
-    "bins",
-    "w_star_from",
-}
+# every ExperimentConfig field but the miscalibration map, which only scripts set
+BENCHMARK_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"miscalibration"}
 
 
 def _parse_benchmark_config(obj: dict) -> ExperimentConfig:
@@ -385,12 +377,12 @@ def _parse_benchmark_config(obj: dict) -> ExperimentConfig:
         m_values=tuple(_config_value(obj, "m_values", [int])),
         n_trials=_config_value(obj, "n_trials", int),
         base_seed=base_seed,
-        n_source=_config_value(obj, "n_source", int, 1000),
-        rlls_lambda=_config_value(obj, "rlls_lambda", float, 1e-3),
-        tol=_config_value(obj, "tol", float, 1e-6),
-        max_iters=_config_value(obj, "max_iters", int, 2000),
+        n_source=_config_value(obj, "n_source", int, ExperimentConfig.n_source),
+        rlls_lambda=_config_value(obj, "rlls_lambda", float, ExperimentConfig.rlls_lambda),
+        tol=_config_value(obj, "tol", float, ExperimentConfig.tol),
+        max_iters=_config_value(obj, "max_iters", int, ExperimentConfig.max_iters),
         bins=None if obj.get("bins") is None else _config_value(obj, "bins", int),
-        w_star_from=_config_value(obj, "w_star_from", str, "marginal"),
+        w_star_from=_config_value(obj, "w_star_from", str, ExperimentConfig.w_star_from),
     )
 
 

@@ -18,12 +18,9 @@ class ConfusionMatrix:
 
     joint: np.ndarray
     column_marginal: ProbVector
-    kind: str  # "hard" | "soft"
 
     def __post_init__(self):
         j = _freeze(self.joint)
-        if self.kind not in ("hard", "soft"):
-            raise InputError(f"unknown confusion kind: {self.kind}")
         k = self.column_marginal.k
         if j.shape != (k, k):
             raise InputError(f"confusion matrix shape {j.shape} does not match k={k}")
@@ -47,7 +44,7 @@ def build_hard_confusion(samples: LabeledPredictions) -> ConfusionMatrix:
     joint = np.zeros((k, k))
     np.add.at(joint, (pred, samples.labels), 1.0)
     joint /= n
-    return ConfusionMatrix(joint, ProbVector(joint.sum(axis=0)), "hard")
+    return ConfusionMatrix(joint, ProbVector(joint.sum(axis=0)))
 
 
 def build_soft_confusion(samples: LabeledPredictions) -> ConfusionMatrix:
@@ -65,7 +62,7 @@ def build_soft_confusion(samples: LabeledPredictions) -> ConfusionMatrix:
         if mask.any():
             joint[:, j] = outputs[mask].sum(axis=0)
     joint /= n
-    return ConfusionMatrix(joint, ProbVector.normalized(joint.sum(axis=0), tol=1e-9), "soft")
+    return ConfusionMatrix(joint, ProbVector.normalized(joint.sum(axis=0), tol=1e-9))
 
 
 def build_target_prediction_marginal(table: PredictorTable, kind: str) -> ProbVector:

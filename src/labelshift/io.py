@@ -1,4 +1,4 @@
-"""CSV interchange for predictor outputs and confusion matrices.
+"""CSV interchange for predictor outputs.
 
 A prediction file is UTF-8 CSV with a header of class-column names, optional
 trailing integer "label" column (0-based class index), '.' decimals, one row
@@ -19,14 +19,12 @@ cannot seek back is read by the row loop alone.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import warnings
 
 import numpy as np
 
 from .errors import InputError
-from .confusion import ConfusionMatrix
 
 ROW_SUM_TOL = 1e-6
 WRITE_CHUNK_ROWS = 4096  # rows formatted per write, which bounds the text held at once
@@ -158,16 +156,3 @@ def write_prediction_file(path, outputs: np.ndarray, labels=None, class_names=No
             if labels is not None:
                 cols.append(np.asarray(labels[start:start + WRITE_CHUNK_ROWS]).tolist())
             fh.write("".join(fmt % row for row in zip(*cols, strict=True)))
-
-
-def confusion_to_csv(confusion: ConfusionMatrix, class_names=None) -> str:
-    """Row-major CSV with a header row of class labels."""
-    k = confusion.k
-    if class_names is None:
-        class_names = [f"class_{i}" for i in range(k)]
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(class_names)
-    for row in confusion.joint:
-        writer.writerow([f"{v:.12g}" for v in row])
-    return buf.getvalue()

@@ -1,5 +1,5 @@
 """Concrete predictors: Gaussian-mixture posterior, threshold classifier,
-tabular predictors, and binned aggregation for two-class problems."""
+and binned aggregation for two-class problems."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -82,20 +82,15 @@ class BinnedPredictor:
         return lookup[idx]
 
 
-def bin_aggregate(
-    samples: LabeledPredictions, n_bins: int, values: str = "label_mean"
-) -> BinnedPredictor:
+def bin_aggregate(samples: LabeledPredictions, n_bins: int) -> BinnedPredictor:
     """Aggregate two-class outputs over equal-width bins of the first coordinate.
 
     Each bin's vector is the mean one-hot label of the source rows landing in
-    it (values="label_mean", the default, which makes the binned predictor
-    calibrated on its building sample), or the mean raw output
-    (values="output_mean"). Bins with zero source mass are excluded.
+    it, which makes the binned predictor calibrated on its building sample.
+    Bins with zero source mass are excluded.
     """
     if n_bins < 1:
         raise InputError("n_bins must be >= 1")
-    if values not in ("label_mean", "output_mean"):
-        raise InputError(f"unknown bin value mode: {values}")
     outputs, labels = samples.outputs, samples.labels
     n, k = outputs.shape
     if k != 2:
@@ -103,18 +98,10 @@ def bin_aggregate(
     idx = np.minimum((outputs[:, 0] * n_bins).astype(int), n_bins - 1)
 
     counts = np.bincount(idx, minlength=n_bins).astype(float)
-    if values == "label_mean":
-        sums1 = np.bincount(idx, weights=labels.astype(float), minlength=n_bins)
-        with np.errstate(invalid="ignore"):
-            frac1 = sums1 / counts
-        vecs = np.stack([1.0 - frac1, frac1], axis=1)
-    else:
-        sums = np.stack(
-            [np.bincount(idx, weights=outputs[:, j], minlength=n_bins) for j in range(k)],
-            axis=1,
-        )
-        with np.errstate(invalid="ignore"):
-            vecs = sums / counts[:, None]
+    sums1 = np.bincount(idx, weights=labels.astype(float), minlength=n_bins)
+    with np.errstate(invalid="ignore"):
+        frac1 = sums1 / counts
+    vecs = np.stack([1.0 - frac1, frac1], axis=1)
 
     nonempty = np.flatnonzero(counts > 0)
     empty = tuple(int(b) for b in np.flatnonzero(counts == 0))
@@ -122,14 +109,6 @@ def bin_aggregate(
         normalized_rows(vecs[nonempty], tol=1e-9), counts[nonempty] / n, "probability"
     )
     return BinnedPredictor(table, n_bins, {int(b): vecs[b] for b in nonempty}, empty)
-
-
-def tabular_predictor(outputs) -> PredictorTable:
-    """Verbatim table from (output, mass) pairs; duplicates merged by summing mass."""
-    outputs = list(outputs)
-    if not outputs:
-        raise InputError("tabular predictor needs at least one row")
-    return grouped_table([o for o, _ in outputs], [m for _, m in outputs], "probability")
 
 
 def samples_from_outputs(outputs, labels) -> LabeledPredictions:

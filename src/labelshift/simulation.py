@@ -163,9 +163,7 @@ def _estimate_once(method, cfg, source_samples, target_table, source_marginal):
     if method in ("mlls_em", "mlls_grad"):
         solver = mlls_em if method == "mlls_em" else mlls_grad
         return solver(target_table, source_marginal, est_cfg)
-    if method == "mlls_cm":
-        return mlls_cm(source_samples, target_table, source_marginal, est_cfg)
-    raise InputError(f"unknown method: {method}")
+    return mlls_cm(source_samples, target_table, source_marginal, est_cfg)
 
 
 def run_single_trial(cfg: ExperimentConfig, shift_idx: int, m_idx: int, trial: int):

@@ -56,7 +56,7 @@ W_MISCAL_OPT = np.array([2.4064411551209213, 0.2534617142311249, 0.3400971306479
 # reaches the minimizer [27, 15, 0] / 14 (at lambda = 0). A budget of one
 # step therefore runs out. Two-class RLLS is a quadratic on a segment, which
 # one Newton step solves from any start, so no two-class instance can do this.
-FACE_CONFUSION = ConfusionMatrix((7.0 * np.eye(3) + 1.0) / 30.0, UNIFORM_3, "hard")
+FACE_CONFUSION = ConfusionMatrix((7.0 * np.eye(3) + 1.0) / 30.0, UNIFORM_3)
 FACE_MU = ProbVector(np.array([0.6, 0.4, 0.0]))
 W_FACE = np.array([27.0, 15.0, 0.0]) / 14.0
 

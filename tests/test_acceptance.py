@@ -176,7 +176,7 @@ def test_criterion_3_bbse_population_exactness():
     joint = np.zeros((3, 3))
     for i in range(6):
         joint[pred_of_row[i]] += PS_ROWS[i] / 6.0
-    conf = ConfusionMatrix(joint, UNIFORM_3, "hard")
+    conf = ConfusionMatrix(joint, UNIFORM_3)
     mu = ProbVector(joint @ W_STAR_3)
     res = bbse(conf, mu)
     gap = float(np.abs(res.weights.weights - W_STAR_3).max())

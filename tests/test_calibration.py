@@ -19,7 +19,7 @@ from labelshift.calibration import (
     estimate_calibration_error,
 )
 from labelshift.confusion import ConfusionMatrix
-from labelshift.errors import ConvergenceError, InputError
+from labelshift.errors import InputError
 from labelshift.simplex import ProbVector, grouped_table
 from tests.conftest import make_samples
 
@@ -56,9 +56,7 @@ class TestBctsApply:
 
     def test_params_json_round_trip(self):
         params = BctsParams(2.5, np.array([0.1, -0.1]))
-        again = BctsParams.from_json(json.loads(json.dumps(params.to_json())))
-        assert again.temperature == params.temperature
-        np.testing.assert_allclose(again.biases, params.biases)
+        assert json.loads(json.dumps(params.to_json())) == {"temperature": 2.5, "biases": [0.1, -0.1]}
 
     def test_rejects_nonpositive_temperature(self):
         with pytest.raises(InputError):
@@ -121,9 +119,12 @@ class TestBctsFit:
             assert fit.final_grad_norm >= 1e-6
 
     def test_small_budget_raises(self):
+        # a spent budget is reported through the flag, as a flat line search is
         samples, _ = distorted_ten_class_instance()
-        with pytest.raises(ConvergenceError, match="final gradient norm"):
-            bcts_fit(samples, max_iters=2)
+        fit = bcts_fit(samples, max_iters=2)
+        assert not fit.converged
+        assert fit.iterations == 2
+        assert fit.final_grad_norm >= 1e-8
 
     def test_recovers_distortion(self):
         # Distort calibrated outputs by a fixed BCTS map; fitting on the
@@ -237,7 +238,7 @@ class TestBctsFit:
 class TestConfusionRowCalibrate:
     def test_hand_example(self):
         conf = ConfusionMatrix(
-            np.array([[0.4, 0.1], [0.1, 0.4]]), ProbVector(np.array([0.5, 0.5])), "hard"
+            np.array([[0.4, 0.1], [0.1, 0.4]]), ProbVector(np.array([0.5, 0.5]))
         )
         table = confusion_row_calibrate(conf)
         rows = dict(zip(map(tuple, table.support), table.masses))
@@ -246,7 +247,7 @@ class TestConfusionRowCalibrate:
 
     def test_zero_row_names_prediction(self):
         conf = ConfusionMatrix(
-            np.array([[0.0, 0.0], [0.6, 0.4]]), ProbVector(np.array([0.6, 0.4])), "hard"
+            np.array([[0.0, 0.0], [0.6, 0.4]]), ProbVector(np.array([0.6, 0.4]))
         )
         with pytest.raises(InputError, match="prediction 0"):
             confusion_row_calibrate(conf)
@@ -256,7 +257,7 @@ class TestConfusionRowCalibrate:
         # distributions given the prediction, so its population calibration
         # error vanishes.
         conf = ConfusionMatrix(
-            np.array([[0.3, 0.2], [0.1, 0.4]]), ProbVector(np.array([0.4, 0.6])), "hard"
+            np.array([[0.3, 0.2], [0.1, 0.4]]), ProbVector(np.array([0.4, 0.6]))
         )
         table = confusion_row_calibrate(conf)
         assert calibration_error_of_table(table, table.support) == pytest.approx(0.0, abs=1e-12)

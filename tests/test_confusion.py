@@ -33,7 +33,6 @@ class TestHardConfusion:
         conf = build_hard_confusion(hand_samples())
         np.testing.assert_allclose(conf.joint, [[0.4, 0.1], [0.1, 0.4]])
         np.testing.assert_allclose(conf.column_marginal.entries, [0.5, 0.5])
-        assert conf.kind == "hard"
 
     def test_argmax_tie_goes_to_lowest_index(self):
         conf = build_hard_confusion(make_samples([[0.5, 0.5]], [1]))
@@ -50,7 +49,6 @@ class TestSoftConfusion:
         samples = make_samples([[0.8, 0.2], [0.4, 0.6]], [0, 1])
         conf = build_soft_confusion(samples)
         np.testing.assert_allclose(conf.joint, [[0.4, 0.2], [0.1, 0.3]])
-        assert conf.kind == "soft"
 
     @given(seed=st.integers(0, 5000))
     @settings(max_examples=100, deadline=None)
@@ -106,19 +104,19 @@ class TestConfusionMatrixValidation:
     def test_rejects_negative_entry(self):
         with pytest.raises(InputError):
             ConfusionMatrix(
-                np.array([[-0.1, 0.6], [0.3, 0.2]]), ProbVector(np.array([0.2, 0.8])), "hard"
+                np.array([[-0.1, 0.6], [0.3, 0.2]]), ProbVector(np.array([0.2, 0.8]))
             )
 
     def test_rejects_total_not_one(self):
         with pytest.raises(InputError):
             ConfusionMatrix(
-                np.array([[0.4, 0.1], [0.1, 0.2]]), ProbVector(np.array([0.5, 0.3])), "hard"
+                np.array([[0.4, 0.1], [0.1, 0.2]]), ProbVector(np.array([0.5, 0.3]))
             )
 
     def test_rejects_column_marginal_mismatch(self):
         with pytest.raises(InputError):
             ConfusionMatrix(
-                np.array([[0.4, 0.1], [0.1, 0.4]]), ProbVector(np.array([0.3, 0.7])), "hard"
+                np.array([[0.4, 0.1], [0.1, 0.4]]), ProbVector(np.array([0.3, 0.7]))
             )
 
     def test_empty_samples(self):

@@ -55,7 +55,7 @@ from tests.conftest import (
 )
 
 UNIFORM_2 = ProbVector(np.array([0.5, 0.5]))
-HAND_CONF = ConfusionMatrix(np.array([[0.4, 0.1], [0.1, 0.4]]), UNIFORM_2, "hard")
+HAND_CONF = ConfusionMatrix(np.array([[0.4, 0.1], [0.1, 0.4]]), UNIFORM_2)
 TIGHT = EstimatorConfig(tol=1e-12, max_iters=100_000)
 
 
@@ -76,7 +76,7 @@ class TestBbse:
         assert np.all(res.weights.weights >= 0)
 
     def test_singular_confusion_raises(self):
-        conf = ConfusionMatrix(np.array([[0.25, 0.25], [0.25, 0.25]]), UNIFORM_2, "hard")
+        conf = ConfusionMatrix(np.array([[0.25, 0.25], [0.25, 0.25]]), UNIFORM_2)
         with pytest.raises(IdentifiabilityError):
             bbse(conf, ProbVector(np.array([0.5, 0.5])))
 
@@ -382,7 +382,7 @@ class TestKktCertificate:
         p = random_marginal(rng, k)
         C = rng.dirichlet(np.ones(k), size=k).T * p.entries  # column y sums to p_y
         assume(np.linalg.cond(C) < 1e8)
-        conf = ConfusionMatrix(C, p, "hard")
+        conf = ConfusionMatrix(C, p)
         mu = ProbVector.normalized(rng.dirichlet(np.ones(k)), tol=1e-9)
         res = rlls(conf, mu, lam)
         w = res.weights.weights

@@ -15,18 +15,17 @@ import labelshift.cli
 import labelshift.io
 import labelshift.simulation
 from labelshift.cli import _parse_benchmark_config, main
-from labelshift.confusion import ConfusionMatrix
 from labelshift.errors import InputError
 from labelshift.estimators import EstimateResult
 from labelshift.io import (
     WRITE_CHUNK_ROWS,
     _read_rows,
-    confusion_to_csv,
     read_prediction_file,
     read_predictions,
     write_prediction_file,
 )
-from labelshift.simplex import ProbVector, WeightVector
+from labelshift.simplex import WeightVector
+from labelshift.simulation import ExperimentConfig
 from tests.conftest import F_ROWS, PS_ROWS, W_MISCAL_OPT, face_rlls
 
 
@@ -231,15 +230,6 @@ class TestPredictionFiles:
             assert fast[1].tobytes() == rows[1].tobytes()
         assert fast[2] == rows[2]
 
-    def test_confusion_to_csv(self):
-        conf = ConfusionMatrix(
-            np.array([[0.4, 0.1], [0.1, 0.4]]), ProbVector(np.array([0.5, 0.5])), "hard"
-        )
-        text = confusion_to_csv(conf)
-        lines = text.splitlines()
-        assert len(lines) == 3
-        assert lines[1].split(",") == ["0.4", "0.1"]
-
 
 def write_csv(path, outputs, labels=None):
     k = outputs.shape[1]
@@ -405,6 +395,20 @@ class TestEstimateCommand:
         assert out == ""
         assert json.loads(err) == {
             "error": "input", "message": f"val_fraction must lie in (0, 1), got {value}"
+        }
+
+    @pytest.mark.parametrize("value, half", [(0.001, "validation"), (0.999, "estimation")])
+    def test_empty_split_names_val_fraction(self, calibration_files, capsys, value, half):
+        # 400 source rows: 0.001 rounds to 0 validation rows, 0.999 to 400
+        src, tgt = calibration_files
+        code, out, err = run_cli(
+            capsys, "estimate", "--source", str(src), "--target", str(tgt), "--val-fraction", str(value)
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "input",
+            "message": f"val_fraction {value} leaves no {half} rows of the 400 source rows",
         }
 
     def test_flag_beats_config_key(self, calibration_files, tmp_path, capsys):
@@ -767,6 +771,23 @@ class TestBenchmarkCommand:
             capsys, "benchmark", "--config", str(cfg_path), "--output", str(tmp_path / "o.csv")
         )
         assert code == 2
+
+    def test_miscalibration_is_not_a_config_key(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(self.benchmark_config(miscalibration=None)))
+        code, out, err = run_cli(
+            capsys, "benchmark", "--config", str(cfg_path), "--output", str(tmp_path / "o.csv")
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "input", "message": "unknown benchmark config keys: ['miscalibration']"
+        }
+
+    def test_required_keys_alone_take_the_dataclass_defaults(self):
+        required = {key: value for key, value in self.benchmark_config().items() if key != "n_source"}
+        cfg = _parse_benchmark_config(required)
+        assert cfg == ExperimentConfig(cfg.gmm, cfg.shifts, ("bbse_hard",), (100,), 2, 1)
 
     def test_unwritable_output_exits_5(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

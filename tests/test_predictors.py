@@ -10,7 +10,6 @@ from labelshift.predictors import (
     bin_aggregate,
     gmm_posterior,
     samples_from_outputs,
-    tabular_predictor,
     threshold_outputs,
 )
 from labelshift.simplex import LabeledPredictions, ProbVector
@@ -86,12 +85,6 @@ class TestBinning:
         np.testing.assert_allclose(pred.bin_outputs[1], [0.0, 1.0])
         np.testing.assert_allclose(pred.table.normalized_masses(), [0.5, 0.5])
 
-    def test_output_mean_values(self):
-        outputs, labels = self._toy()
-        pred = bin_aggregate(make_samples(outputs, labels), n_bins=2, values="output_mean")
-        np.testing.assert_allclose(pred.bin_outputs[0], [0.15, 0.85])
-        np.testing.assert_allclose(pred.bin_outputs[1], [0.85, 0.15])
-
     def test_bin_index_edges(self):
         outputs, labels = self._toy()
         pred = bin_aggregate(make_samples(outputs, labels), n_bins=4)
@@ -143,17 +136,6 @@ class TestBinning:
 
 
 class TestTabular:
-    def test_merges_duplicates(self):
-        t = tabular_predictor(
-            [(np.array([0.3, 0.7]), 0.25), (np.array([0.3, 0.7]), 0.25), (np.array([0.6, 0.4]), 0.5)]
-        )
-        assert len(t.support) == 2
-        np.testing.assert_allclose(sorted(t.normalized_masses()), [0.5, 0.5])
-
-    def test_rejects_empty(self):
-        with pytest.raises(InputError):
-            tabular_predictor([])
-
     def test_samples_from_outputs(self):
         samples = samples_from_outputs(np.array([[0.3, 0.7]]), np.array([1]))
         assert samples.labels[0] == 1
