@@ -293,19 +293,15 @@ def cmd_diagnose(args) -> int:
         )
         weights = result.weights
 
-    src_ident, src_eig = check_identifiability(normalized_rows(src_outputs, tol=1e-6))
-    report = diagnostics_report(table, weights)
-    hessian_nsd = bool(np.linalg.eigvalsh(-np.asarray(report.hessian))[0] >= -1e-8)
+    report = diagnostics_report(table, weights, normalized_rows(src_outputs, tol=1e-6))
     g = report.gradient
     p = source_marginal.entries
     projected = g - (g @ p) / (p @ p) * p  # tangent component of the constraint
     out = report.to_json()
     out.update(
         {
-            "identifiable": src_ident,
-            "second_moment_min_eig": src_eig,
             "weights": list(weights.weights),
-            "hessian_nsd": hessian_nsd,
+            "hessian_nsd": report.sigma_min >= -1e-8,
             "projected_gradient_norm": float(np.linalg.norm(projected)),
             "kkt_residual": kkt_residual(g, p, weights.weights),
         }
@@ -471,7 +467,7 @@ def main(argv=None) -> int:
         return _fail(EXIT_IDENT, "identifiability", str(exc))
     except ConvergenceError as exc:
         return _fail(EXIT_CONV, "convergence", str(exc))
-    except (InputError, json.JSONDecodeError, FileNotFoundError) as exc:
+    except (InputError, json.JSONDecodeError, UnicodeDecodeError, FileNotFoundError) as exc:
         return _fail(EXIT_INPUT, "input", str(exc))
     except (IOError, OSError) as exc:
         return _fail(EXIT_IO, "io", str(exc))

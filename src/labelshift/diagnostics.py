@@ -25,9 +25,9 @@ class DiagnosticsReport:
     log_likelihood: float
     gradient: np.ndarray
     hessian: np.ndarray
-    sigma_min: float          # min eigenvalue of the negated Hessian
+    sigma_min: float          # min eigenvalue of the negated Hessian, unclamped
     tau: float                # min over target support of f(x)^T w
-    second_moment_min_eig: float
+    second_moment_min_eig: float  # of the source's E_s[f f^T]
     identifiable: bool
     bound_terms: BoundTerms | None
 
@@ -36,7 +36,7 @@ class DiagnosticsReport:
             "log_likelihood": self.log_likelihood,
             "gradient": list(self.gradient),
             "hessian": [list(r) for r in self.hessian],
-            "sigma_min": self.sigma_min,
+            "sigma_min": max(self.sigma_min, 0.0),
             "tau": self.tau,
             "second_moment_min_eig": self.second_moment_min_eig,
             "identifiable": self.identifiable,
@@ -223,17 +223,19 @@ def example1_closed_form(alpha: float, c: float, mu: float) -> tuple[float, floa
 def diagnostics_report(
     table: PredictorTable,
     w: WeightVector,
+    source,
     bound_terms: BoundTerms | None = None,
 ) -> DiagnosticsReport:
-    """Assemble the full report at a given weight vector."""
+    """Assemble the full report at a given weight vector: the likelihood
+    terms over the target table, identifiability over the source outputs
+    (a PredictorTable or an (n, k) array, as for check_identifiability)."""
     H = likelihood_hessian(table, w)
-    sigma_min = float(np.linalg.eigvalsh(-H)[0])
-    identifiable, min_eig = check_identifiability(table)
+    identifiable, min_eig = check_identifiability(source)
     return DiagnosticsReport(
         log_likelihood=log_likelihood(table, w),
         gradient=likelihood_gradient(table, w),
         hessian=H,
-        sigma_min=max(sigma_min, 0.0),
+        sigma_min=float(np.linalg.eigvalsh(-H)[0]),
         tau=condition_tau(table, w),
         second_moment_min_eig=min_eig,
         identifiable=identifiable,

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import InputError
 from .simplex import LabeledPredictions, PredictorTable, ProbVector, grouped_table, normalized_rows
@@ -41,6 +40,8 @@ def gmm_posterior(spec: GmmSpec, x) -> np.ndarray:
 
     Via the logistic of the log density ratio: log(pi0/pi1) + 2*mu*x.
     """
+    from scipy.special import expit  # imported here so that estimate-time commands skip scipy
+
     pi0, pi1 = spec.source_marginal.entries
     x = np.asarray(x, dtype=float)
     p0 = expit(np.log(pi0 / pi1) + 2.0 * spec.mu * x)

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ConvergenceError, InputError, LabelShiftError
 from .calibration import bcts_apply_matrix, BctsParams
@@ -111,6 +110,8 @@ class ExperimentConfig:
 def sample_gmm(spec: GmmSpec, marginal: ProbVector, n: int, seed, *indices) -> tuple:
     """Draw (x, label) pairs: labels by inverse-CDF of the marginal, x by
     inverse-CDF Gaussians at mean +mu (class 0) or -mu (class 1)."""
+    from scipy.special import ndtri  # imported here so that estimate-time commands skip scipy
+
     if n < 0:
         raise InputError("n must be nonnegative")
     rng = seed if isinstance(seed, np.random.Generator) else rng_for(seed, *indices)

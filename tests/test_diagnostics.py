@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from labelshift.diagnostics import (
     IDENTIFIABILITY_EIG_FLOOR,
+    DiagnosticsReport,
     check_identifiability,
     compute_bound_terms,
     condition_tau,
@@ -295,10 +296,24 @@ class TestExampleOne:
 class TestReport:
     def test_report_assembles_and_serializes(self):
         w = WeightVector(np.array([0.5, 1.5]), UNIFORM_2)
-        report = diagnostics_report(TWO_POINT, w)
+        report = diagnostics_report(TWO_POINT, w, TWO_POINT)
         payload = json.dumps(report.to_json())
         decoded = json.loads(payload)
         assert decoded["identifiable"] is True
         assert decoded["tau"] == pytest.approx(0.7)
         assert decoded["bound_terms"] is None
         assert decoded["sigma_min"] >= 0.0
+
+    def test_identifiability_is_the_sources(self):
+        # the target table is identifiable; a source whose rows all agree is not
+        w = WeightVector(np.array([0.5, 1.5]), UNIFORM_2)
+        source = np.array([[0.6, 0.4]] * 3)
+        report = diagnostics_report(TWO_POINT, w, source)
+        assert (report.identifiable, report.second_moment_min_eig) == check_identifiability(source)
+        assert report.identifiable is False
+
+    def test_sigma_min_is_clamped_only_in_json(self):
+        # a rounding error below zero stays in the report for `diagnose`'s hessian_nsd
+        report = DiagnosticsReport(0.0, np.zeros(2), np.zeros((2, 2)), -1e-9, 1.0, 1.0, True, None)
+        assert report.sigma_min == -1e-9
+        assert report.to_json()["sigma_min"] == 0.0

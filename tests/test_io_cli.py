@@ -798,3 +798,35 @@ class TestBenchmarkCommand:
         )
         assert code == 5
         assert json.loads(err)["error"] == "io"
+
+
+class TestNonUtf8Input:
+    """Each file input that is not UTF-8 text ends in the JSON input error."""
+
+    @pytest.mark.parametrize("which", ["source", "target"])
+    def test_prediction_file_exits_2(self, hand_files, capsys, which):
+        src, tgt = hand_files
+        bad = src if which == "source" else tgt
+        bad.write_bytes(bad.read_bytes() + b"\xff,\xfe\n")
+        for command in ("estimate", "diagnose"):
+            code, out, err = run_cli(capsys, command, "--source", str(src), "--target", str(tgt))
+            assert code == 2
+            assert out == ""
+            assert len(err.splitlines()) == 1  # the JSON error alone: no traceback
+            assert json.loads(err)["error"] == "input"
+
+    @pytest.mark.parametrize("argv", [
+        ("diagnose", "--weights"),
+        ("estimate", "--config"),
+        ("benchmark", "--output", "out.csv", "--config"),
+    ], ids=["weights", "estimate_config", "benchmark_config"])
+    def test_json_file_exits_2(self, hand_files, tmp_path, capsys, argv):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        src, tgt = hand_files
+        files = [] if argv[0] == "benchmark" else ["--source", str(src), "--target", str(tgt)]
+        code, out, err = run_cli(capsys, *argv, str(path), *files)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "input"
