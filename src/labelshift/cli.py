@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .errors import ConvergenceError, IdentifiabilityError, InputError
-from .calibration import bcts_apply_matrix, bcts_fit
+from .calibration import BctsParams, bcts_apply_matrix, bcts_fit
 from .confusion import (
     build_hard_confusion,
     build_soft_confusion,
@@ -55,6 +55,17 @@ EXIT_INPUT, EXIT_IDENT, EXIT_CONV, EXIT_IO = 2, 3, 4, 5
 def _fail(code: int, kind: str, message: str) -> int:
     print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
     return code
+
+
+def _read_json(path):
+    """The JSON document of a file, read as UTF-8 with an optional byte-order
+    mark; text that does not decode or parse is an InputError naming the
+    file."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _prob_vector(text: str) -> ProbVector:
@@ -105,8 +116,7 @@ def _estimate_settings(args) -> argparse.Namespace:
     """Every `estimate` setting, checked before a prediction file is read."""
     overrides = {}
     if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
-            overrides = json.load(fh)
+        overrides = _read_json(args.config)
         if not isinstance(overrides, dict):
             raise InputError("config overrides must be a JSON object")
         unknown = set(overrides) - set(ESTIMATE_SETTINGS)
@@ -279,8 +289,7 @@ def cmd_diagnose(args) -> int:
         source_marginal = ProbVector(np.full(k, 1.0 / k))
 
     if args.weights:
-        with open(args.weights, encoding="utf-8") as fh:
-            weights = _weights_from_json(json.load(fh), source_marginal)
+        weights = _weights_from_json(_read_json(args.weights), source_marginal)
     else:
         if src_labels is None and args.method not in ("mlls_em", "mlls_grad"):
             raise InputError(f"method {args.method} needs a source file with a label column")
@@ -339,8 +348,18 @@ def cmd_simulate(args) -> int:
 
 # ---------------------------------------------------------------- benchmark
 
-# every ExperimentConfig field but the miscalibration map, which only scripts set
-BENCHMARK_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"miscalibration"}
+BENCHMARK_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+def _miscalibration(obj: dict, k: int) -> BctsParams:
+    """The `miscalibration` object of a benchmark config: a temperature and
+    one bias per class."""
+    if set(obj) - {"temperature", "biases"}:
+        raise InputError("miscalibration section accepts only temperature and biases")
+    biases = _config_value(obj, "biases", [float])
+    if len(biases) != k:
+        raise InputError(f"miscalibration biases must hold {k} numbers, one per class, not {len(biases)}")
+    return BctsParams(_config_value(obj, "temperature", float), np.asarray(biases))
 
 
 def _parse_benchmark_config(obj: dict) -> ExperimentConfig:
@@ -379,12 +398,13 @@ def _parse_benchmark_config(obj: dict) -> ExperimentConfig:
         max_iters=_config_value(obj, "max_iters", int, ExperimentConfig.max_iters),
         bins=None if obj.get("bins") is None else _config_value(obj, "bins", int),
         w_star_from=_config_value(obj, "w_star_from", str, ExperimentConfig.w_star_from),
+        miscalibration=None if obj.get("miscalibration") is None
+        else _miscalibration(_config_value(obj, "miscalibration", dict), gmm.source_marginal.k),
     )
 
 
 def cmd_benchmark(args) -> int:
-    with open(args.config, encoding="utf-8") as fh:
-        cfg = _parse_benchmark_config(json.load(fh))
+    cfg = _parse_benchmark_config(_read_json(args.config))
     _, rows = run_trials(cfg)
     csv_text = aggregate_to_csv(rows)
     try:
@@ -467,7 +487,7 @@ def main(argv=None) -> int:
         return _fail(EXIT_IDENT, "identifiability", str(exc))
     except ConvergenceError as exc:
         return _fail(EXIT_CONV, "convergence", str(exc))
-    except (InputError, json.JSONDecodeError, UnicodeDecodeError, FileNotFoundError) as exc:
+    except (InputError, FileNotFoundError) as exc:
         return _fail(EXIT_INPUT, "input", str(exc))
     except (IOError, OSError) as exc:
         return _fail(EXIT_IO, "io", str(exc))

@@ -1,10 +1,11 @@
 """CSV interchange for predictor outputs.
 
-A prediction file is UTF-8 CSV with a header of class-column names, optional
-trailing integer "label" column (0-based class index), '.' decimals, one row
-per example. Entries must be finite; probability rows off from 1 by at most
-1e-6 are renormalized; anything worse is rejected. A file reads as an (n, k)
-output array plus an optional (n,) label array.
+A prediction file is UTF-8 CSV, with or without a leading byte-order mark,
+with a header of class-column names, optional trailing integer "label" column
+(0-based class index), '.' decimals, one row per example. Entries must be
+finite; probability rows off from 1 by at most 1e-6 are renormalized; anything
+worse is rejected. A file reads as an (n, k) output array plus an optional
+(n,) label array.
 
 The body of a file is parsed in one `np.loadtxt` call, streamed from the open
 handle, and checked over whole columns; labels are parsed in C by numpy's
@@ -31,9 +32,14 @@ WRITE_CHUNK_ROWS = 4096  # rows formatted per write, which bounds the text held 
 
 
 def read_prediction_file(path) -> tuple[np.ndarray, np.ndarray | None, list[str]]:
-    """Return (outputs (n, k), labels or None, class column names)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        return read_predictions(fh, name=str(path))
+    """Return (outputs (n, k), labels or None, class column names). The file
+    is read as UTF-8 with an optional byte-order mark; text that does not
+    decode is an InputError naming the file."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            return read_predictions(fh, name=str(path))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def read_predictions(fh, name: str = "<stream>"):

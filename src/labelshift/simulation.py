@@ -107,14 +107,15 @@ class ExperimentConfig:
             raise InputError(f"unknown w_star_from: {self.w_star_from}")
 
 
-def sample_gmm(spec: GmmSpec, marginal: ProbVector, n: int, seed, *indices) -> tuple:
-    """Draw (x, label) pairs: labels by inverse-CDF of the marginal, x by
-    inverse-CDF Gaussians at mean +mu (class 0) or -mu (class 1)."""
+def sample_gmm(spec: GmmSpec, marginal: ProbVector, n: int, seed: int, *indices: int) -> tuple:
+    """Draw (x, label) pairs from the generator of the (seed, indices...) key:
+    labels by inverse-CDF of the marginal, x by inverse-CDF Gaussians at mean
+    +mu (class 0) or -mu (class 1)."""
     from scipy.special import ndtri  # imported here so that estimate-time commands skip scipy
 
     if n < 0:
         raise InputError("n must be nonnegative")
-    rng = seed if isinstance(seed, np.random.Generator) else rng_for(seed, *indices)
+    rng = rng_for(seed, *indices)
     u = rng.random(n)
     labels = (u >= marginal.entries[0]).astype(int)
     z = ndtri(rng.random(n))
@@ -122,10 +123,13 @@ def sample_gmm(spec: GmmSpec, marginal: ProbVector, n: int, seed, *indices) -> t
     return xs, labels
 
 
-def resample_by_marginal(pool_xs, pool_labels, target_marginal: ProbVector, n: int, seed, *indices):
-    """Two-stage target sampling: y ~ p_t(y), then x uniform (with replacement)
-    among pool examples with that label."""
-    rng = seed if isinstance(seed, np.random.Generator) else rng_for(seed, *indices)
+def resample_by_marginal(
+    pool_xs, pool_labels, target_marginal: ProbVector, n: int, seed: int, *indices: int
+):
+    """Two-stage target sampling from the generator of the (seed, indices...)
+    key: y ~ p_t(y), then x uniform (with replacement) among pool examples
+    with that label."""
+    rng = rng_for(seed, *indices)
     pool_xs = np.asarray(pool_xs)
     pool_labels = np.asarray(pool_labels)
     k = target_marginal.k
@@ -279,9 +283,13 @@ def run_trials(cfg: ExperimentConfig):
 
 
 def aggregate_to_csv(rows) -> str:
-    lines = ["shift_param,method,m,n_trials,n_failed,mse,stderr"]
+    """The sweep table, one line per row. Rows of a binned sweep carry
+    `mean_min_eig`, which is then the last column."""
+    eig = any(r.mean_min_eig is not None for r in rows)
+    lines = ["shift_param,method,m,n_trials,n_failed,mse,stderr" + (",mean_min_eig" if eig else "")]
     for r in rows:
         lines.append(
             f"{r.shift_param},{r.method},{r.m},{r.n_trials},{r.n_failed},{r.mse:.10g},{r.stderr:.10g}"
+            + (f",{r.mean_min_eig:.10g}" if eig else "")
         )
     return "\n".join(lines) + "\n"

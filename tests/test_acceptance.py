@@ -7,14 +7,18 @@ reference vector printed for this instance (PUBLISHED_W) is not that maximiser;
 the companion test keeps it on record and shows why.
 """
 
+import dataclasses
+import json
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from labelshift.calibration import BctsParams, bcts_apply_matrix, confusion_row_calibrate, estimate_calibration_error
+from labelshift.calibration import bcts_apply_matrix, confusion_row_calibrate, estimate_calibration_error
 from labelshift.confusion import ConfusionMatrix, build_hard_confusion, build_soft_confusion
+from labelshift.cli import _parse_benchmark_config
 from labelshift.diagnostics import (
     check_identifiability,
     compute_bound_terms,
@@ -30,13 +34,7 @@ from labelshift.diagnostics import (
 from labelshift.estimators import EstimatorConfig, bbse, mlls_em, mlls_grad
 from labelshift.predictors import GmmSpec, ThresholdPredictorSpec, gmm_posterior, samples_from_outputs, threshold_outputs
 from labelshift.simplex import ProbVector, normalized_rows
-from labelshift.simulation import (
-    ExperimentConfig,
-    ShiftSpec,
-    run_trials,
-    sample_gmm,
-    target_table_from_outputs,
-)
+from labelshift.simulation import run_trials, sample_gmm, target_table_from_outputs
 from tests import conftest
 from tests.conftest import (
     F_ROWS,
@@ -53,9 +51,15 @@ from tests.conftest import (
 
 UNIFORM_2 = ProbVector(np.array([0.5, 0.5]))
 GMM = GmmSpec(1.0, UNIFORM_2)
-SEVERE = ShiftSpec("explicit", target_marginal=ProbVector(np.array([0.99, 0.01])))
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 # reference vector printed for the six-point instance; not its maximiser
 PUBLISHED_W = np.array([2.505893, 0.240644, 0.253463])
+
+
+def study_config(name: str):
+    """The ExperimentConfig of scripts/<name>.json, as `labelshift benchmark`
+    parses it."""
+    return _parse_benchmark_config(json.loads((SCRIPTS / f"{name}.json").read_text(encoding="utf-8")))
 
 
 def verdict(criterion: str, ok: bool, detail: str) -> None:
@@ -187,16 +191,7 @@ def test_criterion_3_bbse_population_exactness():
 
 def test_criterion_4_consistency_rate():
     start = time.time()
-    cfg = ExperimentConfig(
-        gmm=GMM,
-        shifts=(ShiftSpec("explicit", target_marginal=ProbVector(np.array([0.8, 0.2]))),),
-        methods=("mlls_em",),
-        m_values=(100, 1000, 10_000),
-        n_trials=100,
-        base_seed=11,
-        n_source=2000,
-    )
-    _, rows = run_trials(cfg)
+    _, rows = run_trials(study_config("consistency_rate"))
     ms = np.array([r.m for r in rows], dtype=float)
     mses = np.array([r.mse for r in rows])
     slope = float(np.polyfit(np.log(ms), np.log(mses), 1)[0])
@@ -212,14 +207,10 @@ def test_criterion_4_consistency_rate():
 
 @pytest.fixture(scope="module")
 def severe_shift_rows():
-    cfg = ExperimentConfig(
-        gmm=GMM,
-        shifts=(SEVERE,),
-        methods=("mlls_em", "bbse_hard", "mlls_cm"),
-        m_values=(1000,),
-        n_trials=100,
-        base_seed=20240501,
-        n_source=1000,
+    # trial keys carry the index of m, so m = 1000 alone is drawn at index 0,
+    # as these criteria have always drawn it, not at the config's index 1
+    cfg = dataclasses.replace(
+        study_config("severe_shift"), methods=("mlls_em", "bbse_hard", "mlls_cm"), m_values=(1000,)
     )
     _, rows = run_trials(cfg)
     return {r.method: r for r in rows}
@@ -251,17 +242,7 @@ def test_criterion_7_binning_study():
     start = time.time()
     sigma, mses, stderrs = [], [], []
     for bins in (2, 4, 8, 16):
-        cfg = ExperimentConfig(
-            gmm=GMM,
-            shifts=(SEVERE,),
-            methods=("mlls_em",),
-            m_values=(10_000,),
-            n_trials=100,
-            base_seed=3,
-            n_source=10_000,
-            bins=bins,
-        )
-        _, rows = run_trials(cfg)
+        _, rows = run_trials(study_config(f"binning_study_bins{bins}"))
         sigma.append(rows[0].mean_min_eig)
         mses.append(rows[0].mse)
         stderrs.append(rows[0].stderr)
@@ -464,24 +445,14 @@ def test_criterion_8f_em_grad_agreement_100_instances():
 
 def test_criterion_8g_miscalibration_scaling():
     cases = []
-    for temperature in (1.0, 1.5, 3.0):
-        mis = None if temperature == 1.0 else BctsParams(temperature, np.zeros(2))
-        cfg = ExperimentConfig(
-            gmm=GMM,
-            shifts=(ShiftSpec("explicit", target_marginal=ProbVector(np.array([0.9, 0.1]))),),
-            methods=("mlls_em",),
-            m_values=(2000,),
-            n_trials=30,
-            base_seed=5,
-            n_source=2000,
-            miscalibration=mis,
-        )
+    for temperature in ("1", "1.5", "3"):  # t1 has no miscalibration key
+        cfg = study_config(f"miscalibration_study_t{temperature}")
         _, rows = run_trials(cfg)
         # measured calibration error sqrt(E_s ||f_T - f||^2): the distortion is
         # invertible, so the canonical posterior given f_T is the clean posterior
         xs, _ = sample_gmm(GMM, UNIFORM_2, 200_000, 777, 0)
         clean = gmm_posterior(GMM, xs)
-        out = clean if mis is None else bcts_apply_matrix(mis, clean)
+        out = clean if cfg.miscalibration is None else bcts_apply_matrix(cfg.miscalibration, clean)
         calib_error = float(np.sqrt(np.mean(((out - clean) ** 2).sum(axis=1))))
         bound = compute_bound_terms(
             sigma_min_c=0.25,

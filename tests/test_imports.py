@@ -1,5 +1,4 @@
-"""Every module of the package, the tests and the study scripts uses each
-name it imports.
+"""Every module of the package and the tests uses each name it imports.
 
 Package `__init__.py` files re-export what they import, and `from __future__`
 imports switch on language features, so neither is checked.
@@ -11,7 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
-    p for d in (ROOT / "src" / "labelshift", ROOT / "tests", ROOT / "scripts")
+    p for d in (ROOT / "src" / "labelshift", ROOT / "tests")
     for p in d.glob("*.py") if p.name != "__init__.py"
 )
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import labelshift.cli
 import labelshift.io
 import labelshift.simulation
+from labelshift.calibration import BctsParams
 from labelshift.cli import _parse_benchmark_config, main
 from labelshift.errors import InputError
 from labelshift.estimators import EstimateResult
@@ -27,6 +28,8 @@ from labelshift.io import (
 from labelshift.simplex import WeightVector
 from labelshift.simulation import ExperimentConfig
 from tests.conftest import F_ROWS, PS_ROWS, W_MISCAL_OPT, face_rlls
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 # Cells both readers must treat alike: tokens that float()/int() and a C parser
@@ -748,11 +751,17 @@ class TestBenchmarkCommand:
             ({"m_values": [100.5]}, "m_values"),
             ({"gmm": {"mu": None}}, "mu"),
             ({"max_iters": 0}, "estimator configuration"),
+            ({"miscalibration": {"temperature": 0, "biases": [0, 0]}}, "temperature"),
+            ({"miscalibration": {"temperature": 2, "biases": [0, 0, 0]}}, "biases"),
+            ({"miscalibration": {"temperature": 2, "biases": [0, 0], "scale": 1}}, "miscalibration"),
+            ({"miscalibration": {"temperature": 2, "biases": [0, "a"]}}, "biases"),
         ],
         ids=["dirichlet_without_alpha", "string_n_source", "string_shifts", "float_m", "null_mu",
-             "no_budget"],
+             "no_budget", "zero_temperature", "biases_not_k", "unknown_miscalibration_key",
+             "string_bias"],
     )
-    def test_bad_config_value_exits_2(self, tmp_path, capsys, overrides, key):
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, monkeypatch, overrides, key):
+        monkeypatch.setattr(labelshift.cli, "run_trials", None)  # no trial may run
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(self.benchmark_config(**overrides)))
         code, out, err = run_cli(
@@ -772,17 +781,26 @@ class TestBenchmarkCommand:
         )
         assert code == 2
 
-    def test_miscalibration_is_not_a_config_key(self, tmp_path, capsys):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(self.benchmark_config(miscalibration=None)))
-        code, out, err = run_cli(
-            capsys, "benchmark", "--config", str(cfg_path), "--output", str(tmp_path / "o.csv")
+    def test_miscalibration_key_parses_to_bcts_params(self):
+        mis = {"temperature": 1.5, "biases": [0.25, -0.25]}
+        parsed = _parse_benchmark_config(self.benchmark_config(miscalibration=mis)).miscalibration
+        expect = BctsParams(1.5, np.array([0.25, -0.25]))
+        assert parsed.temperature == expect.temperature
+        np.testing.assert_array_equal(parsed.biases, expect.biases)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in SCRIPTS.glob("*.json")))
+    def test_config_in_scripts_runs(self, name, tmp_path, capsys):
+        cfg = json.loads((SCRIPTS / name).read_text(encoding="utf-8"))
+        cfg.update(n_trials=2, n_source=300, m_values=[min(m, 300) for m in cfg["m_values"]])
+        cfg_path, out_path = tmp_path / name, tmp_path / "out.csv"
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(capsys, "benchmark", "--config", str(cfg_path), "--output", str(out_path))
+        assert code == 0, err
+        header, *rows = out_path.read_text().splitlines()
+        assert header == "shift_param,method,m,n_trials,n_failed,mse,stderr" + (
+            ",mean_min_eig" if "bins" in cfg else ""
         )
-        assert code == 2
-        assert out == ""
-        assert json.loads(err) == {
-            "error": "input", "message": "unknown benchmark config keys: ['miscalibration']"
-        }
+        assert len(rows) == len(cfg["shifts"]) * len(cfg["m_values"]) * len(cfg["methods"])
 
     def test_required_keys_alone_take_the_dataclass_defaults(self):
         required = {key: value for key, value in self.benchmark_config().items() if key != "n_source"}
@@ -801,7 +819,8 @@ class TestBenchmarkCommand:
 
 
 class TestNonUtf8Input:
-    """Each file input that is not UTF-8 text ends in the JSON input error."""
+    """File inputs are UTF-8 text, with or without a byte-order mark; one
+    that does not decode or parse ends in the JSON input error naming it."""
 
     @pytest.mark.parametrize("which", ["source", "target"])
     def test_prediction_file_exits_2(self, hand_files, capsys, which):
@@ -814,6 +833,16 @@ class TestNonUtf8Input:
             assert out == ""
             assert len(err.splitlines()) == 1  # the JSON error alone: no traceback
             assert json.loads(err)["error"] == "input"
+            assert json.loads(err)["message"].startswith(f"{bad}: 'utf-8' codec can't decode")
+
+    def test_prediction_file_with_bom_reads_as_without(self, hand_files):
+        src, _ = hand_files
+        plain = read_prediction_file(src)
+        src.write_bytes(b"\xef\xbb\xbf" + src.read_bytes())
+        with_bom = read_prediction_file(src)
+        assert with_bom[2] == plain[2] == ["class_0", "class_1"]
+        np.testing.assert_array_equal(with_bom[0], plain[0])
+        np.testing.assert_array_equal(with_bom[1], plain[1])
 
     @pytest.mark.parametrize("argv", [
         ("diagnose", "--weights"),
@@ -830,3 +859,38 @@ class TestNonUtf8Input:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "input"
+        assert json.loads(err)["message"].startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("command", ["diagnose", "estimate", "benchmark"])
+    def test_json_syntax_error_names_file(self, hand_files, tmp_path, capsys, command):
+        path = tmp_path / "bad.json"
+        path.write_text("[0.5,", encoding="utf-8")
+        code, _, err = run_cli(capsys, *self.json_argv(command, path, hand_files, tmp_path))
+        assert code == 2
+        assert json.loads(err) == {
+            "error": "input", "message": f"{path}: Expecting value: line 1 column 6 (char 5)"
+        }
+
+    @pytest.mark.parametrize("command, document", [
+        ("diagnose", [0.5, 1.5]),
+        ("estimate", {"method": "bbse_hard"}),
+        ("benchmark", TestBenchmarkCommand().benchmark_config()),
+    ], ids=["weights", "estimate_config", "benchmark_config"])
+    def test_json_file_with_bom_is_read(self, hand_files, tmp_path, capsys, command, document):
+        path = tmp_path / "in.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(document).encode())
+        code, out, err = run_cli(capsys, *self.json_argv(command, path, hand_files, tmp_path))
+        assert code == 0, err
+        if command == "diagnose":
+            assert json.loads(out)["weights"] == [0.5, 1.5]
+
+    @staticmethod
+    def json_argv(command, path, hand_files, tmp_path):
+        """Arguments that make `command` read the JSON file `path`."""
+        src, tgt = (str(p) for p in hand_files)
+        return {
+            "diagnose": ["diagnose", "--weights", str(path), "--source", src, "--target", tgt],
+            "estimate": ["estimate", "--config", str(path), "--no-calibration", "--source", src,
+                         "--target", tgt],
+            "benchmark": ["benchmark", "--config", str(path), "--output", str(tmp_path / "o.csv")],
+        }[command]

@@ -208,4 +208,10 @@ class TestTrials:
         csv = aggregate_to_csv(rows)
         lines = csv.strip().split("\n")
         assert lines[0] == "shift_param,method,m,n_trials,n_failed,mse,stderr"
-        assert lines[1].startswith("alpha=1,bbse_hard,100,5,0,0.25,0.01")
+        assert lines[1] == "alpha=1,bbse_hard,100,5,0,0.25,0.01"
+
+    def test_binned_csv_ends_in_mean_min_eig(self):
+        _, rows = run_trials(small_config(bins=4))
+        header, *lines = aggregate_to_csv(rows).splitlines()
+        assert header == "shift_param,method,m,n_trials,n_failed,mse,stderr,mean_min_eig"
+        assert [line.split(",")[-1] for line in lines] == [f"{r.mean_min_eig:.10g}" for r in rows]
