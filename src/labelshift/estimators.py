@@ -119,8 +119,8 @@ def _newton_finish(grad, hess, p, w, max_steps=NEWTON_STEPS):
     the finish stops at the first point whose residual is at the rounding
     level of the gradient or not a tenth of the residual one step before.
     It also ends after max_steps steps, after STALL_STEPS steps without a
-    new smallest residual, at a singular Newton system, or at a point
-    outside the domain of `grad`.
+    new smallest residual, or at a point outside the domain of `grad`. A
+    singular Newton system is solved in the least-squares sense.
 
     Returns (w, steps): the point with the smallest residual if that residual
     is at most KKT_TOL and None otherwise, and the Newton steps taken.
@@ -166,7 +166,10 @@ def _newton_finish(grad, hess, p, w, max_steps=NEWTON_STEPS):
             try:
                 dw = np.linalg.solve(K, rhs)[:-1]
             except np.linalg.LinAlgError:
-                break
+                # A singular Hessian (two classes with equal columns in every
+                # support row) leaves the maximizer a face, not a point: step
+                # to its nearest point by the minimum-norm solution.
+                dw = np.linalg.lstsq(K, rhs, rcond=None)[0][:-1]
             wf = w[f]
             blocked = np.flatnonzero(wf + dw < 0)
             if blocked.size:

@@ -3,7 +3,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
@@ -355,6 +355,7 @@ class TestKktCertificate:
             self._check(res, likelihood_gradient(table, res.weights), p.entries)
 
     @given(seed=st.integers(0, 100_000))
+    @example(seed=92666)  # two classes share one column in every confusion row
     @settings(max_examples=40, deadline=None)
     def test_mlls_cm(self, seed):
         # the likelihood of mlls_cm is that of the target rows replaced by the
@@ -373,6 +374,18 @@ class TestKktCertificate:
         pred = target.argmax(axis=1)
         table = grouped_table(normalized_rows(rows[pred], tol=1e-9), np.ones(pred.size), "count")
         self._check(res, likelihood_gradient(table, res.weights), p.entries)
+
+    def test_mlls_singular_hessian(self):
+        # classes 1 and 2 have equal columns in every support row, so the
+        # Hessian is singular on every face: the maximizers form a segment
+        table = grouped_table(
+            np.array([[3 / 11, 4 / 11, 4 / 11], [1 / 6, 5 / 12, 5 / 12]]), np.ones(2), "count"
+        )
+        p = np.array([10, 13, 13]) / 36
+        for solver in (mlls_em, mlls_grad):
+            res = solver(table, ProbVector(p))
+            self._check(res, likelihood_gradient(table, res.weights), p)
+            assert res.weights.weights[0] == 0.0
 
     @given(seed=st.integers(0, 100_000), lam=st.sampled_from([0.0, 1e-3, 1.0]))
     @settings(max_examples=60, deadline=None)
