@@ -200,7 +200,7 @@ def confusion_row_calibrate(confusion: ConfusionMatrix) -> PredictorTable:
             f"confusion row for prediction {int(np.argmax(row_sums <= 0))} has zero mass"
         )
     rows = joint / row_sums[:, None]
-    return grouped_table(normalized_rows(rows, tol=1e-9), row_sums, "probability")
+    return grouped_table(normalized_rows(rows, tol=1e-9), row_sums)
 
 
 def estimate_calibration_error(samples: LabeledPredictions) -> CalibrationReport:

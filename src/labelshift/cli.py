@@ -397,7 +397,6 @@ def _parse_benchmark_config(obj: dict) -> ExperimentConfig:
         tol=_config_value(obj, "tol", float, ExperimentConfig.tol),
         max_iters=_config_value(obj, "max_iters", int, ExperimentConfig.max_iters),
         bins=None if obj.get("bins") is None else _config_value(obj, "bins", int),
-        w_star_from=_config_value(obj, "w_star_from", str, ExperimentConfig.w_star_from),
         miscalibration=None if obj.get("miscalibration") is None
         else _miscalibration(_config_value(obj, "miscalibration", dict), gmm.source_marginal.k),
     )

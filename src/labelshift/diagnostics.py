@@ -3,7 +3,7 @@ finite-sample bound ingredients for the weight estimators."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,20 +33,10 @@ class DiagnosticsReport:
 
     def to_json(self) -> dict:
         return {
-            "log_likelihood": self.log_likelihood,
-            "gradient": list(self.gradient),
-            "hessian": [list(r) for r in self.hessian],
+            **asdict(self),
+            "gradient": self.gradient.tolist(),
+            "hessian": self.hessian.tolist(),
             "sigma_min": max(self.sigma_min, 0.0),
-            "tau": self.tau,
-            "second_moment_min_eig": self.second_moment_min_eig,
-            "identifiable": self.identifiable,
-            "bound_terms": None
-            if self.bound_terms is None
-            else {
-                "term1": self.bound_terms.term1,
-                "term2": self.bound_terms.term2,
-                "total": self.bound_terms.total,
-            },
         }
 
 
@@ -179,9 +169,7 @@ def eigenvalue_sandwich_check(
     """Check p_min^2 * sigma_f <= sigma_{f,w} <= sigma_f / tau^2, where sigma_f
     is the minimum eigenvalue of E_t[f f^T] and sigma_{f,w} of the negated
     likelihood Hessian."""
-    F, m = table.support, table.normalized_masses()
-    scaled = F * np.sqrt(m)[:, None]
-    sigma_f = float(np.linalg.eigvalsh(scaled.T @ scaled)[0])
+    sigma_f = float(np.linalg.eigvalsh(second_moment(table))[0])
     sigma_fw = float(np.linalg.eigvalsh(-likelihood_hessian(table, w))[0])
     tau = condition_tau(table, w)
     if tau <= 0:

@@ -313,7 +313,7 @@ def mlls_cm(
     support, masses = target_table.support, target_table.masses
     counts = np.bincount(support.argmax(axis=1), masses, conf.k)
     keep = counts > 0
-    table = grouped_table(normalized_rows(rows[keep], tol=1e-9), counts[keep], "count")
+    table = grouped_table(normalized_rows(rows[keep], tol=1e-9), counts[keep])
     return mlls_em(table, source_marginal, config)
 
 

@@ -59,28 +59,32 @@ def threshold_outputs(spec: ThresholdPredictorSpec, xs) -> np.ndarray:
     return np.where((xs >= 0)[:, None], np.array([c, 1.0 - c]), np.array([1.0 - c, c]))
 
 
+def _bin_of(outputs: np.ndarray, n_bins: int) -> np.ndarray:
+    """Index of the equal-width bin of each row's first coordinate; the right
+    edge 1 belongs to the last bin."""
+    return np.minimum((outputs[:, 0] * n_bins).astype(int), n_bins - 1)
+
+
 @dataclass(frozen=True)
 class BinnedPredictor:
-    """Result of bin_aggregate: the aggregated table plus the bin remapping."""
+    """Result of bin_aggregate: the aggregated table, and the (n_bins, 2)
+    array of each bin's output vector, a NaN row for a bin with no source
+    row."""
 
     table: PredictorTable
-    n_bins: int
-    bin_outputs: dict  # bin index -> np.ndarray output
-    empty_bins: tuple
+    bin_outputs: np.ndarray
 
     def bin_indices(self, outputs: np.ndarray) -> np.ndarray:
-        return np.minimum((outputs[:, 0] * self.n_bins).astype(int), self.n_bins - 1)
+        return _bin_of(outputs, self.bin_outputs.shape[0])
 
     def remap_matrix(self, outputs: np.ndarray) -> np.ndarray:
         """Replace each row of an (n, 2) output matrix by its bin's aggregated vector."""
         idx = self.bin_indices(outputs)
-        hit_empty = [int(b) for b in np.unique(idx) if b not in self.bin_outputs]
-        if hit_empty:
-            raise InputError(f"outputs fall in zero-mass bins {hit_empty}")
-        lookup = np.zeros((self.n_bins, outputs.shape[1]))
-        for b, vec in self.bin_outputs.items():
-            lookup[b] = vec
-        return lookup[idx]
+        remapped = self.bin_outputs[idx]
+        empty = np.isnan(remapped[:, 0])
+        if empty.any():
+            raise InputError(f"outputs fall in zero-mass bins {np.unique(idx[empty]).tolist()}")
+        return remapped
 
 
 def bin_aggregate(samples: LabeledPredictions, n_bins: int) -> BinnedPredictor:
@@ -88,7 +92,7 @@ def bin_aggregate(samples: LabeledPredictions, n_bins: int) -> BinnedPredictor:
 
     Each bin's vector is the mean one-hot label of the source rows landing in
     it, which makes the binned predictor calibrated on its building sample.
-    Bins with zero source mass are excluded.
+    Bins with zero source mass are excluded from the table.
     """
     if n_bins < 1:
         raise InputError("n_bins must be >= 1")
@@ -96,7 +100,7 @@ def bin_aggregate(samples: LabeledPredictions, n_bins: int) -> BinnedPredictor:
     n, k = outputs.shape
     if k != 2:
         raise InputError("equal-width binning is defined for 2-class outputs only")
-    idx = np.minimum((outputs[:, 0] * n_bins).astype(int), n_bins - 1)
+    idx = _bin_of(outputs, n_bins)
 
     counts = np.bincount(idx, minlength=n_bins).astype(float)
     sums1 = np.bincount(idx, weights=labels.astype(float), minlength=n_bins)
@@ -104,12 +108,9 @@ def bin_aggregate(samples: LabeledPredictions, n_bins: int) -> BinnedPredictor:
         frac1 = sums1 / counts
     vecs = np.stack([1.0 - frac1, frac1], axis=1)
 
-    nonempty = np.flatnonzero(counts > 0)
-    empty = tuple(int(b) for b in np.flatnonzero(counts == 0))
-    table = grouped_table(
-        normalized_rows(vecs[nonempty], tol=1e-9), counts[nonempty] / n, "probability"
-    )
-    return BinnedPredictor(table, n_bins, {int(b): vecs[b] for b in nonempty}, empty)
+    nonempty = counts > 0
+    table = grouped_table(normalized_rows(vecs[nonempty], tol=1e-9), counts[nonempty] / n)
+    return BinnedPredictor(table, vecs)
 
 
 def samples_from_outputs(outputs, labels) -> LabeledPredictions:

@@ -155,17 +155,15 @@ class PredictorTable:
     """Finite-support predictor: distinct output rows with masses.
 
     `support` is a read-only (s, k) array of probability rows, no two equal;
-    `masses` is the (s,) array of their masses, probabilities (source side)
-    or counts (target side) per `kind`.
+    `masses` is the (s,) array of their nonnegative masses, with a positive
+    finite total. Every reader normalizes them, so probabilities and counts
+    give the same results.
     """
 
     support: np.ndarray
     masses: np.ndarray
-    kind: str  # "probability" | "count"
 
     def __post_init__(self):
-        if self.kind not in ("probability", "count"):
-            raise InputError(f"unknown mass kind: {self.kind}")
         support = _freeze(self.support)
         _check_rows(support, "support")
         masses = _freeze(self.masses)
@@ -176,8 +174,8 @@ class PredictorTable:
         if not (_first_column_distinct(support) or _sorted_runs(support)[1].all()):
             raise InputError("duplicate output vector in predictor table support")
         total = masses.sum()
-        if self.kind == "probability" and abs(total - 1.0) > SIMPLEX_TOL:
-            raise InputError(f"probability masses sum to {total}")
+        if not 0 < total < np.inf:
+            raise InputError(f"predictor table masses must have a positive finite total, not {total}")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "masses", masses)
 
@@ -229,7 +227,7 @@ def group_rows(rows) -> tuple[np.ndarray, np.ndarray]:
     return firsts[by_first], group
 
 
-def grouped_table(outputs, masses, kind: str) -> PredictorTable:
+def grouped_table(outputs, masses) -> PredictorTable:
     """Build a PredictorTable from (n, k) output rows, merging equal rows by
     summing their masses. Support rows keep their order of first occurrence,
     and each merged mass is summed in row order."""
@@ -238,7 +236,7 @@ def grouped_table(outputs, masses, kind: str) -> PredictorTable:
     if masses.shape != outputs.shape[:1]:
         raise InputError(f"{masses.size} masses for {outputs.shape[0]} output rows")
     first, group = group_rows(outputs)
-    return PredictorTable(outputs[first], np.bincount(group, masses, first.size), kind)
+    return PredictorTable(outputs[first], np.bincount(group, masses, first.size))
 
 
 def project_onto_slice(v: np.ndarray, p: np.ndarray) -> np.ndarray:

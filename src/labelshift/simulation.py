@@ -6,6 +6,8 @@ base seed and trial indices, so every trial reproduces from its key alone.
 """
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -92,7 +94,6 @@ class ExperimentConfig:
     tol: float = 1e-6
     max_iters: int = 2000
     bins: int | None = None
-    w_star_from: str = "marginal"  # or "realized"
     miscalibration: BctsParams | None = None
 
     def __post_init__(self):
@@ -103,8 +104,10 @@ class ExperimentConfig:
         EstimatorConfig(self.max_iters, self.tol)  # rejects a bad solver budget before any trial
         if self.n_trials < 1 or self.n_source < 1:
             raise InputError("invalid trial configuration")
-        if self.w_star_from not in ("marginal", "realized"):
-            raise InputError(f"unknown w_star_from: {self.w_star_from}")
+        if not self.shifts:
+            raise InputError("shifts must name at least one shift")
+        if not self.m_values or min(self.m_values) < 1:
+            raise InputError(f"m_values must be a nonempty list of sizes >= 1, not {list(self.m_values)}")
 
 
 def sample_gmm(spec: GmmSpec, marginal: ProbVector, n: int, seed: int, *indices: int) -> tuple:
@@ -153,7 +156,7 @@ def target_table_from_outputs(outputs: np.ndarray) -> PredictorTable:
     """Group an (m, k) output matrix into a count table over distinct rows,
     in order of first occurrence."""
     rows = normalized_rows(outputs, tol=1e-6)
-    return grouped_table(rows, np.ones(rows.shape[0]), "count")
+    return grouped_table(rows, np.ones(rows.shape[0]))
 
 
 def _estimate_once(method, cfg, source_samples, target_table, source_marginal):
@@ -187,7 +190,7 @@ def run_single_trial(cfg: ExperimentConfig, shift_idx: int, m_idx: int, trial: i
 
     p_t = shift.draw(k, rng_for(cfg.base_seed, *seed_key, 0))
     src_x, src_y = sample_gmm(spec, p_s, cfg.n_source, cfg.base_seed, *seed_key, 1)
-    tgt_x, tgt_y = sample_gmm(spec, p_t, m, cfg.base_seed, *seed_key, 2)
+    tgt_x, _ = sample_gmm(spec, p_t, m, cfg.base_seed, *seed_key, 2)
 
     src_outputs = gmm_posterior(spec, src_x)
     tgt_outputs = gmm_posterior(spec, tgt_x)
@@ -205,11 +208,7 @@ def run_single_trial(cfg: ExperimentConfig, shift_idx: int, m_idx: int, trial: i
     source_samples = samples_from_outputs(src_outputs, src_y)
     target_table = target_table_from_outputs(tgt_outputs)
 
-    if cfg.w_star_from == "marginal":
-        w_star_vec = p_t.entries / p_s.entries
-    else:
-        freq = np.bincount(tgt_y, minlength=k) / m
-        w_star_vec = freq / p_s.entries
+    w_star_vec = p_t.entries / p_s.entries
     w_star = WeightVector(w_star_vec / (w_star_vec @ p_s.entries), p_s)
 
     seed64 = int(np.random.SeedSequence(cfg.base_seed, spawn_key=seed_key).generate_state(1)[0])
@@ -284,12 +283,15 @@ def run_trials(cfg: ExperimentConfig):
 
 def aggregate_to_csv(rows) -> str:
     """The sweep table, one line per row. Rows of a binned sweep carry
-    `mean_min_eig`, which is then the last column."""
+    `mean_min_eig`, which is then the last column. A field that holds a
+    comma, such as an explicit shift's `pt=0.99,0.01`, is quoted."""
     eig = any(r.mean_min_eig is not None for r in rows)
-    lines = ["shift_param,method,m,n_trials,n_failed,mse,stderr" + (",mean_min_eig" if eig else "")]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["shift_param", "method", "m", "n_trials", "n_failed", "mse", "stderr"]
+                    + (["mean_min_eig"] if eig else []))
     for r in rows:
-        lines.append(
-            f"{r.shift_param},{r.method},{r.m},{r.n_trials},{r.n_failed},{r.mse:.10g},{r.stderr:.10g}"
-            + (f",{r.mean_min_eig:.10g}" if eig else "")
-        )
-    return "\n".join(lines) + "\n"
+        writer.writerow([r.shift_param, r.method, r.m, r.n_trials, r.n_failed,
+                         f"{r.mse:.10g}", f"{r.stderr:.10g}"]
+                        + ([f"{r.mean_min_eig:.10g}"] if eig else []))
+    return out.getvalue()

@@ -71,14 +71,14 @@ def worked_instance_target_table(w_star=W_STAR_3):
     """Population target table p_t(x_i) = Ps @ p_t(y) / 2 on the F rows."""
     pt_y = W_STAR_3 * UNIFORM_3.entries if w_star is W_STAR_3 else np.asarray(w_star) / 3.0
     masses = PS_ROWS @ pt_y / 2.0
-    return grouped_table(F_ROWS, masses, "probability")
+    return grouped_table(F_ROWS, masses)
 
 
-def random_table(rng, n, k, kind="probability"):
+def random_table(rng, n, k):
     """Random predictor table: Dirichlet outputs with Dirichlet masses."""
     outputs = normalized_rows([rng.dirichlet(np.ones(k)) for _ in range(n)], tol=1e-9)
     masses = rng.dirichlet(np.ones(n))
-    return grouped_table(outputs, masses, kind)
+    return grouped_table(outputs, masses)
 
 
 def random_marginal(rng, k, floor=0.05):

@@ -302,7 +302,7 @@ class TestCalibrationError:
         labels = [0, 0, 0, 1] + [0, 1, 1, 1]
         report = estimate_calibration_error(make_samples(outputs, labels))
         table = grouped_table(
-            [np.array([0.8, 0.2]), np.array([0.4, 0.6])], [0.5, 0.5], "probability"
+            [np.array([0.8, 0.2]), np.array([0.4, 0.6])], [0.5, 0.5]
         )
         posteriors = np.array([[0.75, 0.25], [0.25, 0.75]])
         assert calibration_error_of_table(table, posteriors) == pytest.approx(

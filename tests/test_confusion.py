@@ -89,7 +89,7 @@ class TestTargetMarginal:
     def test_masses_weight_the_support(self, kind):
         # a count table over two rows equals the table of its rows repeated
         support = np.array([[0.9, 0.1], [0.2, 0.8]])
-        grouped = grouped_table(support, np.array([3.0, 1.0]), "count")
+        grouped = grouped_table(support, np.array([3.0, 1.0]))
         repeated = target_table_from_outputs(support[[0, 0, 0, 1]])
         mu = build_target_prediction_marginal(grouped, kind)
         np.testing.assert_allclose(mu.entries, build_target_prediction_marginal(repeated, kind).entries)

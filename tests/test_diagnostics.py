@@ -36,7 +36,7 @@ from tests.conftest import (
 )
 
 TWO_POINT = grouped_table(
-    [np.array([0.8, 0.2]), np.array([0.2, 0.8])], [0.7, 0.3], "probability"
+    [np.array([0.8, 0.2]), np.array([0.2, 0.8])], [0.7, 0.3]
 )
 UNIFORM_2 = ProbVector(np.array([0.5, 0.5]))
 ONES_2 = WeightVector(np.ones(2), UNIFORM_2)
@@ -58,13 +58,13 @@ class TestLikelihoodQuantities:
 
     def test_count_table_normalization(self):
         counted = grouped_table(
-            [np.array([0.8, 0.2]), np.array([0.2, 0.8])], [70.0, 30.0], "count"
+            [np.array([0.8, 0.2]), np.array([0.2, 0.8])], [70.0, 30.0]
         )
         w = np.array([1.4, 0.6])
         assert log_likelihood(counted, w) == pytest.approx(log_likelihood(TWO_POINT, w))
 
     def test_nonpositive_inner_product_names_point(self):
-        table = grouped_table([np.array([1.0, 0.0]), np.array([0.0, 1.0])], [0.5, 0.5], "probability")
+        table = grouped_table([np.array([1.0, 0.0]), np.array([0.0, 1.0])], [0.5, 0.5])
         with pytest.raises(InputError, match="support point 0"):
             log_likelihood(table, np.array([0.0, 2.0]))
 
@@ -166,7 +166,7 @@ class TestIdentifiability:
     def test_rank_deficient_table(self):
         a = np.array([0.5, 0.5, 0.0])
         b = np.array([0.0, 0.5, 0.5])
-        table = grouped_table([a, b, (a + b) / 2.0], [0.4, 0.4, 0.2], "probability")
+        table = grouped_table([a, b, (a + b) / 2.0], [0.4, 0.4, 0.2])
         ok, eig = check_identifiability(table)
         assert not ok
         assert eig == pytest.approx(0.0, abs=1e-12)
@@ -281,7 +281,6 @@ class TestExampleOne:
             table = grouped_table(
                 [np.array([c, 1.0 - c]), np.array([1.0 - c, c])],
                 [1.0 - pt_neg, pt_neg],
-                "probability",
             )
             grid = np.linspace(0.0, 2.0, 400_001)
             F = table.support

@@ -144,7 +144,7 @@ class TestMllsEm:
         # Hand-solvable: stationarity sum_i m_i f_i / (f_i . w) = p_s gives
         # w = [5/3, 1/3] for masses (0.7, 0.3) on outputs (0.8,0.2), (0.2,0.8).
         table = grouped_table(
-            [np.array([0.8, 0.2]), np.array([0.2, 0.8])], [0.7, 0.3], "probability"
+            [np.array([0.8, 0.2]), np.array([0.2, 0.8])], [0.7, 0.3]
         )
         res = mlls_em(table, UNIFORM_2, TIGHT)
         np.testing.assert_allclose(res.weights.weights, [5.0 / 3.0, 1.0 / 3.0], atol=1e-9)
@@ -155,7 +155,7 @@ class TestMllsEm:
         # is exactly w*.
         pt_y = W_STAR_3 / 3.0
         masses = PS_ROWS @ pt_y / 2.0
-        table = grouped_table(PS_ROWS, masses, "probability")
+        table = grouped_table(PS_ROWS, masses)
         res = mlls_em(table, UNIFORM_3, TIGHT)
         np.testing.assert_allclose(res.weights.weights, W_STAR_3, atol=1e-8)
 
@@ -172,12 +172,12 @@ class TestMllsEm:
 
     def test_count_masses_match_probability_masses(self):
         outs = [np.array([0.8, 0.2]), np.array([0.2, 0.8])]
-        res_p = mlls_em(grouped_table(outs, [0.7, 0.3], "probability"), UNIFORM_2, TIGHT)
-        res_c = mlls_em(grouped_table(outs, [70.0, 30.0], "count"), UNIFORM_2, TIGHT)
+        res_p = mlls_em(grouped_table(outs, [0.7, 0.3]), UNIFORM_2, TIGHT)
+        res_c = mlls_em(grouped_table(outs, [70.0, 30.0]), UNIFORM_2, TIGHT)
         np.testing.assert_allclose(res_p.weights.weights, res_c.weights.weights, atol=1e-12)
 
     def test_all_zero_output_rejected(self):
-        table = grouped_table([np.array([0.0, 1.0]), np.array([1.0, 0.0])], [1.0, 1.0], "count")
+        table = grouped_table([np.array([0.0, 1.0]), np.array([1.0, 0.0])], [1.0, 1.0])
         # zero entries are fine; an all-zero row cannot occur for ProbVector
         # inputs, so exercise the q-support failure path instead: a point with
         # f . q = 0 at initialization.
@@ -264,7 +264,7 @@ class TestNewtonFinish:
         # attempt ends after STALL_STEPS such steps, not after 30.
         a, d = np.array([0.05, 0.1, 0.4]), 1e-9 * np.array([1.0, -1.0, 1.0])
         rows = np.column_stack([a, a + d, 1.0 - 2.0 * a - d])
-        table = grouped_table(rows, np.ones(3), "count")
+        table = grouped_table(rows, np.ones(3))
         assert not check_identifiability(table)[0]
         p = ProbVector(np.array([0.25, 0.25, 0.5]))
         calls = []
@@ -372,14 +372,14 @@ class TestKktCertificate:
         res = mlls_cm(source, target_table_from_outputs(target), p)
         rows = conf.joint / conf.joint.sum(axis=1, keepdims=True)
         pred = target.argmax(axis=1)
-        table = grouped_table(normalized_rows(rows[pred], tol=1e-9), np.ones(pred.size), "count")
+        table = grouped_table(normalized_rows(rows[pred], tol=1e-9), np.ones(pred.size))
         self._check(res, likelihood_gradient(table, res.weights), p.entries)
 
     def test_mlls_singular_hessian(self):
         # classes 1 and 2 have equal columns in every support row, so the
         # Hessian is singular on every face: the maximizers form a segment
         table = grouped_table(
-            np.array([[3 / 11, 4 / 11, 4 / 11], [1 / 6, 5 / 12, 5 / 12]]), np.ones(2), "count"
+            np.array([[3 / 11, 4 / 11, 4 / 11], [1 / 6, 5 / 12, 5 / 12]]), np.ones(2)
         )
         p = np.array([10, 13, 13]) / 36
         for solver in (mlls_em, mlls_grad):
@@ -422,7 +422,7 @@ class TestArrayPathProperties:
         return rng, k, rows, random_marginal(rng, k)
 
     def _mlls(self, rows, masses, p):
-        return mlls_em(grouped_table(rows, masses, "count"), p, self.CFG).weights.weights
+        return mlls_em(grouped_table(rows, masses), p, self.CFG).weights.weights
 
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=15, deadline=None)
@@ -433,7 +433,7 @@ class TestArrayPathProperties:
         perm = rng.permutation(len(rows))
         np.testing.assert_allclose(self._mlls(rows[perm], ones, p), w, atol=1e-9)
         doubled = self._mlls(np.vstack([rows, rows]), np.ones(2 * len(rows)), p)
-        direct = mlls_em(PredictorTable(rows, 2.0 * ones, "count"), p, self.CFG)
+        direct = mlls_em(PredictorTable(rows, 2.0 * ones), p, self.CFG)
         np.testing.assert_allclose(doubled, direct.weights.weights, atol=1e-9)
         np.testing.assert_allclose(doubled, w, atol=1e-9)
 
@@ -530,7 +530,7 @@ class TestMllsCm:
         # the grouped table of the 100 target rows, two rows with masses
         # 35 and 65, gives the same estimate as the rows themselves
         source = make_samples([[0.9, 0.1]] * 5 + [[0.1, 0.9]] * 5, [0, 0, 0, 0, 1, 0, 1, 1, 1, 1])
-        table = grouped_table(np.array([[0.9, 0.1], [0.1, 0.9]]), np.array([35.0, 65.0]), "count")
+        table = grouped_table(np.array([[0.9, 0.1], [0.1, 0.9]]), np.array([35.0, 65.0]))
         res = mlls_cm(source, table, UNIFORM_2, TIGHT)
         np.testing.assert_allclose(res.weights.weights, [0.5, 1.5], atol=1e-8)
 

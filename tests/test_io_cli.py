@@ -755,10 +755,13 @@ class TestBenchmarkCommand:
             ({"miscalibration": {"temperature": 2, "biases": [0, 0, 0]}}, "biases"),
             ({"miscalibration": {"temperature": 2, "biases": [0, 0], "scale": 1}}, "miscalibration"),
             ({"miscalibration": {"temperature": 2, "biases": [0, "a"]}}, "biases"),
+            ({"shifts": []}, "shifts"),
+            ({"m_values": []}, "m_values"),
+            ({"m_values": [100, 0]}, "m_values"),
         ],
         ids=["dirichlet_without_alpha", "string_n_source", "string_shifts", "float_m", "null_mu",
              "no_budget", "zero_temperature", "biases_not_k", "unknown_miscalibration_key",
-             "string_bias"],
+             "string_bias", "no_shifts", "no_m_values", "zero_m"],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, monkeypatch, overrides, key):
         monkeypatch.setattr(labelshift.cli, "run_trials", None)  # no trial may run
@@ -796,11 +799,14 @@ class TestBenchmarkCommand:
         cfg_path.write_text(json.dumps(cfg))
         code, _, err = run_cli(capsys, "benchmark", "--config", str(cfg_path), "--output", str(out_path))
         assert code == 0, err
-        header, *rows = out_path.read_text().splitlines()
+        text = out_path.read_text()
+        header, *rows = text.splitlines()
         assert header == "shift_param,method,m,n_trials,n_failed,mse,stderr" + (
             ",mean_min_eig" if "bins" in cfg else ""
         )
         assert len(rows) == len(cfg["shifts"]) * len(cfg["m_values"]) * len(cfg["methods"])
+        fields, *records = csv.reader(io.StringIO(text))
+        assert [len(r) for r in records] == [len(fields)] * len(rows)
 
     def test_required_keys_alone_take_the_dataclass_defaults(self):
         required = {key: value for key, value in self.benchmark_config().items() if key != "n_source"}

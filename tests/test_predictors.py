@@ -103,8 +103,7 @@ class TestBinning:
     def test_remap_through_empty_bin_fails(self):
         outputs, labels = self._toy()
         pred = bin_aggregate(make_samples(outputs, labels), n_bins=4)
-        assert len(pred.empty_bins) > 0
-        empty = pred.empty_bins[0]
+        empty = int(np.flatnonzero(np.isnan(pred.bin_outputs[:, 0]))[0])
         probe = np.array([[(empty + 0.5) / 4.0, 1.0 - (empty + 0.5) / 4.0]])
         with pytest.raises(InputError):
             pred.remap_matrix(probe)

@@ -85,27 +85,30 @@ class TestLabeledPredictions:
 class TestPredictorTable:
     def test_grouped_table_merges_bitwise_duplicates(self):
         a = np.array([0.3, 0.7])
-        t = grouped_table([a, np.array([0.6, 0.4]), a.copy()], [1.0, 2.0, 3.0], "count")
+        t = grouped_table([a, np.array([0.6, 0.4]), a.copy()], [1.0, 2.0, 3.0])
         assert len(t.support) == 2
         merged = dict(zip(map(tuple, t.support), t.masses))
         assert merged[(0.3, 0.7)] == 4.0
 
     def test_normalized_masses(self):
-        t = grouped_table([np.array([0.3, 0.7]), np.array([0.6, 0.4])], [1.0, 3.0], "count")
+        t = grouped_table([np.array([0.3, 0.7]), np.array([0.6, 0.4])], [1.0, 3.0])
         np.testing.assert_allclose(t.normalized_masses(), [0.25, 0.75])
 
-    def test_probability_kind_must_sum_to_one(self):
-        with pytest.raises(InputError):
-            grouped_table([np.array([0.3, 0.7])], [0.5], "probability")
+    @pytest.mark.parametrize(
+        "masses", [[0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0]], ids=["zero", "nan", "inf"]
+    )
+    def test_masses_need_a_positive_finite_total(self, masses):
+        with pytest.raises(InputError, match="positive finite total"):
+            grouped_table([np.array([0.3, 0.7]), np.array([0.6, 0.4])], masses)
 
     def test_grouped_table_rejects_rows_without_columns(self):
         with pytest.raises(InputError, match="k >= 1"):
-            grouped_table(np.empty((3, 0)), np.ones(3), "count")
+            grouped_table(np.empty((3, 0)), np.ones(3))
 
     def test_rejects_duplicate_support(self):
         out = np.array([0.3, 0.7])
         with pytest.raises(InputError):
-            PredictorTable(np.array([out, out]), np.array([0.5, 0.5]), "probability")
+            PredictorTable(np.array([out, out]), np.array([0.5, 0.5]))
 
 
 def group_rows_by_unique(rows):
@@ -198,10 +201,10 @@ class TestGroupRows:
     def test_table_rejects_support_iff_rows_repeat(self, rows):
         distinct = group_rows_by_unique(rows)[0].size == rows.shape[0]
         if distinct:
-            PredictorTable(rows, np.ones(rows.shape[0]), "count")
+            PredictorTable(rows, np.ones(rows.shape[0]))
         else:
             with pytest.raises(InputError, match="duplicate output vector"):
-                PredictorTable(rows, np.ones(rows.shape[0]), "count")
+                PredictorTable(rows, np.ones(rows.shape[0]))
 
     @pytest.mark.parametrize("shape", [(3, 0), (0, 0), (2, 2, 2)])
     def test_rejects_arrays_that_are_not_rows(self, shape):
@@ -224,12 +227,12 @@ class TestGroupRows:
         masses = np.ones(rows.shape[0])
         if rows.shape[0] == 0:
             with pytest.raises(InputError, match="nonempty"):
-                PredictorTable(rows, masses, "count")
+                PredictorTable(rows, masses)
         elif ref_first.size == rows.shape[0]:
-            PredictorTable(rows, masses, "count")
+            PredictorTable(rows, masses)
         else:
             with pytest.raises(InputError, match="duplicate output vector"):
-                PredictorTable(rows, masses, "count")
+                PredictorTable(rows, masses)
 
 
 def _k2_feasible(w, p):

@@ -179,36 +179,31 @@ class TestTrials:
         _, rows = run_trials(cfg)
         assert all(row.n_failed == cfg.n_trials for row in rows)
 
-    def test_realized_w_star_mode(self):
-        cfg = small_config(w_star_from="realized")
-        for rep in run_single_trial(cfg, 0, 0, 0):
-            # realized weights reflect the drawn labels, so the target marginal
-            # implied by w_star matches the sample exactly up to discreteness
-            assert abs(rep.w_star.weights @ UNIFORM_2.entries - 1.0) < 1e-9
-
     def test_config_validation(self):
         with pytest.raises(InputError):
             small_config(methods=())
         with pytest.raises(InputError):
             small_config(n_trials=0)
-        with pytest.raises(InputError):
-            small_config(w_star_from="guess")
 
     @pytest.mark.parametrize(
         "overrides",
-        [{"methods": ("bbse_hard", "mlls")}, {"rlls_lambda": -1e-3}, {"max_iters": 0}, {"tol": 0.0}],
-        ids=["unknown_method", "negative_lambda", "no_budget", "zero_tol"],
+        [{"methods": ("bbse_hard", "mlls")}, {"rlls_lambda": -1e-3}, {"max_iters": 0}, {"tol": 0.0},
+         {"shifts": ()}, {"m_values": ()}, {"m_values": (100, 0)}],
+        ids=["unknown_method", "negative_lambda", "no_budget", "zero_tol", "no_shifts", "no_m_values",
+             "zero_m"],
     )
     def test_config_rejects_before_any_trial(self, overrides):
         with pytest.raises(InputError):
             small_config(**overrides)
 
     def test_csv_round_shape(self):
-        rows = [AggregateRow("alpha=1", "bbse_hard", 100, 5, 0.25, 0.01)]
+        rows = [AggregateRow("alpha=1", "bbse_hard", 100, 5, 0.25, 0.01),
+                AggregateRow("pt=0.99,0.01", "mlls_em", 100, 5, 0.5, 0.02)]
         csv = aggregate_to_csv(rows)
         lines = csv.strip().split("\n")
         assert lines[0] == "shift_param,method,m,n_trials,n_failed,mse,stderr"
         assert lines[1] == "alpha=1,bbse_hard,100,5,0,0.25,0.01"
+        assert lines[2] == '"pt=0.99,0.01",mlls_em,100,5,0,0.5,0.02'  # a comma is quoted
 
     def test_binned_csv_ends_in_mean_min_eig(self):
         _, rows = run_trials(small_config(bins=4))
