@@ -11,9 +11,12 @@ from .confusion import ConfusionMatrix
 from .simplex import (
     LabeledPredictions,
     PredictorTable,
+    column_sums,
     group_rows,
     grouped_table,
     normalized_rows,
+    row_max,
+    row_sums,
 )
 
 ARMIJO_C = 1e-4
@@ -67,14 +70,14 @@ def clip_probs(rows) -> np.ndarray:
     """Clip entries below CLIP_EPS to CLIP_EPS and renormalize each row (for
     log-domain transforms)."""
     p = np.maximum(np.asarray(rows, dtype=float), CLIP_EPS)
-    return p / p.sum(axis=-1, keepdims=True)
+    return p / row_sums(p)[..., None]
 
 
 def _bcts_transform(logp: np.ndarray, inv_t: float, b: np.ndarray) -> np.ndarray:
     z = logp * inv_t + b
-    z -= z.max(axis=-1, keepdims=True)
+    z -= row_max(z)[..., None]
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / row_sums(e)[..., None]
 
 
 def bcts_apply_matrix(params: BctsParams, outputs: np.ndarray) -> np.ndarray:
@@ -88,15 +91,15 @@ def _bcts_loss_grad(logp, onehot, inv_t, b, loss):
     g = _bcts_transform(logp, inv_t, b)
     n = logp.shape[0]
     if loss == "nll":
-        val = -np.log(np.maximum((g * onehot).sum(axis=1), 1e-300)).mean()
+        val = -np.log(np.maximum(row_sums(g * onehot), 1e-300)).mean()
         dz = (g - onehot) / n
     else:  # mse
         diff = g - onehot
-        val = (diff ** 2).sum(axis=1).mean()
+        val = row_sums(diff ** 2).mean()
         # dz through the softmax Jacobian diag(g) - g g^T
         dg = 2.0 * diff / n
-        dz = g * (dg - (dg * g).sum(axis=1, keepdims=True))
-    grad = np.concatenate(([(dz * logp).sum()], dz.sum(axis=0)))
+        dz = g * (dg - row_sums(dg * g)[:, None])
+    grad = np.concatenate(([(dz * logp).sum()], column_sums(dz)))
     return val, grad, g
 
 
@@ -107,11 +110,11 @@ def _bcts_fisher(logp, g):
     1/k to every b-block entry removes it without moving a step orthogonal to 1."""
     n, k = g.shape
     gl = g * logp
-    m = gl.sum(axis=1)  # g_i . log p_i
+    m = row_sums(gl)  # g_i . log p_i
     H = np.empty((k + 1, k + 1))
     H[0, 0] = ((gl * logp).sum() - m @ m) / n
-    H[0, 1:] = H[1:, 0] = (gl.sum(axis=0) - m @ g) / n
-    H[1:, 1:] = (np.diag(g.sum(axis=0)) - g.T @ g) / n + 1.0 / k
+    H[0, 1:] = H[1:, 0] = (column_sums(gl) - m @ g) / n
+    H[1:, 1:] = (np.diag(column_sums(g)) - g.T @ g) / n + 1.0 / k
     return H
 
 
@@ -194,13 +197,13 @@ def confusion_row_calibrate(confusion: ConfusionMatrix) -> PredictorTable:
     prediction, with mass p_s(yhat=i) per entry.
     """
     joint = confusion.joint
-    row_sums = joint.sum(axis=1)
-    if np.any(row_sums <= 0):
+    pred_mass = row_sums(joint)
+    if np.any(pred_mass <= 0):
         raise InputError(
-            f"confusion row for prediction {int(np.argmax(row_sums <= 0))} has zero mass"
+            f"confusion row for prediction {int(np.argmax(pred_mass <= 0))} has zero mass"
         )
-    rows = joint / row_sums[:, None]
-    return grouped_table(normalized_rows(rows, tol=1e-9), row_sums)
+    rows = joint / pred_mass[:, None]
+    return grouped_table(normalized_rows(rows, tol=1e-9), pred_mass)
 
 
 def estimate_calibration_error(samples: LabeledPredictions) -> CalibrationReport:
@@ -214,7 +217,7 @@ def estimate_calibration_error(samples: LabeledPredictions) -> CalibrationReport
     label_means = np.bincount(group * k + labels, minlength=g * k).reshape(g, k) / sizes[:, None]
     masses = sizes / n
     F = outputs[first]
-    sq = float(masses @ ((F - label_means) ** 2).sum(axis=1))
+    sq = float(masses @ row_sums((F - label_means) ** 2))
     return CalibrationReport(float(np.sqrt(sq)), F, label_means, masses)
 
 
@@ -224,5 +227,5 @@ def calibration_error_of_table(table: PredictorTable, posteriors) -> float:
     P = np.asarray(posteriors, dtype=float)
     if P.shape != table.support.shape:
         raise InputError("posteriors must align with the table support")
-    sq = float(table.normalized_masses() @ ((table.support - P) ** 2).sum(axis=1))
+    sq = float(table.normalized_masses() @ row_sums((table.support - P) ** 2))
     return float(np.sqrt(sq))

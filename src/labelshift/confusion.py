@@ -6,7 +6,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .simplex import SIMPLEX_TOL, LabeledPredictions, PredictorTable, ProbVector, _freeze
+from .simplex import (
+    SIMPLEX_TOL,
+    LabeledPredictions,
+    PredictorTable,
+    ProbVector,
+    _freeze,
+    column_sums,
+)
 
 
 @dataclass(frozen=True)
@@ -28,7 +35,7 @@ class ConfusionMatrix:
             raise InputError("confusion matrix has negative entries")
         if abs(j.sum() - 1.0) > SIMPLEX_TOL:
             raise InputError(f"confusion matrix total mass {j.sum()} != 1")
-        if np.max(np.abs(j.sum(axis=0) - self.column_marginal.entries)) > SIMPLEX_TOL:
+        if np.max(np.abs(column_sums(j) - self.column_marginal.entries)) > SIMPLEX_TOL:
             raise InputError("confusion column sums disagree with column marginal")
         object.__setattr__(self, "joint", j)
 
@@ -44,7 +51,7 @@ def build_hard_confusion(samples: LabeledPredictions) -> ConfusionMatrix:
     joint = np.zeros((k, k))
     np.add.at(joint, (pred, samples.labels), 1.0)
     joint /= n
-    return ConfusionMatrix(joint, ProbVector(joint.sum(axis=0)))
+    return ConfusionMatrix(joint, ProbVector(column_sums(joint)))
 
 
 def build_soft_confusion(samples: LabeledPredictions) -> ConfusionMatrix:
@@ -60,9 +67,9 @@ def build_soft_confusion(samples: LabeledPredictions) -> ConfusionMatrix:
     for j in range(k):
         mask = labels == j
         if mask.any():
-            joint[:, j] = outputs[mask].sum(axis=0)
+            joint[:, j] = column_sums(outputs[mask])
     joint /= n
-    return ConfusionMatrix(joint, ProbVector.normalized(joint.sum(axis=0), tol=1e-9))
+    return ConfusionMatrix(joint, ProbVector.normalized(column_sums(joint), tol=1e-9))
 
 
 def build_target_prediction_marginal(table: PredictorTable, kind: str) -> ProbVector:
@@ -73,5 +80,5 @@ def build_target_prediction_marginal(table: PredictorTable, kind: str) -> ProbVe
     if kind == "hard":
         return ProbVector(np.bincount(support.argmax(axis=1), masses, support.shape[1]) / total)
     if kind == "soft":
-        return ProbVector.normalized((support * masses[:, None]).sum(axis=0) / total, tol=1e-9)
+        return ProbVector.normalized(column_sums(support * masses[:, None]) / total, tol=1e-9)
     raise InputError(f"unknown marginal kind: {kind}")

@@ -18,10 +18,12 @@ from .simplex import (
     PredictorTable,
     ProbVector,
     WeightVector,
+    column_sums,
     grouped_table,
     normalized_rows,
     project_onto_slice,
     project_to_weight_simplex,
+    row_sums,
 )
 
 METHODS = ("bbse_hard", "bbse_soft", "rlls", "mlls_em", "mlls_grad", "mlls_cm")
@@ -309,7 +311,7 @@ def mlls_cm(
     """
     conf = build_hard_confusion(source_samples)
     confusion_row_calibrate(conf)  # validates that every hard prediction is reachable
-    rows = conf.joint / conf.joint.sum(axis=1)[:, None]
+    rows = conf.joint / row_sums(conf.joint)[:, None]
     support, masses = target_table.support, target_table.masses
     counts = np.bincount(support.argmax(axis=1), masses, conf.k)
     keep = counts > 0
@@ -334,7 +336,7 @@ def distribution_match_lsq(
     t = np.asarray(target, dtype=float)
     if J.ndim != 2 or J.shape[0] != t.size:
         raise InputError("joint and target shapes are inconsistent")
-    if np.max(np.abs(J.sum(axis=0) - source_marginal.entries)) > 1e-6:
+    if np.max(np.abs(column_sums(J) - source_marginal.entries)) > 1e-6:
         raise InputError("joint column sums disagree with the source marginal")
     if np.linalg.matrix_rank(J, tol=1e-10) < J.shape[1]:
         warnings.warn("rank-deficient joint: weights are not identifiable", stacklevel=2)

@@ -26,6 +26,7 @@ import warnings
 import numpy as np
 
 from .errors import InputError
+from .simplex import row_sums
 
 ROW_SUM_TOL = 1e-6
 WRITE_CHUNK_ROWS = 4096  # rows formatted per write, which bounds the text held at once
@@ -94,7 +95,7 @@ def _parse_body(fh, k: int, has_label: bool):
         return None
     probs = data["p"]
     labels = data["y"].copy() if has_label else None
-    s = probs.sum(axis=1)
+    s = row_sums(probs)
     # NaN fails every comparison and an inf entry makes its row sum inf, so
     # these also reject non-finite entries
     if not (

@@ -102,8 +102,10 @@ class ExperimentConfig:
         if not self.rlls_lambda >= 0:
             raise InputError("rlls_lambda must be nonnegative")
         EstimatorConfig(self.max_iters, self.tol)  # rejects a bad solver budget before any trial
-        if self.n_trials < 1 or self.n_source < 1:
-            raise InputError("invalid trial configuration")
+        for key in ("n_trials", "n_source", "bins"):
+            value = getattr(self, key)
+            if value is not None and value < 1:
+                raise InputError(f"{key} must be >= 1, not {value}")
         if not self.shifts:
             raise InputError("shifts must name at least one shift")
         if not self.m_values or min(self.m_values) < 1:

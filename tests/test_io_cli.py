@@ -758,10 +758,14 @@ class TestBenchmarkCommand:
             ({"shifts": []}, "shifts"),
             ({"m_values": []}, "m_values"),
             ({"m_values": [100, 0]}, "m_values"),
+            ({"n_trials": 0}, "n_trials"),
+            ({"n_source": 0}, "n_source"),
+            ({"bins": 0}, "bins"),
         ],
         ids=["dirichlet_without_alpha", "string_n_source", "string_shifts", "float_m", "null_mu",
              "no_budget", "zero_temperature", "biases_not_k", "unknown_miscalibration_key",
-             "string_bias", "no_shifts", "no_m_values", "zero_m"],
+             "string_bias", "no_shifts", "no_m_values", "zero_m", "zero_trials", "zero_source",
+             "zero_bins"],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, monkeypatch, overrides, key):
         monkeypatch.setattr(labelshift.cli, "run_trials", None)  # no trial may run

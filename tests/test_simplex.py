@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from labelshift.errors import InputError
 from labelshift.simplex import (
@@ -11,11 +12,87 @@ from labelshift.simplex import (
     ProbVector,
     WeightVector,
     _first_column_distinct,
+    column_sums,
     group_rows,
     grouped_table,
     project_to_weight_simplex,
+    row_max,
+    row_sums,
     weights_to_target_marginal,
 )
+
+
+def assert_same_bits(got, want):
+    """Equal shape and equal bits, except that a NaN only has to meet a NaN:
+    which payload an operation on two NaNs keeps is up to the machine loop."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+def check_class_axis_helpers(a):
+    with np.errstate(all="ignore"):  # inf - inf and overflow warn on both sides
+        assert_same_bits(row_sums(a), a.sum(axis=-1))
+        assert_same_bits(row_max(a), a.max(axis=-1))
+        assert_same_bits(column_sums(a), a.sum(axis=0))
+        assert_same_bits(row_sums(a[0]), a[0].sum(axis=-1))
+        assert_same_bits(row_max(a[0]), a[0].max(axis=-1))
+
+
+@st.composite
+def strided_views(draw, k):
+    """An (n, k) float array with n >= 1, as one of the layouts the package
+    reduces: contiguous, the reader's structured field view `data["p"]`, a
+    boolean-mask row subset, a column slice of a wider array, Fortran order
+    or reversed rows. Entries range over every float, -0.0, inf and NaN included."""
+    n = draw(st.integers(1, 40))
+    a = draw(arrays(np.float64, (n, k), elements=st.floats(), fill=st.nothing()))
+    layout = draw(st.sampled_from(["contiguous", "field", "mask", "column_slice", "fortran", "reversed"]))
+    if layout == "field":
+        data = np.zeros(n, dtype=[("p", np.float64, (k,)), ("y", np.int64)])
+        data["p"] = a
+        return data["p"]
+    if layout == "mask":
+        keep = draw(arrays(bool, n))
+        keep[draw(st.integers(0, n - 1))] = True
+        return a[keep]
+    if layout == "column_slice":
+        return np.concatenate([a, np.ones((n, draw(st.integers(1, 3))))], axis=1)[:, :k]
+    if layout == "fortran":
+        return np.asfortranarray(a)
+    if layout == "reversed":
+        return a[::-1]
+    return a
+
+
+class TestClassAxisHelpers:
+    """row_sums, row_max and column_sums return numpy's own bits."""
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_same_bits_as_numpy(self, k, data):
+        check_class_axis_helpers(data.draw(strided_views(k)))
+
+    @pytest.mark.parametrize("k", [2, 7, 8, 10])
+    @pytest.mark.parametrize("n", [4097, 100_001])
+    def test_same_bits_on_long_arrays(self, n, k):
+        rng = np.random.default_rng(n + k)
+        a = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-8, 8, size=(n, k))
+        a[rng.random((n, k)) < 0.05] = -0.0
+        check_class_axis_helpers(a)
+        check_class_axis_helpers(np.concatenate([a, a], axis=1)[:, :k])
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_signed_zeros(self, k):
+        # numpy's row sum starts from +0.0, so a row of -0.0 sums to +0.0, and
+        # its max loop over 8 or more entries can return either zero of a tie
+        a = np.where(np.random.default_rng(k).random((256, k)) < 0.5, 0.0, -0.0)
+        a[0] = -0.0
+        assert_same_bits(row_sums(a)[0], 0.0)
+        check_class_axis_helpers(a)
 
 
 class TestProbVector:
