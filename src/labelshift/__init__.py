@@ -67,7 +67,6 @@ from .simulation import (
     ExperimentConfig,
     ShiftSpec,
     TrialReport,
-    resample_by_marginal,
     rng_for,
     run_single_trial,
     run_trials,

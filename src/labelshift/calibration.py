@@ -7,14 +7,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .confusion import ConfusionMatrix
+from .confusion import ConfusionMatrix, prediction_rows
 from .simplex import (
     LabeledPredictions,
     PredictorTable,
     column_sums,
     group_rows,
     grouped_table,
-    normalized_rows,
     row_max,
     row_sums,
 )
@@ -196,14 +195,7 @@ def confusion_row_calibrate(confusion: ConfusionMatrix) -> PredictorTable:
     The resulting k-entry table is a calibrated predictor over the hard
     prediction, with mass p_s(yhat=i) per entry.
     """
-    joint = confusion.joint
-    pred_mass = row_sums(joint)
-    if np.any(pred_mass <= 0):
-        raise InputError(
-            f"confusion row for prediction {int(np.argmax(pred_mass <= 0))} has zero mass"
-        )
-    rows = joint / pred_mass[:, None]
-    return grouped_table(normalized_rows(rows, tol=1e-9), pred_mass)
+    return grouped_table(prediction_rows(confusion), row_sums(confusion.joint))
 
 
 def estimate_calibration_error(samples: LabeledPredictions) -> CalibrationReport:

@@ -16,11 +16,7 @@ import numpy as np
 
 from .errors import ConvergenceError, IdentifiabilityError, InputError
 from .calibration import BctsParams, bcts_apply_matrix, bcts_fit
-from .confusion import (
-    build_hard_confusion,
-    build_soft_confusion,
-    build_target_prediction_marginal,
-)
+from .confusion import bbse_inputs
 from .diagnostics import (
     condition_tau,
     check_identifiability,
@@ -74,7 +70,7 @@ def _prob_vector(text: str) -> ProbVector:
 
 # ---------------------------------------------------------------- config values
 
-_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string", bool: "true or false",
                list: "a list", dict: "an object"}
 
 
@@ -92,7 +88,7 @@ def _config_value(obj: dict, key: str, kind, default=None):
     if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
         value = float(value)
     if type(value) is not kind or (kind is float and not math.isfinite(value)):
-        raise InputError(f"config key {key!r} must be {_KIND_NAMES[kind]}, not {json.dumps(value)}")
+        raise InputError(f"{key} must be {_KIND_NAMES[kind]}, not {json.dumps(value)}")
     return value
 
 
@@ -125,7 +121,8 @@ def _estimate_settings(args) -> argparse.Namespace:
     s = argparse.Namespace()
     for key, (kind, default) in ESTIMATE_SETTINGS.items():
         flag = getattr(args, key, None)
-        setattr(s, key, flag if flag is not None else _config_value(overrides, key, kind, default))
+        given = overrides if flag is None else {key: flag}
+        setattr(s, key, _config_value(given, key, kind, default))
     if s.method not in METHODS:
         raise InputError(f"unknown method {s.method!r}")
     if s.seed < 0:
@@ -153,9 +150,7 @@ def _run_estimator(
 ):
     """Run one method; a result that did not converge raises ConvergenceError."""
     if method in ("bbse_hard", "bbse_soft", "rlls"):
-        kind = "soft" if method == "bbse_soft" else "hard"
-        conf = (build_hard_confusion if kind == "hard" else build_soft_confusion)(source_samples)
-        mu = build_target_prediction_marginal(table, kind)
+        conf, mu = bbse_inputs(source_samples, table, "soft" if method == "bbse_soft" else "hard")
         if method == "rlls":
             result = rlls(conf, mu, rlls_lambda, est_cfg)
         else:

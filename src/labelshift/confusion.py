@@ -1,4 +1,5 @@
-"""Hard and soft confusion matrices p_s(yhat, y) and target prediction marginals."""
+"""Hard and soft confusion matrices p_s(yhat, y), their rows p_s(y | yhat),
+and target prediction marginals."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -13,6 +14,9 @@ from .simplex import (
     ProbVector,
     _freeze,
     column_sums,
+    normalized_rows,
+    row_argmax,
+    row_sums,
 )
 
 
@@ -47,9 +51,8 @@ class ConfusionMatrix:
 def build_hard_confusion(samples: LabeledPredictions) -> ConfusionMatrix:
     """Count-based joint with yhat = argmax output (ties to the lowest index)."""
     n, k = samples.outputs.shape
-    pred = samples.outputs.argmax(axis=1)  # np.argmax breaks ties toward the lowest index
     joint = np.zeros((k, k))
-    np.add.at(joint, (pred, samples.labels), 1.0)
+    np.add.at(joint, (row_argmax(samples.outputs), samples.labels), 1.0)
     joint /= n
     return ConfusionMatrix(joint, ProbVector(column_sums(joint)))
 
@@ -78,7 +81,28 @@ def build_target_prediction_marginal(table: PredictorTable, kind: str) -> ProbVe
     support, masses = table.support, table.masses
     total = masses.sum()
     if kind == "hard":
-        return ProbVector(np.bincount(support.argmax(axis=1), masses, support.shape[1]) / total)
+        return ProbVector(np.bincount(row_argmax(support), masses, support.shape[1]) / total)
     if kind == "soft":
         return ProbVector.normalized(column_sums(support * masses[:, None]) / total, tol=1e-9)
     raise InputError(f"unknown marginal kind: {kind}")
+
+
+def bbse_inputs(
+    source_samples: LabeledPredictions, table: PredictorTable, kind: str
+) -> tuple[ConfusionMatrix, ProbVector]:
+    """The pair (C, mu) that BBSE and RLLS fit C w = mu to: the source
+    confusion matrix and the target prediction marginal, both from hard
+    (argmax) or both from soft (expected) predictions."""
+    build = build_hard_confusion if kind == "hard" else build_soft_confusion
+    return build(source_samples), build_target_prediction_marginal(table, kind)
+
+
+def prediction_rows(confusion: ConfusionMatrix) -> np.ndarray:
+    """The (k, k) array whose row i is p_s(y | yhat=i). A prediction the
+    source never makes has no such row and is an InputError."""
+    pred_mass = row_sums(confusion.joint)
+    if np.any(pred_mass <= 0):
+        raise InputError(
+            f"confusion row for prediction {int(np.argmax(pred_mass <= 0))} has zero mass"
+        )
+    return normalized_rows(confusion.joint / pred_mass[:, None], tol=1e-9)

@@ -10,8 +10,7 @@ from functools import partial
 import numpy as np
 
 from .errors import IdentifiabilityError, InputError
-from .calibration import confusion_row_calibrate
-from .confusion import ConfusionMatrix, build_hard_confusion
+from .confusion import ConfusionMatrix, build_hard_confusion, prediction_rows
 from .diagnostics import kkt_residual, ll_gradient, ll_hessian, ll_value, reduced_gradient
 from .simplex import (
     LabeledPredictions,
@@ -20,10 +19,9 @@ from .simplex import (
     WeightVector,
     column_sums,
     grouped_table,
-    normalized_rows,
     project_onto_slice,
     project_to_weight_simplex,
-    row_sums,
+    row_argmax,
 )
 
 METHODS = ("bbse_hard", "bbse_soft", "rlls", "mlls_em", "mlls_grad", "mlls_cm")
@@ -121,8 +119,10 @@ def _newton_finish(grad, hess, p, w, max_steps=NEWTON_STEPS):
     the finish stops at the first point whose residual is at the rounding
     level of the gradient or not a tenth of the residual one step before.
     It also ends after max_steps steps, after STALL_STEPS steps without a
-    new smallest residual, or at a point outside the domain of `grad`. A
-    singular Newton system is solved in the least-squares sense.
+    new smallest residual, at a point outside the domain of `grad`, at a
+    point with no positive coordinate, or where the point, the gradient or
+    the Newton system is not finite. A singular Newton system is solved in
+    the least-squares sense.
 
     Returns (w, steps): the point with the smallest residual if that residual
     is at most KKT_TOL and None otherwise, and the Newton steps taken.
@@ -131,11 +131,13 @@ def _newton_finish(grad, hess, p, w, max_steps=NEWTON_STEPS):
     w /= w @ p
     best, best_res, prev_res = None, np.inf, np.inf
     steps = stalled = 0
-    with np.errstate(all="ignore"):  # non-finite values fail the certificate
+    with np.errstate(all="ignore"):  # a non-finite value ends the attempt
         while True:
             try:
                 g = grad(w)
             except InputError:
+                break
+            if not (np.isfinite(w).all() and np.isfinite(g).all()):
                 break
             res = kkt_residual(g, p, w)
             if res < best_res:
@@ -156,6 +158,8 @@ def _newton_finish(grad, hess, p, w, max_steps=NEWTON_STEPS):
             prev_res = res
             r = reduced_gradient(g, p, w)
             free = w > 0
+            if not free.any():
+                break
             if np.abs(r[free]).max() <= KKT_TOL:
                 fixed_r = np.where(free, -np.inf, r)
                 if fixed_r.max() > KKT_TOL:
@@ -164,6 +168,8 @@ def _newton_finish(grad, hess, p, w, max_steps=NEWTON_STEPS):
             K = np.zeros((f.size + 1, f.size + 1))
             K[:-1, :-1] = hess(w)[np.ix_(f, f)]
             K[:-1, -1] = K[-1, :-1] = p[f]
+            if not np.isfinite(K).all():  # an overflowed Hessian; LAPACK may not return on it
+                break
             rhs = np.append(-g[f], 1.0 - p[f] @ w[f])
             try:
                 dw = np.linalg.solve(K, rhs)[:-1]
@@ -230,7 +236,8 @@ def _least_squares(A, b, lam, source_marginal, w0, config) -> EstimateResult:
     is the objective."""
     p = source_marginal.entries
     ones = np.ones(p.size)
-    H = -2.0 * (A.T @ A + lam * np.eye(p.size))
+    with np.errstate(over="ignore"):  # a huge lam overflows H; the Newton finish then gives up
+        H = -2.0 * (A.T @ A + lam * np.eye(p.size))
 
     def value(w):  # negated objective: the solver maximizes
         r, d = A @ w - b, w - ones
@@ -250,8 +257,8 @@ def rlls(
     config: EstimatorConfig = EstimatorConfig(),
 ) -> EstimateResult:
     """Minimize ||C w - mu||^2 + lam * ||w - 1||^2 over the weight slice."""
-    if not lam >= 0:
-        raise InputError(f"rlls needs lambda >= 0, got {lam}")
+    if not 0 <= lam < np.inf:
+        raise InputError(f"rlls needs a finite lambda >= 0, got {lam}")
     return _least_squares(
         confusion.joint, mu.entries, lam, confusion.column_marginal, np.ones(confusion.k), config
     )
@@ -309,14 +316,10 @@ def mlls_cm(
     prediction, and EM runs on the resulting table with at most k support
     points, each carrying the target mass of its prediction.
     """
-    conf = build_hard_confusion(source_samples)
-    confusion_row_calibrate(conf)  # validates that every hard prediction is reachable
-    rows = conf.joint / row_sums(conf.joint)[:, None]
-    support, masses = target_table.support, target_table.masses
-    counts = np.bincount(support.argmax(axis=1), masses, conf.k)
+    rows = prediction_rows(build_hard_confusion(source_samples))
+    counts = np.bincount(row_argmax(target_table.support), target_table.masses, rows.shape[0])
     keep = counts > 0
-    table = grouped_table(normalized_rows(rows[keep], tol=1e-9), counts[keep])
-    return mlls_em(table, source_marginal, config)
+    return mlls_em(grouped_table(rows[keep], counts[keep]), source_marginal, config)
 
 
 def distribution_match_lsq(

@@ -91,12 +91,12 @@ class WeightVector:
         return self.weights.size
 
 
-# Every sum or max over the class axis of a float array goes through
-# `row_sums`, `row_max` or `column_sums`. numpy reduces an (n, k) array over
-# either axis with a k-long inner loop run once per row, which at k = 2 costs
-# 5 to 50 times as much as whole-column operations. Each helper returns the
-# bits numpy returns; a NaN comes out in the same places, though which
-# payload it carries may differ.
+# Every sum, max or argmax over the class axis of a float array goes through
+# `row_sums`, `row_max`, `row_argmax` or `column_sums`. numpy reduces an
+# (n, k) array over either axis with a k-long inner loop run once per row,
+# which at k = 2 costs 5 to 50 times as much as whole-column operations. Each
+# helper returns the bits numpy returns; a NaN comes out in the same places,
+# though which payload it carries may differ.
 COLUMNWISE_MAX_K = 7  # numpy adds 8 or more entries pairwise, not in order
 
 
@@ -123,6 +123,15 @@ def row_max(a: np.ndarray) -> np.ndarray:
     for j in range(1, k):
         m = np.maximum(m, a[..., j])
     return m
+
+
+def row_argmax(a: np.ndarray) -> np.ndarray:
+    """`a.argmax(axis=-1)` of an array without NaN: each row's hard
+    prediction. Two classes are one compare of whole columns, whose strict
+    `>` keeps numpy's tie rule, the lowest index; more stay with numpy."""
+    if a.shape[-1] != 2:
+        return a.argmax(axis=-1)
+    return (a[..., 1] > a[..., 0]).astype(np.intp)
 
 
 def column_sums(a: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InputError, LabelShiftError
 from .calibration import bcts_apply_matrix, BctsParams
-from .confusion import build_hard_confusion, build_soft_confusion, build_target_prediction_marginal
+from .confusion import bbse_inputs
 from .diagnostics import check_identifiability
 from .estimators import (
     METHODS,
@@ -128,32 +128,6 @@ def sample_gmm(spec: GmmSpec, marginal: ProbVector, n: int, seed: int, *indices:
     return xs, labels
 
 
-def resample_by_marginal(
-    pool_xs, pool_labels, target_marginal: ProbVector, n: int, seed: int, *indices: int
-):
-    """Two-stage target sampling from the generator of the (seed, indices...)
-    key: y ~ p_t(y), then x uniform (with replacement) among pool examples
-    with that label."""
-    rng = rng_for(seed, *indices)
-    pool_xs = np.asarray(pool_xs)
-    pool_labels = np.asarray(pool_labels)
-    k = target_marginal.k
-    by_class = [np.flatnonzero(pool_labels == y) for y in range(k)]
-    for y in range(k):
-        if target_marginal.entries[y] > 0 and by_class[y].size == 0:
-            raise InputError(f"class {y} has positive target mass but no pool examples")
-    cum = np.cumsum(target_marginal.entries)
-    labels = np.searchsorted(cum, rng.random(n), side="right")
-    labels = np.minimum(labels, k - 1)
-    xs = np.empty(n, dtype=pool_xs.dtype)
-    for y in range(k):
-        mask = labels == y
-        cnt = int(mask.sum())
-        if cnt:
-            xs[mask] = pool_xs[by_class[y][rng.integers(0, by_class[y].size, cnt)]]
-    return xs, labels
-
-
 def target_table_from_outputs(outputs: np.ndarray) -> PredictorTable:
     """Group an (m, k) output matrix into a count table over distinct rows,
     in order of first occurrence."""
@@ -164,9 +138,7 @@ def target_table_from_outputs(outputs: np.ndarray) -> PredictorTable:
 def _estimate_once(method, cfg, source_samples, target_table, source_marginal):
     est_cfg = EstimatorConfig(max_iters=cfg.max_iters, tol=cfg.tol)
     if method in ("bbse_hard", "bbse_soft", "rlls"):
-        kind = "soft" if method == "bbse_soft" else "hard"
-        conf = (build_hard_confusion if kind == "hard" else build_soft_confusion)(source_samples)
-        mu = build_target_prediction_marginal(target_table, kind)
+        conf, mu = bbse_inputs(source_samples, target_table, "soft" if method == "bbse_soft" else "hard")
         if method == "rlls":
             return rlls(conf, mu, cfg.rlls_lambda, est_cfg)
         return bbse(conf, mu, clip_negative=True)

@@ -1,5 +1,9 @@
 """Shared fixtures and instance generators for the test suite."""
 
+import faulthandler
+import os
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -102,6 +106,32 @@ def make_samples(outputs, labels):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+# A copy of the terminal's stderr, taken before output capturing replaces it,
+# so that a stack dump from `time_bound` reaches the terminal.
+_TERMINAL_STDERR = None
+
+
+def pytest_configure(config):
+    global _TERMINAL_STDERR
+    _TERMINAL_STDERR = os.dup(2)
+
+
+def pytest_unconfigure(config):
+    os.close(_TERMINAL_STDERR)
+
+
+@contextmanager
+def time_bound(seconds):
+    """End the whole test process, dumping every thread's stack, if the body
+    runs longer than `seconds`. A solver stuck in LAPACK cannot be stopped
+    from Python; this way a hang fails the run instead of stalling it."""
+    faulthandler.dump_traceback_later(seconds, exit=True, file=_TERMINAL_STDERR)
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 # Verdict lines recorded by the acceptance suite; echoed after the run so the

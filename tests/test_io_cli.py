@@ -27,7 +27,7 @@ from labelshift.io import (
 )
 from labelshift.simplex import WeightVector
 from labelshift.simulation import ExperimentConfig
-from tests.conftest import F_ROWS, PS_ROWS, W_MISCAL_OPT, face_rlls
+from tests.conftest import F_ROWS, PS_ROWS, W_MISCAL_OPT, face_rlls, time_bound
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -398,6 +398,37 @@ class TestEstimateCommand:
         assert out == ""
         assert json.loads(err) == {
             "error": "input", "message": f"val_fraction must lie in (0, 1), got {value}"
+        }
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("inf", "rlls_lambda must be a finite number, not Infinity"),
+            ("nan", "rlls_lambda must be a finite number, not NaN"),
+            ("-1", "rlls_lambda must be nonnegative, got -1.0"),
+        ],
+        ids=["inf", "nan", "negative"],
+    )
+    def test_bad_lambda_flag_exits_2(self, calibration_files, capsys, value, message):
+        src, tgt = calibration_files
+        code, out, err = run_cli(
+            capsys, "estimate", "--source", str(src), "--target", str(tgt),
+            "--method", "rlls", "--rlls-lambda", value,
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "input", "message": message}
+
+    def test_overflowing_lambda_exits_4(self, calibration_files, capsys):
+        # -2 (C^T C + lam I) overflows; the solver must give up, not hang
+        src, tgt = calibration_files
+        with time_bound(30):
+            code, out, err = run_cli(
+                capsys, "estimate", "--source", str(src), "--target", str(tgt),
+                "--method", "rlls", "--rlls-lambda", "1e308",
+            )
+        assert (code, out) == (4, "")
+        assert json.loads(err) == {
+            "error": "convergence", "message": "rlls did not converge in 10000 iterations"
         }
 
     @pytest.mark.parametrize("value, half", [(0.001, "validation"), (0.999, "estimation")])

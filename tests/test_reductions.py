@@ -1,11 +1,12 @@
-"""Every sum or max over an axis in the package goes through the helpers of
-`labelshift.simplex`: `row_sums`, `row_max` and `column_sums`. They return
-numpy's bits without numpy's per-row reduction loop, which at two classes
-takes 5 to 50 times as long as the helpers.
+"""Every sum, max or argmax over an axis in the package goes through the
+helpers of `labelshift.simplex`: `row_sums`, `row_max`, `row_argmax` and
+`column_sums`. They return numpy's bits without numpy's per-row reduction
+loop, which at two classes takes 5 to 50 times as long as the helpers.
 
-A call counts when it is a `.sum(`/`.max(` method call or `np.sum`/`np.max`
-and passes an axis, by keyword or by position. The helpers themselves hand
-some shapes to numpy, so calls inside them are not checked.
+A call counts when it is a `.sum(`/`.max(`/`.argmax(` method call or
+`np.sum`/`np.max`/`np.argmax` and passes an axis, by keyword or by position.
+The helpers themselves hand some shapes to numpy, so calls inside them are
+not checked.
 """
 import ast
 from pathlib import Path
@@ -14,12 +15,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "labelshift").glob("*.py"))
-HELPERS = {"row_sums", "row_max", "column_sums"}
+HELPERS = {"row_sums", "row_max", "row_argmax", "column_sums"}
 
 
 def axis_reductions(source: str, allowed=frozenset()) -> list[str]:
-    """The axis-passing sums and maxes of a module, outside the functions
-    named in `allowed`."""
+    """The axis-passing sums, maxes and argmaxes of a module, outside the
+    functions named in `allowed`."""
     found = []
 
     def visit(node, inside_helper):
@@ -29,7 +30,7 @@ def axis_reductions(source: str, allowed=frozenset()) -> list[str]:
             not inside_helper
             and isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("sum", "max")
+            and node.func.attr in ("sum", "max", "argmax")
         ):
             func = node.func
             on_numpy = isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy")
@@ -55,7 +56,8 @@ def test_checker_flags_what_it_should():
         "    numpy.max(a, 0)\n"
     )
     assert axis_reductions(src, {"row_sums"}) == [
-        "a.sum (line 6)", "(a * b).max (line 7)", "np.sum (line 8)", "numpy.max (line 9)"
+        "a.argmax (line 5)", "a.sum (line 6)", "(a * b).max (line 7)", "np.sum (line 8)",
+        "numpy.max (line 9)",
     ]
     assert axis_reductions(src)[0] == "a.sum (line 3)"
 

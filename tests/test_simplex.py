@@ -16,6 +16,7 @@ from labelshift.simplex import (
     group_rows,
     grouped_table,
     project_to_weight_simplex,
+    row_argmax,
     row_max,
     row_sums,
     weights_to_target_marginal,
@@ -39,6 +40,9 @@ def check_class_axis_helpers(a):
         assert_same_bits(column_sums(a), a.sum(axis=0))
         assert_same_bits(row_sums(a[0]), a[0].sum(axis=-1))
         assert_same_bits(row_max(a[0]), a[0].max(axis=-1))
+    no_nan = np.where(np.isnan(a), 1.0, a)  # row_argmax takes arrays without NaN
+    assert_same_bits(row_argmax(no_nan), no_nan.argmax(axis=-1))
+    assert_same_bits(row_argmax(no_nan[0]), no_nan[0].argmax(axis=-1))
 
 
 @st.composite
@@ -68,7 +72,7 @@ def strided_views(draw, k):
 
 
 class TestClassAxisHelpers:
-    """row_sums, row_max and column_sums return numpy's own bits."""
+    """row_sums, row_max, row_argmax and column_sums return numpy's own bits."""
 
     @pytest.mark.parametrize("k", range(1, 13))
     @given(data=st.data())

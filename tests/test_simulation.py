@@ -10,7 +10,6 @@ from labelshift.simulation import (
     ExperimentConfig,
     ShiftSpec,
     aggregate_to_csv,
-    resample_by_marginal,
     rng_for,
     run_single_trial,
     run_trials,
@@ -78,19 +77,6 @@ class TestSampling:
         q = ShiftSpec("dirichlet", alpha=0.5).draw(4, rng_for(3, 0))
         assert q.k == 4
         assert q.entries.sum() == pytest.approx(1.0)
-
-    def test_resample_matches_marginal(self):
-        xs = np.concatenate([np.ones(100), -np.ones(100)])
-        ys = np.concatenate([np.zeros(100, int), np.ones(100, int)])
-        marginal = ProbVector(np.array([0.8, 0.2]))
-        rx, ry = resample_by_marginal(xs, ys, marginal, 20_000, 1, 0)
-        assert ry.mean() == pytest.approx(0.2, abs=0.01)
-        assert set(np.unique(rx)) <= {1.0, -1.0}
-
-    def test_resample_missing_class_rejected(self):
-        xs, ys = np.ones(10), np.zeros(10, int)
-        with pytest.raises(InputError):
-            resample_by_marginal(xs, ys, ProbVector(np.array([0.5, 0.5])), 10, 1, 0)
 
     def test_target_table_merges(self):
         outputs = np.array([[0.3, 0.7], [0.3, 0.7], [0.6, 0.4]])
