@@ -40,7 +40,6 @@ from .calibration import (
 )
 from .estimators import (
     EstimateResult,
-    EstimatorConfig,
     METHODS,
     bbse,
     distribution_match_lsq,

@@ -24,17 +24,18 @@ from .diagnostics import (
     kkt_residual,
 )
 from .estimators import (
+    MAX_ITERS,
     METHODS,
-    EstimatorConfig,
     bbse,
     mlls_cm,
     mlls_em,
     mlls_grad,
+    require_converged,
     rlls,
 )
 from .io import read_prediction_file, write_prediction_file
 from .predictors import GmmSpec, gmm_posterior, samples_from_outputs
-from .simplex import ProbVector, WeightVector, normalized_rows, weights_to_target_marginal
+from .simplex import LabeledPredictions, ProbVector, WeightVector, normalized_rows, weights_to_target_marginal
 from .simulation import (
     ExperimentConfig,
     ShiftSpec,
@@ -103,8 +104,7 @@ ESTIMATE_SETTINGS = {
     "rlls_lambda": (float, 1e-3),
     "clip_negative": (bool, False),
     "calibration_loss": (str, "nll"),
-    "max_iters": (int, EstimatorConfig.max_iters),
-    "tol": (float, EstimatorConfig.tol),
+    "max_iters": (int, MAX_ITERS),
 }
 
 
@@ -131,6 +131,8 @@ def _estimate_settings(args) -> argparse.Namespace:
         raise InputError(f"val_fraction must lie in (0, 1), got {s.val_fraction}")
     if not s.rlls_lambda >= 0:
         raise InputError(f"rlls_lambda must be nonnegative, got {s.rlls_lambda}")
+    if s.max_iters < 1:
+        raise InputError(f"max_iters must be >= 1, got {s.max_iters}")
     return s
 
 
@@ -146,23 +148,21 @@ def _split_source(outputs, labels, val_fraction: float, seed: int):
 
 
 def _run_estimator(
-    method, est_cfg, rlls_lambda, source_samples, table, source_marginal, clip_negative=False
+    method, max_iters, rlls_lambda, source_samples, table, source_marginal, clip_negative=False
 ):
     """Run one method; a result that did not converge raises ConvergenceError."""
     if method in ("bbse_hard", "bbse_soft", "rlls"):
         conf, mu = bbse_inputs(source_samples, table, "soft" if method == "bbse_soft" else "hard")
         if method == "rlls":
-            result = rlls(conf, mu, rlls_lambda, est_cfg)
+            result = rlls(conf, mu, rlls_lambda, max_iters)
         else:
             result = bbse(conf, mu, clip_negative=clip_negative)
     elif method in ("mlls_em", "mlls_grad"):
         solver = mlls_em if method == "mlls_em" else mlls_grad
-        result = solver(table, source_marginal, est_cfg)
+        result = solver(table, source_marginal, max_iters)
     else:  # mlls_cm
-        result = mlls_cm(source_samples, table, source_marginal, est_cfg)
-    if not result.converged:
-        raise ConvergenceError(f"{method} did not converge in {est_cfg.max_iters} iterations")
-    return result
+        result = mlls_cm(source_samples, table, source_marginal, max_iters)
+    return require_converged(method, result, max_iters)
 
 
 def _read_inputs(args):
@@ -177,7 +177,6 @@ def _read_inputs(args):
 
 def cmd_estimate(args) -> int:
     s = _estimate_settings(args)
-    est_cfg = EstimatorConfig(max_iters=s.max_iters, tol=s.tol)
 
     src_outputs, src_labels, tgt_outputs = _read_inputs(args)
     if src_labels is None:
@@ -209,7 +208,7 @@ def cmd_estimate(args) -> int:
     table = target_table_from_outputs(tgt_outputs)
 
     result = _run_estimator(
-        s.method, est_cfg, s.rlls_lambda, source_samples, table, source_marginal, s.clip_negative
+        s.method, s.max_iters, s.rlls_lambda, source_samples, table, source_marginal, s.clip_negative
     )
 
     identifiable, min_eig = check_identifiability(source_samples.outputs)
@@ -276,6 +275,7 @@ def cmd_diagnose(args) -> int:
     src_outputs, src_labels, tgt_outputs = _read_inputs(args)
     k = src_outputs.shape[1]
     table = target_table_from_outputs(tgt_outputs)
+    src_rows = normalized_rows(src_outputs, tol=1e-6)
 
     if src_labels is not None:
         counts = np.bincount(src_labels, minlength=k).astype(float)
@@ -286,18 +286,15 @@ def cmd_diagnose(args) -> int:
     if args.weights:
         weights = _weights_from_json(_read_json(args.weights), source_marginal)
     else:
-        if src_labels is None and args.method not in ("mlls_em", "mlls_grad"):
+        labelled = args.method not in ("mlls_em", "mlls_grad")
+        if labelled and src_labels is None:
             raise InputError(f"method {args.method} needs a source file with a label column")
-        source_samples = (
-            samples_from_outputs(src_outputs, src_labels) if src_labels is not None else None
-        )
+        source_samples = LabeledPredictions(src_rows, src_labels) if labelled else None
         # diagnose has no lambda setting: rlls runs unregularized
-        result = _run_estimator(
-            args.method, EstimatorConfig(), 0.0, source_samples, table, source_marginal
-        )
+        result = _run_estimator(args.method, MAX_ITERS, 0.0, source_samples, table, source_marginal)
         weights = result.weights
 
-    report = diagnostics_report(table, weights, normalized_rows(src_outputs, tol=1e-6))
+    report = diagnostics_report(table, weights, src_rows)
     g = report.gradient
     p = source_marginal.entries
     projected = g - (g @ p) / (p @ p) * p  # tangent component of the constraint
@@ -389,7 +386,6 @@ def _parse_benchmark_config(obj: dict) -> ExperimentConfig:
         base_seed=base_seed,
         n_source=_config_value(obj, "n_source", int, ExperimentConfig.n_source),
         rlls_lambda=_config_value(obj, "rlls_lambda", float, ExperimentConfig.rlls_lambda),
-        tol=_config_value(obj, "tol", float, ExperimentConfig.tol),
         max_iters=_config_value(obj, "max_iters", int, ExperimentConfig.max_iters),
         bins=None if obj.get("bins") is None else _config_value(obj, "bins", int),
         miscalibration=None if obj.get("miscalibration") is None

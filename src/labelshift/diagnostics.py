@@ -45,15 +45,14 @@ def _weights_array(w) -> np.ndarray:
 
 
 def _inner(F, m, w):
-    """f(x)^T w for every row, with 1 in place of a non-positive value on a
-    row of zero mass; a row of positive mass must have a positive value."""
+    """f(x)^T w for every row, with 1 in place of a non-positive or NaN value
+    on a row of zero mass; a row of positive mass must have a positive value."""
     inner = F @ w
     if not np.all(inner > 0):
-        bad = (inner <= 0) & (m > 0)
+        bad = ~(inner > 0) & (m > 0)
         if bad.any():
-            raise InputError(
-                f"non-positive likelihood f(x)^T w at support point {int(np.argmax(bad))}"
-            )
+            i = int(np.argmax(bad))
+            raise InputError(f"likelihood f(x)^T w = {inner[i]} at support point {i}; it must be positive")
         inner = np.where(inner > 0, inner, 1.0)
     return inner
 

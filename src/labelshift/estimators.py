@@ -9,7 +9,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import IdentifiabilityError, InputError
+from .errors import ConvergenceError, IdentifiabilityError, InputError
 from .confusion import ConfusionMatrix, build_hard_confusion, prediction_rows
 from .diagnostics import kkt_residual, ll_gradient, ll_hessian, ll_value, reduced_gradient
 from .simplex import (
@@ -29,20 +29,10 @@ METHODS = ("bbse_hard", "bbse_soft", "rlls", "mlls_em", "mlls_grad", "mlls_cm")
 COND_LIMIT = 1e12
 KKT_TOL = 1e-10  # `converged` means the KKT residual at the result is at most this
 FINISH_STEP = 1e-3  # a first-order step shorter than this starts another Newton finish
+STEP_TOL = 1e-8  # an uncertified first-order run gives up after a step shorter than this
+MAX_ITERS = 10_000  # default budget of an iterative solve: first-order and Newton steps together
 NEWTON_STEPS = 30  # most Newton steps in one attempt of the finish
 STALL_STEPS = 5  # an attempt ends after this many steps without a new smallest residual
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """The solver budget of the iterative estimators."""
-
-    max_iters: int = 10_000  # first-order and Newton steps together
-    tol: float = 1e-8  # first-order stopping tolerance; see _solve_on_slice
-
-    def __post_init__(self):
-        if self.max_iters < 1 or self.tol <= 0:
-            raise InputError("invalid estimator configuration")
 
 
 @dataclass(frozen=True)
@@ -51,6 +41,13 @@ class EstimateResult:
     iterations: int
     final_objective: float
     converged: bool
+
+
+def require_converged(method: str, result: EstimateResult, max_iters: int) -> EstimateResult:
+    """The result of a method, or a ConvergenceError naming the steps it took."""
+    if result.converged:
+        return result
+    raise ConvergenceError(f"{method} did not converge in {result.iterations} of at most {max_iters} steps")
 
 
 def bbse(confusion: ConfusionMatrix, mu: ProbVector, clip_negative: bool = False) -> EstimateResult:
@@ -82,21 +79,22 @@ def bbse(confusion: ConfusionMatrix, mu: ProbVector, clip_negative: bool = False
 def _armijo_step(value, p):
     """First-order step for _solve_on_slice: projected gradient ascent on
     `value` with Armijo backtracking from a unit step. A candidate outside the
-    domain of `value` fails the test like one that lowers it."""
+    domain of `value` fails the test like one that lowers it. If no step
+    length down to 2^-54 passes, the step stays at w."""
     last = [None, 0.0]  # the point this step returned last, and its value
 
     def step(w, g):
         f0 = last[1] if last[0] is w else value(w)
-        t = 1.0
-        while True:
+        for t in 0.5 ** np.arange(55):
             cand = project_onto_slice(w + t * g, p)
             try:
                 fc = value(cand)
             except InputError:
                 fc = -np.inf
-            if fc >= f0 + 1e-4 * float(g @ (cand - w)) or t < 1e-16:
+            if fc >= f0 + 1e-4 * float(g @ (cand - w)):
                 break
-            t *= 0.5
+        else:
+            cand, fc = w, f0
         last[:] = cand, fc
         return cand
 
@@ -191,46 +189,50 @@ def _newton_finish(grad, hess, p, w, max_steps=NEWTON_STEPS):
     return (best if best_res <= KKT_TOL else None), steps
 
 
-def _solve_on_slice(step, grad, hess, p, w0, config):
+def _solve_on_slice(step, grad, hess, p, w0, max_iters):
     """Maximize a concave f over the slice W = {w >= 0 : w . p = 1} from w0.
 
     `grad` and `hess` give the gradient and Hessian of f; `step(w, g)` is one
     first-order step from w with gradient g, landing on the slice. The
     active-set Newton finish runs first, from w0. Only if it cannot certify
-    do first-order steps run from w0; after a step smaller than
-    max(tol, FINISH_STEP), and after every 10th step, the finish is tried
-    again from the iterate. The solver returns as soon as the finish or the
-    iterate has KKT residual at most KKT_TOL; that certificate is what
-    `converged` reports. Without it, the loop stops once a first-order step
-    moves less than tol or the budget is spent: max_iters bounds the steps of
-    both kinds together.
+    do first-order steps run from w0; after a step smaller than FINISH_STEP,
+    and after every 10th step, the finish is tried again from the iterate.
+    The solver returns as soon as the finish or the iterate has KKT residual
+    at most KKT_TOL; that certificate is what `converged` reports. Without
+    it, the loop stops once a first-order step moves less than STEP_TOL or
+    lands on a non-finite point, or once the budget is spent: max_iters
+    bounds the steps of both kinds together.
 
     Returns (w, steps taken of both kinds, converged).
     """
+    if max_iters < 1:
+        raise InputError(f"max_iters must be >= 1, not {max_iters}")
     if np.any(p <= 0):
         raise InputError("the weight slice needs a strictly positive source marginal")
-    budget, taken = config.max_iters, 0
+    taken = 0
     w, moved, first_order = w0, np.inf, 0
     while True:
         # first_order % 10 == 0 holds at the start, so the finish leads
-        if taken < budget and (first_order % 10 == 0 or moved < max(config.tol, FINISH_STEP)):
-            finished, newton = _newton_finish(grad, hess, p, w, min(NEWTON_STEPS, budget - taken))
+        if taken < max_iters and (first_order % 10 == 0 or moved < FINISH_STEP):
+            finished, newton = _newton_finish(grad, hess, p, w, min(NEWTON_STEPS, max_iters - taken))
             taken += newton
             if finished is not None:
                 return finished, taken, True
         g = grad(w)
         if kkt_residual(g, p, w) <= KKT_TOL:
             return w, taken, True
-        if taken >= budget or moved < config.tol:
+        if taken >= max_iters or moved < STEP_TOL:
             return w, taken, False
         w_next = step(w, g)
         taken += 1
         first_order += 1
+        if not np.isfinite(w_next).all():
+            return w, taken, False
         moved = float(np.abs(w_next - w).max())
         w = w_next
 
 
-def _least_squares(A, b, lam, source_marginal, w0, config) -> EstimateResult:
+def _least_squares(A, b, lam, source_marginal, w0, max_iters) -> EstimateResult:
     """Minimize ||A w - b||^2 + lam * ||w - 1||^2 over the weight slice by
     the Newton finish, with projected gradient as its fallback; the minimum
     is the objective."""
@@ -246,7 +248,7 @@ def _least_squares(A, b, lam, source_marginal, w0, config) -> EstimateResult:
     def grad(w):
         return -2.0 * (A.T @ (A @ w - b) + lam * (w - ones))
 
-    w, it, ok = _solve_on_slice(_armijo_step(value, p), grad, lambda w: H, p, w0, config)
+    w, it, ok = _solve_on_slice(_armijo_step(value, p), grad, lambda w: H, p, w0, max_iters)
     return EstimateResult(WeightVector(w, source_marginal), it, -value(w), ok)
 
 
@@ -254,17 +256,17 @@ def rlls(
     confusion: ConfusionMatrix,
     mu: ProbVector,
     lam: float,
-    config: EstimatorConfig = EstimatorConfig(),
+    max_iters: int = MAX_ITERS,
 ) -> EstimateResult:
     """Minimize ||C w - mu||^2 + lam * ||w - 1||^2 over the weight slice."""
     if not 0 <= lam < np.inf:
         raise InputError(f"rlls needs a finite lambda >= 0, got {lam}")
     return _least_squares(
-        confusion.joint, mu.entries, lam, confusion.column_marginal, np.ones(confusion.k), config
+        confusion.joint, mu.entries, lam, confusion.column_marginal, np.ones(confusion.k), max_iters
     )
 
 
-def _mlls(table, source_marginal, config, em: bool) -> EstimateResult:
+def _mlls(table, source_marginal, max_iters, em: bool) -> EstimateResult:
     """Likelihood maximization over the weight slice by the Newton finish,
     with EM or projected gradient as its fallback."""
     F, m = table.support, table.normalized_masses()
@@ -272,13 +274,13 @@ def _mlls(table, source_marginal, config, em: bool) -> EstimateResult:
     value = partial(ll_value, F, m)
     step = (lambda w, g: w * g / p) if em else _armijo_step(value, p)
     w, it, ok = _solve_on_slice(
-        step, partial(ll_gradient, F, m), partial(ll_hessian, F, m), p, np.ones(p.size), config
+        step, partial(ll_gradient, F, m), partial(ll_hessian, F, m), p, np.ones(p.size), max_iters
     )
     return EstimateResult(WeightVector(w, source_marginal), it, value(w), ok)
 
 
 def mlls_em(
-    table: PredictorTable, source_marginal: ProbVector, config: EstimatorConfig = EstimatorConfig()
+    table: PredictorTable, source_marginal: ProbVector, max_iters: int = MAX_ITERS
 ) -> EstimateResult:
     """EM fixed point for the likelihood max over the weight slice.
 
@@ -293,22 +295,22 @@ def mlls_em(
     the Newton finish of the shared solver, which runs before any EM step and
     again from EM iterates, lands on that face and certifies the KKT point.
     """
-    return _mlls(table, source_marginal, config, em=True)
+    return _mlls(table, source_marginal, max_iters, em=True)
 
 
 def mlls_grad(
-    table: PredictorTable, source_marginal: ProbVector, config: EstimatorConfig = EstimatorConfig()
+    table: PredictorTable, source_marginal: ProbVector, max_iters: int = MAX_ITERS
 ) -> EstimateResult:
     """Likelihood max over the weight slice, with projected gradient ascent
     on the empirical log-likelihood as the fallback of the Newton finish."""
-    return _mlls(table, source_marginal, config, em=False)
+    return _mlls(table, source_marginal, max_iters, em=False)
 
 
 def mlls_cm(
     source_samples: LabeledPredictions,
     target_table: PredictorTable,
     source_marginal: ProbVector,
-    config: EstimatorConfig = EstimatorConfig(),
+    max_iters: int = MAX_ITERS,
 ) -> EstimateResult:
     """Likelihood estimation through the confusion-row-calibrated predictor.
 
@@ -319,14 +321,14 @@ def mlls_cm(
     rows = prediction_rows(build_hard_confusion(source_samples))
     counts = np.bincount(row_argmax(target_table.support), target_table.masses, rows.shape[0])
     keep = counts > 0
-    return mlls_em(grouped_table(rows[keep], counts[keep]), source_marginal, config)
+    return mlls_em(grouped_table(rows[keep], counts[keep]), source_marginal, max_iters)
 
 
 def distribution_match_lsq(
     joint: np.ndarray,
     target: np.ndarray,
     source_marginal: ProbVector,
-    config: EstimatorConfig = EstimatorConfig(),
+    max_iters: int = MAX_ITERS,
 ) -> EstimateResult:
     """Least-squares distribution matching: min ||J w - t||^2 over the slice.
 
@@ -345,4 +347,4 @@ def distribution_match_lsq(
         warnings.warn("rank-deficient joint: weights are not identifiable", stacklevel=2)
 
     w0 = project_to_weight_simplex(np.linalg.lstsq(J, t, rcond=None)[0], source_marginal)
-    return _least_squares(J, t, 0.0, source_marginal, w0.weights, config)
+    return _least_squares(J, t, 0.0, source_marginal, w0.weights, max_iters)

@@ -300,12 +300,16 @@ def project_onto_slice(v: np.ndarray, p: np.ndarray) -> np.ndarray:
     v_y / p_y, the positive coordinates form a prefix, and lam is the value the
     constraint fixes on the longest prefix whose last coordinate stays
     positive (sort plus cumsum; Condat, Math. Program. 2016, weighted form).
+    When one v_y / p_y dwarfs the rest, rounding can leave no coordinate
+    positive; the projection is then the vertex e_j / p_j of the largest.
     """
     order = np.argsort(-(v / p))
     vs, ps = v[order], p[order]
     lams = (np.cumsum(vs * ps) - 1.0) / np.cumsum(ps * ps)
-    lam = lams[np.flatnonzero(vs > lams * ps)[-1]]
-    w = np.maximum(v - lam * p, 0.0)
+    positive = np.flatnonzero(vs > lams * ps)
+    if positive.size == 0:
+        return np.where(np.arange(p.size) == order[0], 1.0 / p, 0.0)
+    w = np.maximum(v - lams[positive[-1]] * p, 0.0)
     return w / (w @ p)  # remove last-bit drift
 
 

@@ -13,17 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, InputError, LabelShiftError
+from .errors import InputError, LabelShiftError
 from .calibration import bcts_apply_matrix, BctsParams
 from .confusion import bbse_inputs
 from .diagnostics import check_identifiability
 from .estimators import (
+    MAX_ITERS,
     METHODS,
-    EstimatorConfig,
     bbse,
     mlls_cm,
     mlls_em,
     mlls_grad,
+    require_converged,
     rlls,
 )
 from .predictors import GmmSpec, bin_aggregate, gmm_posterior, samples_from_outputs
@@ -91,8 +92,7 @@ class ExperimentConfig:
     base_seed: int
     n_source: int = 1000
     rlls_lambda: float = 1e-3
-    tol: float = 1e-6
-    max_iters: int = 2000
+    max_iters: int = MAX_ITERS
     bins: int | None = None
     miscalibration: BctsParams | None = None
 
@@ -101,8 +101,7 @@ class ExperimentConfig:
             raise InputError(f"methods must be a nonempty selection from {METHODS}, not {self.methods}")
         if not self.rlls_lambda >= 0:
             raise InputError("rlls_lambda must be nonnegative")
-        EstimatorConfig(self.max_iters, self.tol)  # rejects a bad solver budget before any trial
-        for key in ("n_trials", "n_source", "bins"):
+        for key in ("n_trials", "n_source", "max_iters", "bins"):
             value = getattr(self, key)
             if value is not None and value < 1:
                 raise InputError(f"{key} must be >= 1, not {value}")
@@ -136,16 +135,15 @@ def target_table_from_outputs(outputs: np.ndarray) -> PredictorTable:
 
 
 def _estimate_once(method, cfg, source_samples, target_table, source_marginal):
-    est_cfg = EstimatorConfig(max_iters=cfg.max_iters, tol=cfg.tol)
     if method in ("bbse_hard", "bbse_soft", "rlls"):
         conf, mu = bbse_inputs(source_samples, target_table, "soft" if method == "bbse_soft" else "hard")
         if method == "rlls":
-            return rlls(conf, mu, cfg.rlls_lambda, est_cfg)
+            return rlls(conf, mu, cfg.rlls_lambda, cfg.max_iters)
         return bbse(conf, mu, clip_negative=True)
     if method in ("mlls_em", "mlls_grad"):
         solver = mlls_em if method == "mlls_em" else mlls_grad
-        return solver(target_table, source_marginal, est_cfg)
-    return mlls_cm(source_samples, target_table, source_marginal, est_cfg)
+        return solver(target_table, source_marginal, cfg.max_iters)
+    return mlls_cm(source_samples, target_table, source_marginal, cfg.max_iters)
 
 
 def run_single_trial(cfg: ExperimentConfig, shift_idx: int, m_idx: int, trial: int):
@@ -189,9 +187,9 @@ def run_single_trial(cfg: ExperimentConfig, shift_idx: int, m_idx: int, trial: i
     reports = []
     for method in cfg.methods:
         try:
-            res = _estimate_once(method, cfg, source_samples, target_table, p_s)
-            if not res.converged:
-                raise ConvergenceError(f"{method} did not converge in {cfg.max_iters} iterations")
+            res = require_converged(
+                method, _estimate_once(method, cfg, source_samples, target_table, p_s), cfg.max_iters
+            )
             sq = float(((res.weights.weights - w_star.weights) ** 2).sum())
             reports.append(
                 TrialReport(method, res.weights, w_star, sq, seed64, m, min_eig)

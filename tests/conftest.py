@@ -65,10 +65,10 @@ FACE_MU = ProbVector(np.array([0.6, 0.4, 0.0]))
 W_FACE = np.array([27.0, 15.0, 0.0]) / 14.0
 
 
-def face_rlls(confusion, mu, lam, config):
+def face_rlls(confusion, mu, lam, max_iters):
     """`rlls` solving the face instance in place of the problem it is given,
     under the caller's lambda and budget."""
-    return rlls(FACE_CONFUSION, FACE_MU, lam, config)
+    return rlls(FACE_CONFUSION, FACE_MU, lam, max_iters)
 
 
 def worked_instance_target_table(w_star=W_STAR_3):

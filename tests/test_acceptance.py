@@ -31,7 +31,7 @@ from labelshift.diagnostics import (
     log_likelihood,
     second_moment,
 )
-from labelshift.estimators import EstimatorConfig, bbse, mlls_em, mlls_grad
+from labelshift.estimators import bbse, mlls_em, mlls_grad
 from labelshift.predictors import GmmSpec, ThresholdPredictorSpec, gmm_posterior, samples_from_outputs, threshold_outputs
 from labelshift.simplex import ProbVector, normalized_rows
 from labelshift.simulation import run_trials, sample_gmm, target_table_from_outputs
@@ -76,11 +76,7 @@ def test_criterion_1_counterexample_reproduction():
     marginal_gap = float(np.abs(p_x @ F_ROWS - UNIFORM_3.entries).max())
     canonical_error = float(p_x @ ((F_ROWS - PS_ROWS) ** 2).sum(axis=1))
     start = time.perf_counter()
-    res = mlls_em(
-        worked_instance_target_table(),
-        UNIFORM_3,
-        EstimatorConfig(tol=1e-12, max_iters=200_000),
-    )
+    res = mlls_em(worked_instance_target_table(), UNIFORM_3, max_iters=200_000)
     elapsed = time.perf_counter() - start
     w_f = res.weights.weights
     opt_gap = float(np.abs(w_f - W_MISCAL_OPT).max())
@@ -114,7 +110,7 @@ def test_criterion_1_companion_corrected_optimum():
     calibration alone leaves a bias of about 0.062 from w*, which does not
     vanish with more target data."""
     table = worked_instance_target_table()
-    res = mlls_em(table, UNIFORM_3, EstimatorConfig(tol=1e-12, max_iters=200_000))
+    res = mlls_em(table, UNIFORM_3, max_iters=200_000)
     w_f = res.weights.weights
     np.testing.assert_allclose(w_f, W_MISCAL_OPT, atol=1e-9)
     # stationarity on the constraint slice: the tangent gradient vanishes at
@@ -142,7 +138,7 @@ def _mlls_error_for_threshold(alpha: float, c: float, m: int, seed_keys) -> floa
     marginal = ProbVector(np.array([alpha, 1.0 - alpha]))
     xs, _ = sample_gmm(GMM, marginal, m, *seed_keys)
     table = target_table_from_outputs(threshold_outputs(spec, xs))
-    res = mlls_em(table, UNIFORM_2, EstimatorConfig(tol=1e-12, max_iters=200_000))
+    res = mlls_em(table, UNIFORM_2, max_iters=200_000)
     return float(np.abs(res.weights.weights - np.array([2 * alpha, 2 * (1 - alpha)])).sum())
 
 
@@ -426,9 +422,8 @@ def test_criterion_8f_em_grad_agreement_100_instances():
         if not certified or min_eig <= 1e-6:
             continue
         p = random_marginal(rng, k)
-        cfg = EstimatorConfig(tol=tol, max_iters=100_000)
-        em = mlls_em(table, p, cfg)
-        gr = mlls_grad(table, p, cfg)
+        em = mlls_em(table, p, max_iters=100_000)
+        gr = mlls_grad(table, p, max_iters=100_000)
         gap = float(np.abs(em.weights.weights - gr.weights.weights).max())
         worst = max(worst, gap)
         if gap > 10 * tol:

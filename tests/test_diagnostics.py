@@ -67,6 +67,10 @@ class TestLikelihoodQuantities:
         table = grouped_table([np.array([1.0, 0.0]), np.array([0.0, 1.0])], [0.5, 0.5])
         with pytest.raises(InputError, match="support point 0"):
             log_likelihood(table, np.array([0.0, 2.0]))
+        # a NaN f(x)^T w is outside the domain too, not read as 1
+        for quantity in (log_likelihood, likelihood_gradient, likelihood_hessian):
+            with pytest.raises(InputError, match="= nan at support point 0"):
+                quantity(TWO_POINT, np.array([np.nan, 1.0]))
 
     def test_worked_instance_matches_high_precision_recomputation(self):
         # 50-digit recomputation of the six-point population log-likelihood.

@@ -1,4 +1,3 @@
-from dataclasses import fields
 from functools import partial
 
 import numpy as np
@@ -28,7 +27,6 @@ from labelshift.errors import IdentifiabilityError, InputError
 from labelshift.estimators import (
     KKT_TOL,
     NEWTON_STEPS,
-    EstimatorConfig,
     _newton_finish,
     bbse,
     distribution_match_lsq,
@@ -56,7 +54,7 @@ from tests.conftest import (
 
 UNIFORM_2 = ProbVector(np.array([0.5, 0.5]))
 HAND_CONF = ConfusionMatrix(np.array([[0.4, 0.1], [0.1, 0.4]]), UNIFORM_2)
-TIGHT = EstimatorConfig(tol=1e-12, max_iters=100_000)
+BUDGET = 100_000
 
 
 class TestBbse:
@@ -85,27 +83,22 @@ class TestBbse:
             bbse(HAND_CONF, ProbVector(np.full(3, 1.0 / 3.0)))
 
 
-class TestEstimatorConfig:
-    def test_holds_the_solver_budget_alone(self):
-        assert [f.name for f in fields(EstimatorConfig)] == ["max_iters", "tol"]
-
-
 class TestRlls:
     @pytest.mark.parametrize("lam", [-1e-3, float("nan")])
     def test_rejects_negative_lambda(self, lam):
         mu = ProbVector(np.array([0.35, 0.65]))
         with pytest.raises(InputError):
-            rlls(HAND_CONF, mu, lam, EstimatorConfig())
+            rlls(HAND_CONF, mu, lam)
 
     def test_zero_lambda_matches_bbse(self):
         mu = ProbVector(np.array([0.35, 0.65]))
-        res = rlls(HAND_CONF, mu, lam=0.0, config=EstimatorConfig(tol=1e-12))
+        res = rlls(HAND_CONF, mu, lam=0.0)
         np.testing.assert_allclose(res.weights.weights, [0.5, 1.5], atol=1e-8)
 
     def test_lambda_shrinks_toward_one(self):
         mu = ProbVector(np.array([0.35, 0.65]))
-        w0 = rlls(HAND_CONF, mu, lam=0.0, config=EstimatorConfig(tol=1e-12))
-        w1 = rlls(HAND_CONF, mu, lam=1.0, config=EstimatorConfig(tol=1e-12))
+        w0 = rlls(HAND_CONF, mu, lam=0.0)
+        w1 = rlls(HAND_CONF, mu, lam=1.0)
         ones = np.ones(2)
         assert np.linalg.norm(w1.weights.weights - ones) < np.linalg.norm(
             w0.weights.weights - ones
@@ -115,7 +108,7 @@ class TestRlls:
         # k=2: the feasible slice is the segment w = [t, 2 - t], t in [0, 2].
         mu = ProbVector(np.array([0.35, 0.65]))
         lam = 0.7
-        res = rlls(HAND_CONF, mu, lam=lam, config=EstimatorConfig(tol=1e-12))
+        res = rlls(HAND_CONF, mu, lam=lam)
 
         def obj(t):
             w = np.array([t, 2.0 - t])
@@ -130,13 +123,26 @@ class TestRlls:
         # the budget runs out: rlls reports it in `converged`, as every method
         # does. max_iters counts Newton steps too, and the face instance needs
         # a blocked step and then a second step.
-        res = rlls(FACE_CONFUSION, FACE_MU, 0.0, EstimatorConfig(tol=1e-14, max_iters=1))
+        res = rlls(FACE_CONFUSION, FACE_MU, 0.0, max_iters=1)
         assert not res.converged
         assert res.iterations == 1
-        res = rlls(FACE_CONFUSION, FACE_MU, 0.0, EstimatorConfig(tol=1e-14, max_iters=2))
+        res = rlls(FACE_CONFUSION, FACE_MU, 0.0, max_iters=2)
         assert res.converged
         assert res.iterations == 2
         np.testing.assert_allclose(res.weights.weights, W_FACE, atol=1e-14)
+
+
+def test_budget_below_one_rejected():
+    mu = ProbVector(np.array([0.35, 0.65]))
+    table = worked_instance_target_table()
+    for solve in (
+        partial(rlls, HAND_CONF, mu, 0.0),
+        partial(mlls_em, table, UNIFORM_3),
+        partial(mlls_grad, table, UNIFORM_3),
+        partial(distribution_match_lsq, HAND_CONF.joint, mu.entries, UNIFORM_2),
+    ):
+        with pytest.raises(InputError, match="max_iters"):
+            solve(max_iters=0)
 
 
 class TestMllsEm:
@@ -146,7 +152,7 @@ class TestMllsEm:
         table = grouped_table(
             [np.array([0.8, 0.2]), np.array([0.2, 0.8])], [0.7, 0.3]
         )
-        res = mlls_em(table, UNIFORM_2, TIGHT)
+        res = mlls_em(table, UNIFORM_2, max_iters=BUDGET)
         np.testing.assert_allclose(res.weights.weights, [5.0 / 3.0, 1.0 / 3.0], atol=1e-9)
         assert res.converged
 
@@ -156,24 +162,24 @@ class TestMllsEm:
         pt_y = W_STAR_3 / 3.0
         masses = PS_ROWS @ pt_y / 2.0
         table = grouped_table(PS_ROWS, masses)
-        res = mlls_em(table, UNIFORM_3, TIGHT)
+        res = mlls_em(table, UNIFORM_3, max_iters=BUDGET)
         np.testing.assert_allclose(res.weights.weights, W_STAR_3, atol=1e-8)
 
     def test_worked_instance_converges_to_frozen_optimum(self):
-        res = mlls_em(worked_instance_target_table(), UNIFORM_3, TIGHT)
+        res = mlls_em(worked_instance_target_table(), UNIFORM_3, max_iters=BUDGET)
         np.testing.assert_allclose(res.weights.weights, W_MISCAL_OPT, atol=1e-9)
 
     def test_final_objective_is_log_likelihood(self):
         table = worked_instance_target_table()
-        res = mlls_em(table, UNIFORM_3, TIGHT)
+        res = mlls_em(table, UNIFORM_3, max_iters=BUDGET)
         assert res.final_objective == pytest.approx(
             log_likelihood(table, res.weights), abs=1e-9
         )
 
     def test_count_masses_match_probability_masses(self):
         outs = [np.array([0.8, 0.2]), np.array([0.2, 0.8])]
-        res_p = mlls_em(grouped_table(outs, [0.7, 0.3]), UNIFORM_2, TIGHT)
-        res_c = mlls_em(grouped_table(outs, [70.0, 30.0]), UNIFORM_2, TIGHT)
+        res_p = mlls_em(grouped_table(outs, [0.7, 0.3]), UNIFORM_2, max_iters=BUDGET)
+        res_c = mlls_em(grouped_table(outs, [70.0, 30.0]), UNIFORM_2, max_iters=BUDGET)
         np.testing.assert_allclose(res_p.weights.weights, res_c.weights.weights, atol=1e-12)
 
     def test_all_zero_output_rejected(self):
@@ -181,7 +187,7 @@ class TestMllsEm:
         # zero entries are fine; an all-zero row cannot occur for ProbVector
         # inputs, so exercise the q-support failure path instead: a point with
         # f . q = 0 at initialization.
-        res = mlls_em(table, UNIFORM_2, TIGHT)
+        res = mlls_em(table, UNIFORM_2, max_iters=BUDGET)
         assert res.converged
 
     @given(seed=st.integers(0, 100_000))
@@ -279,9 +285,8 @@ class TestNewtonFinish:
         # the solver goes on to its documented result: a flag that reports
         # whether the returned point is certified, within the budget
         for solver in (mlls_em, mlls_grad):
-            cfg = EstimatorConfig(max_iters=200)
-            res = solver(table, p, cfg)
-            assert res.iterations <= cfg.max_iters
+            res = solver(table, p, max_iters=200)
+            assert res.iterations <= 200
             residual = likelihood_kkt(table, p.entries, res.weights.weights)
             assert res.converged == (residual <= KKT_TOL)
 
@@ -330,6 +335,17 @@ class TestFirstOrderFallback:
             np.testing.assert_allclose(
                 fallback.weights.weights, res.weights.weights, rtol=0, atol=1e-12
             )
+
+    def test_non_finite_iterate_ends_uncertified(self):
+        # the Newton matrix is NaN, so every finish attempt gives up; the one
+        # first-order step lands on NaN, and the solve returns its start
+        table = worked_instance_target_table()
+        grad = partial(ll_gradient, table.support, table.normalized_masses())
+        w, steps, converged = estimators._solve_on_slice(
+            lambda w, g: np.full(3, np.nan), grad, lambda w: np.full((3, 3), np.nan),
+            UNIFORM_3.entries, np.ones(3), 100,
+        )
+        assert (w.tolist(), steps, converged) == ([1.0, 1.0, 1.0], 1, False)
 
 
 class TestKktCertificate:
@@ -411,8 +427,6 @@ class TestArrayPathProperties:
     """Invariances of MLLS (EM) and soft BBSE on the (n, k) array path: row
     order, row duplication versus doubled masses, and class relabelling."""
 
-    CFG = EstimatorConfig(tol=1e-10, max_iters=100_000)
-
     @staticmethod
     def _mlls_instance(seed):
         rng = np.random.default_rng(seed)
@@ -422,7 +436,7 @@ class TestArrayPathProperties:
         return rng, k, rows, random_marginal(rng, k)
 
     def _mlls(self, rows, masses, p):
-        return mlls_em(grouped_table(rows, masses), p, self.CFG).weights.weights
+        return mlls_em(grouped_table(rows, masses), p, max_iters=BUDGET).weights.weights
 
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=15, deadline=None)
@@ -433,7 +447,7 @@ class TestArrayPathProperties:
         perm = rng.permutation(len(rows))
         np.testing.assert_allclose(self._mlls(rows[perm], ones, p), w, atol=1e-9)
         doubled = self._mlls(np.vstack([rows, rows]), np.ones(2 * len(rows)), p)
-        direct = mlls_em(PredictorTable(rows, 2.0 * ones), p, self.CFG)
+        direct = mlls_em(PredictorTable(rows, 2.0 * ones), p, max_iters=BUDGET)
         np.testing.assert_allclose(doubled, direct.weights.weights, atol=1e-9)
         np.testing.assert_allclose(doubled, w, atol=1e-9)
 
@@ -498,15 +512,14 @@ class TestMllsGrad:
         if np.linalg.eigvalsh(M)[0] < 1e-4:
             return
         p = random_marginal(rng, k)
-        cfg = EstimatorConfig(tol=1e-10, max_iters=50_000)
-        em = mlls_em(table, p, cfg)
-        gr = mlls_grad(table, p, cfg)
+        em = mlls_em(table, p, max_iters=50_000)
+        gr = mlls_grad(table, p, max_iters=50_000)
         assert em.converged and gr.converged
         np.testing.assert_allclose(gr.weights.weights, em.weights.weights, atol=1e-5)
 
     def test_stationarity_at_solution(self):
         table = worked_instance_target_table()
-        res = mlls_grad(table, UNIFORM_3, EstimatorConfig(tol=1e-12, max_iters=100_000))
+        res = mlls_grad(table, UNIFORM_3, max_iters=100_000)
         g = likelihood_gradient(table, res.weights)
         # project the gradient onto the tangent of the affine constraint
         p = UNIFORM_3.entries
@@ -523,7 +536,7 @@ class TestMllsCm:
         src_labels = [0, 0, 0, 0, 1, 0, 1, 1, 1, 1]
         source = make_samples(src_outputs, src_labels)
         target = np.array([[0.9, 0.1]] * 35 + [[0.1, 0.9]] * 65)
-        res = mlls_cm(source, target_table_from_outputs(target), UNIFORM_2, TIGHT)
+        res = mlls_cm(source, target_table_from_outputs(target), UNIFORM_2, max_iters=BUDGET)
         np.testing.assert_allclose(res.weights.weights, [0.5, 1.5], atol=1e-8)
 
     def test_counts_weight_the_target_rows(self):
@@ -531,7 +544,7 @@ class TestMllsCm:
         # 35 and 65, gives the same estimate as the rows themselves
         source = make_samples([[0.9, 0.1]] * 5 + [[0.1, 0.9]] * 5, [0, 0, 0, 0, 1, 0, 1, 1, 1, 1])
         table = grouped_table(np.array([[0.9, 0.1], [0.1, 0.9]]), np.array([35.0, 65.0]))
-        res = mlls_cm(source, table, UNIFORM_2, TIGHT)
+        res = mlls_cm(source, table, UNIFORM_2, max_iters=BUDGET)
         np.testing.assert_allclose(res.weights.weights, [0.5, 1.5], atol=1e-8)
 
     def test_unreachable_prediction_rejected(self):
@@ -544,7 +557,7 @@ class TestMllsCm:
 class TestDistributionMatchLsq:
     def test_confusion_as_joint(self):
         t = HAND_CONF.joint @ np.array([0.5, 1.5])
-        res = distribution_match_lsq(HAND_CONF.joint, t, UNIFORM_2, EstimatorConfig(tol=1e-12))
+        res = distribution_match_lsq(HAND_CONF.joint, t, UNIFORM_2)
         np.testing.assert_allclose(res.weights.weights, [0.5, 1.5], atol=1e-8)
 
     def test_binned_gmm_population_recovery(self):
@@ -561,9 +574,7 @@ class TestDistributionMatchLsq:
             J[b, 0] = 0.5 * (norm.cdf(edges_x[b + 1] - mu) - norm.cdf(edges_x[b] - mu))
             J[b, 1] = 0.5 * (norm.cdf(edges_x[b + 1] + mu) - norm.cdf(edges_x[b] + mu))
         w_star = np.array([0.5, 1.5])
-        res = distribution_match_lsq(
-            J, J @ w_star, UNIFORM_2, EstimatorConfig(tol=1e-13, max_iters=100_000)
-        )
+        res = distribution_match_lsq(J, J @ w_star, UNIFORM_2, max_iters=100_000)
         np.testing.assert_allclose(res.weights.weights, w_star, atol=1e-6)
 
     def test_rank_deficient_warns(self):

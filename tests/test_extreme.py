@@ -1,16 +1,19 @@
 """The solvers on valid inputs at the edge of floating point: output entries
 of 10^-320 to 1 and exact zeros, and ridge weights up to 1e308. Each call
-must return or raise a LabelShiftError, with no numpy warning, inside
-CALL_SECONDS; past that, `time_bound` ends the test process.
+must return, or raise a ConvergenceError or an IdentifiabilityError, with no
+numpy warning, inside CALL_SECONDS; past that, `time_bound` ends the test
+process. An InputError would tell the user that a valid input is bad.
 """
+import warnings
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from labelshift.confusion import build_hard_confusion, build_target_prediction_marginal
 from labelshift.diagnostics import kkt_residual, likelihood_gradient
-from labelshift.errors import LabelShiftError
-from labelshift.estimators import KKT_TOL, mlls_cm, mlls_em, mlls_grad, rlls
+from labelshift.errors import ConvergenceError, IdentifiabilityError
+from labelshift.estimators import KKT_TOL, distribution_match_lsq, mlls_cm, mlls_em, mlls_grad, rlls
 from labelshift.simplex import ProbVector, grouped_table, row_sums
 from tests.conftest import make_samples, time_bound
 
@@ -23,14 +26,25 @@ CALL_SECONDS = 30
 # an empty set of free coordinates (ValueError).
 TINY_ROWS = np.array([[1, 1.9e-89, 2.6e-64, 3.8e-201], [1.6e-259, 6.2e-239, 0.5, 0.5]])
 
+# A projected gradient step from w = 1 on this table tries about
+# [2.5, 1.38, 0.47, 3.3e17]. Its projection used to find no positive
+# coordinate after rounding (IndexError); with that mended, a step whose
+# backtracking found no point in the likelihood's domain used to return one
+# outside it (InputError). EM certifies [2.396, 1.198, 0, 0.00468].
+DOMINANT_STEP = (
+    grouped_table(np.array([[1, 0, 0, 0], [0, 0, 1e-20, 1], [0, 1, 0, 0]]), [4, 0.0078125, 1]),
+    ProbVector(np.array([1 / 3, 1 / 6, 1 / 6, 1 / 3])),
+)
+
 
 def ends(solve, *args):
     """The result of one time-bounded call, or None if it raised a
-    LabelShiftError; any other exception fails the test."""
+    ConvergenceError or an IdentifiabilityError; any other exception fails
+    the test."""
     with time_bound(CALL_SECONDS):
         try:
             return solve(*args)
-        except LabelShiftError:
+        except (ConvergenceError, IdentifiabilityError):
             return None
 
 
@@ -107,6 +121,7 @@ def test_rlls_overflowed_hessian():
 
 
 @given(mlls_problem())
+@example(DOMINANT_STEP)
 @settings(max_examples=60, deadline=None)
 def test_mlls_on_extreme_tables(problem):
     check_mlls(*problem)
@@ -125,3 +140,22 @@ def test_rlls_on_extreme_rows_and_lambdas(problem, lam):
     source, target = problem
     mu = build_target_prediction_marginal(target, "hard")
     ends(rlls, build_hard_confusion(source), mu, lam)
+
+
+@st.composite
+def matching_problem(draw):
+    """A joint p_s(z, y) over |Z| in [1, 6] latent values and k classes, a
+    target distribution over Z, and the source marginal the joint's columns
+    sum to."""
+    k, nz = draw(st.integers(2, 4)), draw(st.integers(1, 6))
+    p = draw(marginal(k))
+    joint = draw(extreme_rows(k, nz)).T * p.entries
+    return joint, draw(extreme_rows(1, nz))[0], p
+
+
+@given(matching_problem())
+@settings(max_examples=30, deadline=None)
+def test_distribution_match_lsq_on_extreme_joints(problem):
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "rank-deficient joint", UserWarning)
+        ends(distribution_match_lsq, *problem)

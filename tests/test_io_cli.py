@@ -366,12 +366,15 @@ class TestEstimateCommand:
             {"max_iters": "abc"},
             {"rlls_lambda": None},
             {"seed": -3},
-            {"tol": "1e-8"},
+            {"max_iters": 0},
+            {"tol": 1e-8},
             {"clip_negative": "yes"},
         ],
-        ids=["string_max_iters", "null_lambda", "negative_seed", "string_tol", "string_flag"],
+        ids=["string_max_iters", "null_lambda", "negative_seed", "no_budget", "unknown_tol",
+             "string_flag"],
     )
-    def test_bad_config_value_exits_2(self, calibration_files, tmp_path, capsys, overrides):
+    def test_bad_config_value_exits_2(self, calibration_files, tmp_path, capsys, monkeypatch, overrides):
+        monkeypatch.setattr(labelshift.cli, "read_prediction_file", None)  # no file may be read
         src, tgt = calibration_files
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(overrides))
@@ -428,7 +431,8 @@ class TestEstimateCommand:
             )
         assert (code, out) == (4, "")
         assert json.loads(err) == {
-            "error": "convergence", "message": "rlls did not converge in 10000 iterations"
+            "error": "convergence",
+            "message": "rlls did not converge in 1 of at most 10000 steps",
         }
 
     @pytest.mark.parametrize("value, half", [(0.001, "validation"), (0.999, "estimation")])
@@ -491,7 +495,7 @@ class TestEstimateCommand:
     def test_budget_exhaustion_exits_4(self, face_files, tmp_path, capsys):
         src, tgt = face_files
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"method": "rlls", "max_iters": 1, "tol": 1e-14}))
+        cfg.write_text(json.dumps({"method": "rlls", "max_iters": 1}))
         code, _, err = run_cli(
             capsys,
             "estimate", "--source", str(src), "--target", str(tgt),
@@ -567,9 +571,9 @@ class TestDiagnoseCommand:
         assert report["kkt_residual"] <= 1e-10
 
     def test_estimator_not_converged_exits_4(self, hand_files, capsys, monkeypatch):
-        def stalled(table, source_marginal, config):
+        def stalled(table, source_marginal, max_iters):
             w = WeightVector(np.ones(source_marginal.k), source_marginal)
-            return EstimateResult(w, config.max_iters, 0.0, False)
+            return EstimateResult(w, max_iters, 0.0, False)
 
         monkeypatch.setattr(labelshift.cli, "mlls_em", stalled)
         src, tgt = hand_files
@@ -781,7 +785,8 @@ class TestBenchmarkCommand:
             ({"shifts": "abc"}, "shifts"),
             ({"m_values": [100.5]}, "m_values"),
             ({"gmm": {"mu": None}}, "mu"),
-            ({"max_iters": 0}, "estimator configuration"),
+            ({"max_iters": 0}, "max_iters"),
+            ({"tol": 1e-8}, "tol"),
             ({"miscalibration": {"temperature": 0, "biases": [0, 0]}}, "temperature"),
             ({"miscalibration": {"temperature": 2, "biases": [0, 0, 0]}}, "biases"),
             ({"miscalibration": {"temperature": 2, "biases": [0, 0], "scale": 1}}, "miscalibration"),
@@ -794,9 +799,9 @@ class TestBenchmarkCommand:
             ({"bins": 0}, "bins"),
         ],
         ids=["dirichlet_without_alpha", "string_n_source", "string_shifts", "float_m", "null_mu",
-             "no_budget", "zero_temperature", "biases_not_k", "unknown_miscalibration_key",
-             "string_bias", "no_shifts", "no_m_values", "zero_m", "zero_trials", "zero_source",
-             "zero_bins"],
+             "no_budget", "unknown_tol", "zero_temperature", "biases_not_k",
+             "unknown_miscalibration_key", "string_bias", "no_shifts", "no_m_values", "zero_m",
+             "zero_trials", "zero_source", "zero_bins"],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, monkeypatch, overrides, key):
         monkeypatch.setattr(labelshift.cli, "run_trials", None)  # no trial may run

@@ -330,6 +330,13 @@ class TestProjection:
             project_to_weight_simplex(np.array([-1.0, -1.0]), p).weights, [1.0, 1.0], atol=1e-12
         )
 
+    def test_dominant_entry_projects_to_vertex(self):
+        # in floating point no coordinate passes the threshold test, which
+        # used to leave the projection with no threshold (IndexError)
+        p = ProbVector(np.array([1 / 3, 1 / 6, 1 / 6, 1 / 3]))
+        w = project_to_weight_simplex(np.array([2.5, 1.38, 0.47, 3.3e17]), p)
+        np.testing.assert_array_equal(w.weights, [0.0, 0.0, 0.0, 3.0])
+
     def test_interior_point_is_fixed(self):
         p = ProbVector(np.array([0.4, 0.6]))
         w = np.array([0.7, 1.2])

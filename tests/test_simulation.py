@@ -31,7 +31,6 @@ def small_config(**overrides):
         n_trials=2,
         base_seed=42,
         n_source=300,
-        tol=1e-6,
         max_iters=2000,
     )
     base.update(overrides)
@@ -173,10 +172,9 @@ class TestTrials:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{"methods": ("bbse_hard", "mlls")}, {"rlls_lambda": -1e-3}, {"max_iters": 0}, {"tol": 0.0},
+        [{"methods": ("bbse_hard", "mlls")}, {"rlls_lambda": -1e-3}, {"max_iters": 0},
          {"shifts": ()}, {"m_values": ()}, {"m_values": (100, 0)}],
-        ids=["unknown_method", "negative_lambda", "no_budget", "zero_tol", "no_shifts", "no_m_values",
-             "zero_m"],
+        ids=["unknown_method", "negative_lambda", "no_budget", "no_shifts", "no_m_values", "zero_m"],
     )
     def test_config_rejects_before_any_trial(self, overrides):
         with pytest.raises(InputError):
