@@ -21,6 +21,8 @@ from .simplex import (
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 CLIP_EPS = 1e-12  # floor on an entry before its log
+BCTS_TOL = 1e-8  # a BCTS fit stops once its gradient norm is below this
+BCTS_MAX_ITERS = 10_000  # most Newton steps of a BCTS fit
 
 
 @dataclass(frozen=True)
@@ -128,9 +130,7 @@ def _descent_direction(H, grad):
     return d
 
 
-def bcts_fit(
-    validation: LabeledPredictions, loss: str = "nll", tol: float = 1e-8, max_iters: int = 10_000
-) -> BctsFit:
+def bcts_fit(validation: LabeledPredictions, loss: str = "nll") -> BctsFit:
     """Fit BCTS on (1/T, b) by damped Newton steps with backtracking line search.
 
     The direction solves H d = -grad with H the softmax Fisher matrix at the
@@ -138,10 +138,11 @@ def bcts_fit(
     natural-gradient preconditioner for the MSE loss. If the solve fails or
     its direction does not descend, the step is along -grad. Deterministic:
     initialized at the identity (T=1, b=0), Armijo backtracking from unit
-    step, stopping once the gradient norm is below tol. `converged` is False
-    when the line search can no longer lower the loss while the gradient
-    norm is still at least 1e-6, and when the iteration budget runs out
-    with the gradient norm still at least tol.
+    step, stopping once the gradient norm is below BCTS_TOL. `converged` is
+    False when the line search can no longer lower the loss while the
+    gradient norm is still at least 1e-6, and when the budget of
+    BCTS_MAX_ITERS steps runs out with the gradient norm still at least
+    BCTS_TOL.
     """
     if loss not in ("nll", "mse"):
         raise InputError(f"unknown loss: {loss}")
@@ -159,9 +160,9 @@ def bcts_fit(
     val, grad, g = _bcts_loss_grad(logp, onehot, theta[0], theta[1:], loss)
     trace = [val]
     it = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, BCTS_MAX_ITERS + 1):
         gnorm = float(np.linalg.norm(grad))
-        if gnorm < tol:
+        if gnorm < BCTS_TOL:
             converged = True
             break
         d = _descent_direction(_bcts_fisher(logp, g), grad)
@@ -181,9 +182,9 @@ def bcts_fit(
             break
         theta, val, grad, g = nxt, nval, ngrad, ng
         trace.append(val)
-    else:  # budget spent; the last step may still have brought the norm below tol
+    else:  # budget spent; the last step may still have brought the norm below BCTS_TOL
         gnorm = float(np.linalg.norm(grad))
-        converged = gnorm < tol
+        converged = gnorm < BCTS_TOL
     b = theta[1:]
     params = BctsParams(1.0 / theta[0], b - b.mean())  # softmax is shift-invariant in b
     return BctsFit(params, converged, it, gnorm, tuple(trace))

@@ -34,15 +34,17 @@ from .estimators import (
     rlls,
 )
 from .io import read_prediction_file, write_prediction_file
-from .predictors import GmmSpec, gmm_posterior, samples_from_outputs
+from .predictors import GmmSpec, samples_from_outputs
 from .simplex import LabeledPredictions, ProbVector, WeightVector, normalized_rows, weights_to_target_marginal
 from .simulation import (
     ExperimentConfig,
     ShiftSpec,
     aggregate_to_csv,
+    check_count,
+    check_seed,
+    draw_trial,
     rng_for,
     run_trials,
-    sample_gmm,
     target_table_from_outputs,
 )
 
@@ -63,10 +65,6 @@ def _read_json(path):
             return json.load(fh)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"{path}: {exc}") from None
-
-
-def _prob_vector(text: str) -> ProbVector:
-    return ProbVector.normalized(np.array([float(v) for v in text.split(",")]), tol=1e-6)
 
 
 # ---------------------------------------------------------------- config values
@@ -93,6 +91,18 @@ def _config_value(obj: dict, key: str, kind, default=None):
     return value
 
 
+def _check_keys(obj: dict, allowed, what: str) -> None:
+    """An InputError naming the keys of a config object beyond `allowed`."""
+    unknown = set(obj) - set(allowed)
+    if unknown:
+        raise InputError(f"unknown {what} keys: {sorted(unknown)}")
+
+
+def _marginal(obj: dict, key: str, default=None) -> ProbVector:
+    """obj[key] as a list of numbers renormalized to a probability vector."""
+    return ProbVector.normalized(np.asarray(_config_value(obj, key, [float], default)), tol=1e-6)
+
+
 # ---------------------------------------------------------------- estimate
 
 # key -> (kind, default). A flag of the same name, when given, beats the key
@@ -115,9 +125,7 @@ def _estimate_settings(args) -> argparse.Namespace:
         overrides = _read_json(args.config)
         if not isinstance(overrides, dict):
             raise InputError("config overrides must be a JSON object")
-        unknown = set(overrides) - set(ESTIMATE_SETTINGS)
-        if unknown:
-            raise InputError(f"unknown config keys: {sorted(unknown)}")
+        _check_keys(overrides, ESTIMATE_SETTINGS, "config")
     s = argparse.Namespace()
     for key, (kind, default) in ESTIMATE_SETTINGS.items():
         flag = getattr(args, key, None)
@@ -252,19 +260,9 @@ def cmd_calibrate(args) -> int:
 
 def _weights_from_json(obj, source_marginal: ProbVector) -> WeightVector:
     """A weight vector read from JSON, rescaled so that w . p_s = 1."""
-    k = source_marginal.k
-    if not (
-        isinstance(obj, list)
-        and len(obj) == k
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj)
-    ):
-        raise InputError(f"weights file must hold a JSON list of {k} numbers")
-    try:
-        w = np.asarray(obj, dtype=float)
-    except OverflowError:  # an integer beyond float range
-        raise InputError("weights must be finite") from None
-    if not np.all(np.isfinite(w)):
-        raise InputError("weights must be finite")
+    w = np.asarray(_config_value({"weights": obj}, "weights", [float]))
+    if len(w) != source_marginal.k:
+        raise InputError(f"weights file must hold a JSON list of {source_marginal.k} numbers")
     dot = float(w @ source_marginal.entries)
     if dot <= 0:
         raise InputError(f"weights give w . p_s = {dot}; it must be positive")
@@ -313,24 +311,39 @@ def cmd_diagnose(args) -> int:
 
 # ---------------------------------------------------------------- simulate
 
+def _list_flags(args, *keys) -> dict:
+    """The comma-separated number lists of the given flags, keyed like a
+    config object; a flag left out is absent."""
+    given = {}
+    for key in keys:
+        text = getattr(args, key)
+        if text is not None:
+            try:
+                given[key] = [float(v) for v in text.split(",")]
+            except ValueError:
+                raise InputError(f"{key} must be a comma-separated list of numbers, not {text!r}") from None
+    return given
+
+
 def cmd_simulate(args) -> int:
-    source_marginal = (
-        _prob_vector(args.source_marginal) if args.source_marginal else ProbVector(np.array([0.5, 0.5]))
-    )
-    spec = GmmSpec(args.mu, source_marginal)
-    if args.target_marginal:
-        p_t = _prob_vector(args.target_marginal)
+    """Write the data that `draw_trial` draws for the flags' scenario under
+    the key (--seed), held to the benchmark config's rules."""
+    flags = _list_flags(args, "source_marginal", "target_marginal")
+    spec = GmmSpec(args.mu, _marginal(flags, "source_marginal", [0.5, 0.5]))
+    if "target_marginal" in flags:
+        shift = ShiftSpec("explicit", target_marginal=_marginal(flags, "target_marginal"))
     elif args.alpha is not None:
         shift = ShiftSpec("dirichlet", alpha=args.alpha)
-        p_t = shift.draw(source_marginal.k, rng_for(args.seed, 0))
     else:
         raise InputError("provide --alpha or --target-marginal")
+    check_seed("seed", args.seed)
+    check_count("n_source", args.n_source)
+    check_count("m_target", args.m_target)
 
-    src_x, src_y = sample_gmm(spec, source_marginal, args.n_source, args.seed, 1)
-    tgt_x, _ = sample_gmm(spec, p_t, args.m_target, args.seed, 2)
+    p_t, src_outputs, src_y, tgt_outputs = draw_trial(spec, shift, args.n_source, args.m_target, args.seed)
     try:
-        write_prediction_file(args.source_out, gmm_posterior(spec, src_x), src_y)
-        write_prediction_file(args.target_out, gmm_posterior(spec, tgt_x))
+        write_prediction_file(args.source_out, src_outputs, src_y)
+        write_prediction_file(args.target_out, tgt_outputs)
         with open(args.marginal_out, "w", encoding="utf-8") as fh:
             print(json.dumps({"target_marginal": list(p_t.entries), "seed": args.seed}), file=fh)
     except OSError as exc:
@@ -346,44 +359,40 @@ BENCHMARK_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 def _miscalibration(obj: dict, k: int) -> BctsParams:
     """The `miscalibration` object of a benchmark config: a temperature and
     one bias per class."""
-    if set(obj) - {"temperature", "biases"}:
-        raise InputError("miscalibration section accepts only temperature and biases")
+    _check_keys(obj, {"temperature", "biases"}, "miscalibration")
     biases = _config_value(obj, "biases", [float])
     if len(biases) != k:
         raise InputError(f"miscalibration biases must hold {k} numbers, one per class, not {len(biases)}")
     return BctsParams(_config_value(obj, "temperature", float), np.asarray(biases))
 
 
+def _shift(obj: dict) -> ShiftSpec:
+    """One entry of a benchmark config's `shifts`: a mode and that mode's one
+    parameter."""
+    mode = _config_value(obj, "mode", str)
+    if mode == "dirichlet":
+        _check_keys(obj, {"mode", "alpha"}, "dirichlet shift")
+        return ShiftSpec(mode, alpha=_config_value(obj, "alpha", float))
+    if mode == "explicit":
+        _check_keys(obj, {"mode", "target_marginal"}, "explicit shift")
+        return ShiftSpec(mode, target_marginal=_marginal(obj, "target_marginal"))
+    return ShiftSpec(mode)  # which rejects any other mode
+
+
 def _parse_benchmark_config(obj: dict) -> ExperimentConfig:
     if not isinstance(obj, dict):
         raise InputError("benchmark config must be a JSON object")
-    unknown = set(obj) - BENCHMARK_KEYS
-    if unknown:
-        raise InputError(f"unknown benchmark config keys: {sorted(unknown)}")
+    _check_keys(obj, BENCHMARK_KEYS, "benchmark config")
     gmm_obj = _config_value(obj, "gmm", dict)
-    if set(gmm_obj) - {"mu", "source_marginal"}:
-        raise InputError("gmm section accepts only mu and source_marginal")
-    marg = _config_value(gmm_obj, "source_marginal", [float], [0.5, 0.5])
-    gmm = GmmSpec(_config_value(gmm_obj, "mu", float), ProbVector.normalized(np.asarray(marg), tol=1e-6))
-    shifts = []
-    for s in _config_value(obj, "shifts", [dict]):
-        if s.get("mode") == "dirichlet":
-            shifts.append(ShiftSpec("dirichlet", alpha=_config_value(s, "alpha", float)))
-        elif s.get("mode") == "explicit":
-            p_t = np.asarray(_config_value(s, "target_marginal", [float]))
-            shifts.append(ShiftSpec("explicit", target_marginal=ProbVector.normalized(p_t, tol=1e-6)))
-        else:
-            raise InputError(f"unknown shift spec: {s}")
-    base_seed = _config_value(obj, "base_seed", int)
-    if base_seed < 0 or base_seed > 2 ** 64 - 1:
-        raise InputError("base_seed must be a 64-bit unsigned integer")
+    _check_keys(gmm_obj, {"mu", "source_marginal"}, "gmm")
+    gmm = GmmSpec(_config_value(gmm_obj, "mu", float), _marginal(gmm_obj, "source_marginal", [0.5, 0.5]))
     return ExperimentConfig(
         gmm=gmm,
-        shifts=tuple(shifts),
+        shifts=tuple(_shift(s) for s in _config_value(obj, "shifts", [dict])),
         methods=tuple(_config_value(obj, "methods", [str])),
         m_values=tuple(_config_value(obj, "m_values", [int])),
         n_trials=_config_value(obj, "n_trials", int),
-        base_seed=base_seed,
+        base_seed=_config_value(obj, "base_seed", int),
         n_source=_config_value(obj, "n_source", int, ExperimentConfig.n_source),
         rlls_lambda=_config_value(obj, "rlls_lambda", float, ExperimentConfig.rlls_lambda),
         max_iters=_config_value(obj, "max_iters", int, ExperimentConfig.max_iters),

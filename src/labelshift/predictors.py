@@ -22,6 +22,13 @@ class GmmSpec:
             raise InputError("mu must be finite")
         if self.source_marginal.k != 2:
             raise InputError("GmmSpec requires a 2-class source marginal")
+        with np.errstate(divide="ignore", over="ignore"):
+            reciprocals = 1.0 / self.source_marginal.entries
+        if not np.all(np.isfinite(reciprocals)):
+            raise InputError(
+                "source_marginal must have entries with finite reciprocals, as w* = p_t / p_s needs, "
+                f"not {self.source_marginal.entries.tolist()}"
+            )
 
 
 @dataclass(frozen=True)
@@ -44,7 +51,8 @@ def gmm_posterior(spec: GmmSpec, x) -> np.ndarray:
 
     pi0, pi1 = spec.source_marginal.entries
     x = np.asarray(x, dtype=float)
-    p0 = expit(np.log(pi0 / pi1) + 2.0 * spec.mu * x)
+    with np.errstate(over="ignore"):  # past |mu| ~ 1e154, 2 mu x is +-inf, whose expit is exact
+        p0 = expit(np.log(pi0 / pi1) + 2.0 * spec.mu * x)
     return np.stack([p0, 1.0 - p0], axis=-1)
 
 

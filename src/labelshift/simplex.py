@@ -51,7 +51,8 @@ class ProbVector:
         inside long iterative runs stays detectable.
         """
         e = np.asarray(entries, dtype=float)
-        s = e.sum()
+        with np.errstate(over="ignore"):  # a sum beyond float range is inf, beyond tol
+            s = e.sum()
         if abs(s - 1.0) > tol:
             raise InputError(f"probabilities sum to {s}, beyond renormalization tolerance {tol}")
         return cls(e / s)

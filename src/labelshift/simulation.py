@@ -37,6 +37,18 @@ def rng_for(base_seed: int, *indices: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def check_seed(key: str, seed: int) -> None:
+    """A simulation's seed is a 64-bit unsigned integer."""
+    if not 0 <= seed < 2 ** 64:
+        raise InputError(f"{key} must be a 64-bit unsigned integer")
+
+
+def check_count(key: str, value: int) -> None:
+    """A sample size, trial count, budget or bin count is at least 1."""
+    if value < 1:
+        raise InputError(f"{key} must be >= 1, not {value}")
+
+
 @dataclass(frozen=True)
 class ShiftSpec:
     """Target-marginal protocol: symmetric Dirichlet draw or an explicit prior."""
@@ -47,8 +59,8 @@ class ShiftSpec:
 
     def __post_init__(self):
         if self.mode == "dirichlet":
-            if self.alpha is None or self.alpha <= 0:
-                raise InputError("dirichlet shift requires alpha > 0")
+            if self.alpha is None or not (math.isfinite(self.alpha) and self.alpha > 0):
+                raise InputError("dirichlet shift requires a finite alpha > 0")
         elif self.mode == "explicit":
             if self.target_marginal is None:
                 raise InputError("explicit shift requires a target marginal")
@@ -102,9 +114,9 @@ class ExperimentConfig:
         if not self.rlls_lambda >= 0:
             raise InputError("rlls_lambda must be nonnegative")
         for key in ("n_trials", "n_source", "max_iters", "bins"):
-            value = getattr(self, key)
-            if value is not None and value < 1:
-                raise InputError(f"{key} must be >= 1, not {value}")
+            if getattr(self, key) is not None:
+                check_count(key, getattr(self, key))
+        check_seed("base_seed", self.base_seed)
         if not self.shifts:
             raise InputError("shifts must name at least one shift")
         if not self.m_values or min(self.m_values) < 1:
@@ -125,6 +137,18 @@ def sample_gmm(spec: GmmSpec, marginal: ProbVector, n: int, seed: int, *indices:
     z = ndtri(rng.random(n))
     xs = z + np.where(labels == 0, spec.mu, -spec.mu)
     return xs, labels
+
+
+def draw_trial(spec: GmmSpec, shift: ShiftSpec, n_source: int, m: int, seed: int, *key: int) -> tuple:
+    """The data of the trial keyed (seed, key...): stream 0 draws the target
+    marginal p_t, stream 1 the n_source labelled source rows and stream 2
+    the m target rows. Returns (p_t, source outputs, source labels, target
+    outputs), the outputs being the posterior of `spec`."""
+    p_s = spec.source_marginal
+    p_t = shift.draw(p_s.k, rng_for(seed, *key, 0))
+    src_x, src_y = sample_gmm(spec, p_s, n_source, seed, *key, 1)
+    tgt_x, _ = sample_gmm(spec, p_t, m, seed, *key, 2)
+    return p_t, gmm_posterior(spec, src_x), src_y, gmm_posterior(spec, tgt_x)
 
 
 def target_table_from_outputs(outputs: np.ndarray) -> PredictorTable:
@@ -153,19 +177,12 @@ def run_single_trial(cfg: ExperimentConfig, shift_idx: int, m_idx: int, trial: i
     returns a result that did not converge is recorded as a failed report with
     its reason rather than aborting the trial.
     """
-    shift = cfg.shifts[shift_idx]
     m = cfg.m_values[m_idx]
     seed_key = (shift_idx, m_idx, trial)
-    spec = cfg.gmm
-    p_s = spec.source_marginal
-    k = p_s.k
-
-    p_t = shift.draw(k, rng_for(cfg.base_seed, *seed_key, 0))
-    src_x, src_y = sample_gmm(spec, p_s, cfg.n_source, cfg.base_seed, *seed_key, 1)
-    tgt_x, _ = sample_gmm(spec, p_t, m, cfg.base_seed, *seed_key, 2)
-
-    src_outputs = gmm_posterior(spec, src_x)
-    tgt_outputs = gmm_posterior(spec, tgt_x)
+    p_s = cfg.gmm.source_marginal
+    p_t, src_outputs, src_y, tgt_outputs = draw_trial(
+        cfg.gmm, cfg.shifts[shift_idx], cfg.n_source, m, cfg.base_seed, *seed_key
+    )
     if cfg.miscalibration is not None:
         src_outputs = bcts_apply_matrix(cfg.miscalibration, src_outputs)
         tgt_outputs = bcts_apply_matrix(cfg.miscalibration, tgt_outputs)

@@ -118,10 +118,11 @@ class TestBctsFit:
             assert not fit.converged
             assert fit.final_grad_norm >= 1e-6
 
-    def test_small_budget_raises(self):
+    def test_small_budget_raises(self, monkeypatch):
         # a spent budget is reported through the flag, as a flat line search is
+        monkeypatch.setattr(calibration, "BCTS_MAX_ITERS", 2)
         samples, _ = distorted_ten_class_instance()
-        fit = bcts_fit(samples, max_iters=2)
+        fit = bcts_fit(samples)
         assert not fit.converged
         assert fit.iterations == 2
         assert fit.final_grad_norm >= 1e-8

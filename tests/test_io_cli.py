@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -17,7 +18,7 @@ import labelshift.simulation
 from labelshift.calibration import BctsParams
 from labelshift.cli import _parse_benchmark_config, main
 from labelshift.errors import InputError
-from labelshift.estimators import EstimateResult
+from labelshift.estimators import METHODS, EstimateResult
 from labelshift.io import (
     WRITE_CHUNK_ROWS,
     _read_rows,
@@ -25,8 +26,9 @@ from labelshift.io import (
     read_predictions,
     write_prediction_file,
 )
-from labelshift.simplex import WeightVector
-from labelshift.simulation import ExperimentConfig
+from labelshift.predictors import GmmSpec
+from labelshift.simplex import ProbVector, WeightVector
+from labelshift.simulation import ExperimentConfig, ShiftSpec, draw_trial
 from tests.conftest import F_ROWS, PS_ROWS, W_MISCAL_OPT, face_rlls, time_bound
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -361,19 +363,23 @@ class TestEstimateCommand:
         assert json.loads(err)["error"] == "input"
 
     @pytest.mark.parametrize(
-        "overrides",
+        "overrides, key",
         [
-            {"max_iters": "abc"},
-            {"rlls_lambda": None},
-            {"seed": -3},
-            {"max_iters": 0},
-            {"tol": 1e-8},
-            {"clip_negative": "yes"},
+            ({"max_iters": "abc"}, "max_iters"),
+            ({"rlls_lambda": None}, "rlls_lambda"),
+            ({"seed": -3}, "seed"),
+            ({"max_iters": 0}, "max_iters"),
+            ({"tol": 1e-8}, "tol"),
+            ({"clip_negative": "yes"}, "clip_negative"),
+            (["method", "bbse_hard"], "JSON object"),
+            ({"method": "magic"}, "method"),
         ],
         ids=["string_max_iters", "null_lambda", "negative_seed", "no_budget", "unknown_tol",
-             "string_flag"],
+             "string_flag", "not_an_object", "unknown_method"],
     )
-    def test_bad_config_value_exits_2(self, calibration_files, tmp_path, capsys, monkeypatch, overrides):
+    def test_bad_config_value_exits_2(
+        self, calibration_files, tmp_path, capsys, monkeypatch, overrides, key
+    ):
         monkeypatch.setattr(labelshift.cli, "read_prediction_file", None)  # no file may be read
         src, tgt = calibration_files
         cfg = tmp_path / "cfg.json"
@@ -385,7 +391,7 @@ class TestEstimateCommand:
         assert out == ""
         error = json.loads(err)
         assert error["error"] == "input"
-        assert next(iter(overrides)) in error["message"]
+        assert key in error["message"]
 
     @pytest.mark.parametrize("value", [-0.5, 0.0, 1.0, 1.5])
     @pytest.mark.parametrize("given_by", ["flag", "config"])
@@ -504,6 +510,34 @@ class TestEstimateCommand:
         assert code == 4
         assert json.loads(err)["error"] == "convergence"
 
+    def test_class_absent_from_estimation_split_exits_2(self, hand_files, tmp_path, capsys):
+        src = tmp_path / "one_class.csv"
+        outputs = read_prediction_file(hand_files[0])[0]
+        write_csv(src, outputs, np.zeros(outputs.shape[0], dtype=int))
+        code, out, err = run_cli(
+            capsys, "estimate", "--source", str(src), "--target", str(hand_files[1]), "--no-calibration"
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "input", "message": "a class is absent from the source estimation split"
+        }
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_method_on_a_simulated_pair(self, tmp_path, capsys, method):
+        src, tgt = tmp_path / "s.csv", tmp_path / "t.csv"
+        assert main([
+            "simulate", "--target-marginal", "0.3,0.7", "--seed", "5", "--n-source", "2000",
+            "--m-target", "1000", "--source-out", str(src), "--target-out", str(tgt),
+            "--marginal-out", str(tmp_path / "m.json"),
+        ]) == 0
+        files = ["--source", str(src), "--target", str(tgt), "--method", method]
+        code, out, err = run_cli(capsys, "estimate", *files)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["converged"] is True
+        code, out, err = run_cli(capsys, "diagnose", *files)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["kkt_residual"] >= 0
+
     def test_calibration_not_converged_exits_4(self, tmp_path, capsys):
         # labels drawn independently of the outputs: the BCTS fit runs off to
         # 1/T = 0, where every calibrated row is the same vector
@@ -599,10 +633,12 @@ class TestDiagnoseCommand:
         "text, message",
         [
             ("[1, 1, 1]", "weights file must hold a JSON list of 2 numbers"),
-            ('[1, "a"]', "weights file must hold a JSON list of 2 numbers"),
+            ('[1, "a"]', 'weights must be a finite number, not "a"'),
             ("[0, 0]", "weights give w . p_s = 0.0; it must be positive"),
+            (f"[{10 ** 400}, 1]", f"weights must be a finite number, not {10 ** 400}"),
+            ("[Infinity, 1]", "weights must be a finite number, not Infinity"),
         ],
-        ids=["wrong_length", "non_numeric", "zero_source_mass"],
+        ids=["wrong_length", "non_numeric", "zero_source_mass", "integer_beyond_float", "infinity"],
     )
     def test_bad_weights_file_exits_2(self, hand_files, tmp_path, capsys, text, message):
         wfile = tmp_path / "w.json"
@@ -616,17 +652,43 @@ class TestDiagnoseCommand:
         assert len(err.splitlines()) == 1  # the JSON error alone: no traceback, no warning
         assert json.loads(err) == {"error": "input", "message": message}
 
-    @pytest.mark.parametrize("method", ["bbse_hard", "bbse_soft", "rlls", "mlls_cm"])
-    def test_unlabeled_source_exits_2(self, hand_files, tmp_path, capsys, method):
+    @pytest.mark.parametrize(
+        "command, method",
+        [("diagnose", "bbse_hard"), ("diagnose", "bbse_soft"), ("diagnose", "rlls"),
+         ("diagnose", "mlls_cm"), ("estimate", "mlls_em")],
+        ids=["bbse_hard", "bbse_soft", "rlls", "mlls_cm", "estimate"],
+    )
+    def test_unlabeled_source_exits_2(self, hand_files, tmp_path, capsys, command, method):
         src = tmp_path / "unlabeled.csv"
         write_csv(src, read_prediction_file(hand_files[0])[0])
         code, out, err = run_cli(
-            capsys, "diagnose", "--source", str(src), "--target", str(hand_files[1]),
+            capsys, command, "--source", str(src), "--target", str(hand_files[1]),
             "--method", method,
         )
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "input"
+
+
+@st.composite
+def simulate_argv(draw):
+    """`simulate` flags: floats of any size, marginals of 1-4 numbers or junk
+    tokens, sizes from -2 and seeds on both sides of [0, 2^64). Half the
+    numbers and marginals are drawn from the valid range."""
+    number = st.floats().map(repr) | st.floats(1e-3, 10).map(repr)
+    token = st.floats().map(repr) | st.sampled_from(["", "x", " ", "1_0", "0x1p-1", "1e400", "0.5.5"])
+    marginal = (st.floats(0, 1).map(lambda p: f"{p!r},{1 - p!r}")
+                | st.lists(token, min_size=1, max_size=4).map(",".join))
+    flags = {
+        "mu": draw(st.none() | number),
+        "alpha": draw(st.none() | number),
+        "source-marginal": draw(st.none() | marginal),
+        "target-marginal": draw(st.none() | marginal),
+        "n-source": draw(st.integers(-2, 50)),
+        "m-target": draw(st.integers(-2, 50)),
+        "seed": draw(st.integers(-2, 2 ** 70)),
+    }
+    return [f"--{name}={value}" for name, value in flags.items() if value is not None]
 
 
 class TestSimulateCommand:
@@ -678,6 +740,86 @@ class TestSimulateCommand:
             "--marginal-out", str(tmp_path / "m.json"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--target-marginal", "0.2,0.3,0.5"], "explicit target marginal has the wrong length"),
+            (["--source-marginal", "1,0", "--alpha", "1"],
+             "source_marginal must have entries with finite reciprocals, as w* = p_t / p_s needs, "
+             "not [1.0, 0.0]"),
+            (["--target-marginal", "a,b"],
+             "target_marginal must be a comma-separated list of numbers, not 'a,b'"),
+            (["--target-marginal", "0.5,0.5,"],
+             "target_marginal must be a comma-separated list of numbers, not '0.5,0.5,'"),
+            (["--source-marginal", "0.5,x", "--alpha", "1"],
+             "source_marginal must be a comma-separated list of numbers, not '0.5,x'"),
+            (["--target-marginal", "nan,1"], "target_marginal must be a finite number, not NaN"),
+            (["--seed", "-1", "--alpha", "1"], "seed must be a 64-bit unsigned integer"),
+            (["--seed", str(2 ** 64), "--alpha", "1"], "seed must be a 64-bit unsigned integer"),
+            (["--n-source", "0", "--m-target", "0", "--alpha", "1"], "n_source must be >= 1, not 0"),
+            (["--m-target", "0", "--alpha", "1"], "m_target must be >= 1, not 0"),
+            (["--alpha", "nan"], "dirichlet shift requires a finite alpha > 0"),
+            (["--alpha", "inf"], "dirichlet shift requires a finite alpha > 0"),
+        ],
+        ids=["wrong_length_target", "zero_source_mass", "junk_target", "trailing_comma",
+             "junk_source", "nan_target", "negative_seed", "seed_beyond_64_bits", "no_rows",
+             "no_target_rows", "nan_alpha", "infinite_alpha"],
+    )
+    def test_bad_flag_exits_2(self, tmp_path, capsys, flags, message):
+        code, out, err = run_cli(
+            capsys, "simulate", *flags,
+            "--source-out", str(tmp_path / "s.csv"),
+            "--target-out", str(tmp_path / "t.csv"),
+            "--marginal-out", str(tmp_path / "m.json"),
+        )
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1  # the JSON error alone: no traceback, no warning
+        assert json.loads(err) == {"error": "input", "message": message}
+        assert list(tmp_path.iterdir()) == []  # no file is written
+
+    @settings(max_examples=200, deadline=None)
+    @given(flags=simulate_argv())
+    @example(flags=["--mu=1e+308", "--alpha=1e-308", "--source-marginal=1.0,5e-324", "--n-source=3"])
+    @example(flags=["--mu=-1e+308", "--target-marginal=1e+308,1e+308"])
+    @example(flags=["--alpha=1.0", "--source-marginal=1e-300,1.0", "--seed=18446744073709551615"])
+    def test_generated_flags_end_in_files_or_one_error(self, tmp_path_factory, flags):
+        work = tmp_path_factory.mktemp("simulate")
+        files = {name: work / name for name in ("s.csv", "t.csv", "m.json")}
+        argv = ["simulate", *flags, "--source-out", str(files["s.csv"]),
+                "--target-out", str(files["t.csv"]), "--marginal-out", str(files["m.json"])]
+        out, err = io.StringIO(), io.StringIO()
+        with time_bound(60), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if code == 0:
+            assert out.getvalue() == err.getvalue() == ""
+            # what was written reads back: finite rows that sum to 1
+            n_source = read_prediction_file(files["s.csv"])[0].shape[0]
+            m_target = read_prediction_file(files["t.csv"])[0].shape[0]
+            assert min(n_source, m_target) >= 1
+            assert len(json.loads(files["m.json"].read_text())["target_marginal"]) == 2
+        else:
+            assert code in (2, 5), err.getvalue()
+            assert out.getvalue() == ""
+            assert len(err.getvalue().splitlines()) == 1  # the JSON error alone
+            assert set(json.loads(err.getvalue())) == {"error", "message"}
+
+    def test_files_are_draw_trial_written_out(self, tmp_path):
+        argv = ["--mu", "1.7", "--source-marginal", "0.3,0.7", "--alpha", "0.4", "--seed", "7",
+                "--n-source", "300", "--m-target", "200"]
+        out_files = ["--source-out", str(tmp_path / "s.csv"), "--target-out", str(tmp_path / "t.csv"),
+                     "--marginal-out", str(tmp_path / "m.json")]
+        assert main(["simulate", *argv, *out_files]) == 0
+        spec = GmmSpec(1.7, ProbVector(np.array([0.3, 0.7])))
+        p_t, src_outputs, src_labels, tgt_outputs = draw_trial(
+            spec, ShiftSpec("dirichlet", alpha=0.4), 300, 200, 7
+        )
+        write_prediction_file(tmp_path / "s_expect.csv", src_outputs, src_labels)
+        write_prediction_file(tmp_path / "t_expect.csv", tgt_outputs)
+        assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "s_expect.csv").read_bytes()
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "t_expect.csv").read_bytes()
+        truth = json.loads((tmp_path / "m.json").read_text())
+        assert truth == {"target_marginal": p_t.entries.tolist(), "seed": 7}
 
     def test_unwritable_path_exits_5(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -797,21 +939,34 @@ class TestBenchmarkCommand:
             ({"n_trials": 0}, "n_trials"),
             ({"n_source": 0}, "n_source"),
             ({"bins": 0}, "bins"),
+            ([{"gmm": {"mu": 1.0}}], "JSON object"),
+            ({"gmm": {"mu": 1.0, "sigma": 2.0}}, "sigma"),
+            ({"shifts": [{"mode": "magic", "alpha": 1.0}]}, "mode"),
+            ({"shifts": [{"alpha": 1.0}]}, "mode"),
+            ({"base_seed": -1}, "base_seed"),
+            ({"base_seed": 2 ** 64}, "base_seed"),
+            ({"gmm": {"mu": 1.0, "source_marginal": [1, 0]}}, "source_marginal"),
+            ({"shifts": [{"mode": "dirichlet", "alpha": 1, "typo": 3}]}, "typo"),
+            ({"shifts": [{"mode": "explicit", "target_marginal": [0.9, 0.1], "alpha": -5}]}, "alpha"),
         ],
         ids=["dirichlet_without_alpha", "string_n_source", "string_shifts", "float_m", "null_mu",
              "no_budget", "unknown_tol", "zero_temperature", "biases_not_k",
              "unknown_miscalibration_key", "string_bias", "no_shifts", "no_m_values", "zero_m",
-             "zero_trials", "zero_source", "zero_bins"],
+             "zero_trials", "zero_source", "zero_bins", "not_an_object", "unknown_gmm_key",
+             "unknown_shift_mode", "shift_without_mode", "negative_seed", "seed_beyond_64_bits",
+             "zero_source_mass", "unknown_shift_key", "explicit_shift_with_alpha"],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, monkeypatch, overrides, key):
         monkeypatch.setattr(labelshift.cli, "run_trials", None)  # no trial may run
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(self.benchmark_config(**overrides)))
+        cfg = self.benchmark_config(**overrides) if isinstance(overrides, dict) else overrides
+        cfg_path.write_text(json.dumps(cfg))
         code, out, err = run_cli(
             capsys, "benchmark", "--config", str(cfg_path), "--output", str(tmp_path / "o.csv")
         )
         assert code == 2
         assert out == ""
+        assert len(err.splitlines()) == 1  # the JSON error alone: no warning
         error = json.loads(err)
         assert error["error"] == "input"
         assert key in error["message"]

@@ -55,6 +55,18 @@ class TestGmm:
         with pytest.raises(InputError):
             GmmSpec(mu=1.0, source_marginal=ProbVector(np.full(3, 1.0 / 3.0)))
 
+    @pytest.mark.parametrize("entries", [[1.0, 0.0], [0.0, 1.0], [1.0, 5e-324]])
+    def test_source_marginal_needs_finite_reciprocals(self, entries):
+        # w* = p_t / p_s divides by every entry
+        with pytest.raises(InputError, match="source_marginal"):
+            GmmSpec(mu=1.0, source_marginal=ProbVector(np.array(entries)))
+
+    @pytest.mark.parametrize("mu", [1e300, -1e300, 1.7976931348623157e308])
+    def test_huge_mu_gives_one_hot_rows_without_warning(self, mu):
+        spec = GmmSpec(mu=mu, source_marginal=ProbVector(np.array([1e-300, 1.0 - 1e-300])))
+        x = np.array([mu, -mu])
+        np.testing.assert_array_equal(gmm_posterior(spec, x), np.eye(2))  # 2 mu x is +-inf
+
 
 class TestThreshold:
     def test_confidence_convention(self):

@@ -3,13 +3,14 @@ import pytest
 
 from labelshift import simulation
 from labelshift.errors import InputError
-from labelshift.predictors import GmmSpec
+from labelshift.predictors import GmmSpec, gmm_posterior
 from labelshift.simplex import ProbVector
 from labelshift.simulation import (
     AggregateRow,
     ExperimentConfig,
     ShiftSpec,
     aggregate_to_csv,
+    draw_trial,
     rng_for,
     run_single_trial,
     run_trials,
@@ -90,6 +91,9 @@ class TestShiftSpec:
             ShiftSpec(mode="dirichlet")
         with pytest.raises(InputError):
             ShiftSpec(mode="dirichlet", alpha=0.0)
+        for alpha in (np.nan, np.inf):
+            with pytest.raises(InputError, match="finite alpha"):
+                ShiftSpec(mode="dirichlet", alpha=alpha)
         with pytest.raises(InputError):
             ShiftSpec(mode="explicit")
         with pytest.raises(InputError):
@@ -116,6 +120,25 @@ class TestTrials:
             assert a.method == b.method
             assert a.squared_error == b.squared_error
             np.testing.assert_array_equal(a.w_hat.weights, b.w_hat.weights)
+
+    def test_w_star_comes_from_the_drawn_target_marginal(self):
+        p_s = ProbVector(np.array([0.3, 0.7]))
+        cfg = small_config(gmm=GmmSpec(1.0, p_s), shifts=(ShiftSpec("dirichlet", alpha=0.5),))
+        for trial in range(3):
+            p_t, *_ = draw_trial(cfg.gmm, cfg.shifts[0], cfg.n_source, 200, cfg.base_seed, 0, 0, trial)
+            ratio = p_t.entries / p_s.entries
+            for rep in run_single_trial(cfg, 0, 0, trial):
+                np.testing.assert_array_equal(rep.w_star.weights, ratio / (ratio @ p_s.entries))
+
+    def test_draw_trial_is_its_streams(self):
+        # stream 0 draws p_t, stream 1 the source rows and stream 2 the target rows
+        shift = ShiftSpec("dirichlet", alpha=1.0)
+        p_t, src_outputs, src_labels, tgt_outputs = draw_trial(GMM, shift, 30, 20, 9, 4)
+        np.testing.assert_array_equal(p_t.entries, shift.draw(2, rng_for(9, 4, 0)).entries)
+        src_x, labels = sample_gmm(GMM, UNIFORM_2, 30, 9, 4, 1)
+        np.testing.assert_array_equal(src_labels, labels)
+        np.testing.assert_array_equal(src_outputs, gmm_posterior(GMM, src_x))
+        np.testing.assert_array_equal(tgt_outputs, gmm_posterior(GMM, sample_gmm(GMM, p_t, 20, 9, 4, 2)[0]))
 
     def test_trial_reports_are_finite(self):
         for rep in run_single_trial(small_config(), 0, 0, 1):
@@ -173,8 +196,10 @@ class TestTrials:
     @pytest.mark.parametrize(
         "overrides",
         [{"methods": ("bbse_hard", "mlls")}, {"rlls_lambda": -1e-3}, {"max_iters": 0},
-         {"shifts": ()}, {"m_values": ()}, {"m_values": (100, 0)}],
-        ids=["unknown_method", "negative_lambda", "no_budget", "no_shifts", "no_m_values", "zero_m"],
+         {"shifts": ()}, {"m_values": ()}, {"m_values": (100, 0)}, {"base_seed": -1},
+         {"base_seed": 2 ** 64}],
+        ids=["unknown_method", "negative_lambda", "no_budget", "no_shifts", "no_m_values", "zero_m",
+             "negative_seed", "seed_beyond_64_bits"],
     )
     def test_config_rejects_before_any_trial(self, overrides):
         with pytest.raises(InputError):
