@@ -76,7 +76,8 @@ def clip_probs(rows) -> np.ndarray:
 
 def _bcts_transform(logp: np.ndarray, inv_t: float, b: np.ndarray) -> np.ndarray:
     z = logp * inv_t + b
-    z -= row_max(z)[..., None]
+    with np.errstate(over="ignore"):  # past the float range z is -inf, whose exp is the right 0
+        z -= row_max(z)[..., None]
     e = np.exp(z)
     return e / row_sums(e)[..., None]
 

@@ -481,6 +481,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for key, value in vars(args).items():
+            if isinstance(value, list):  # Python 3.11's argparse reads `--flag=--` as []
+                raise InputError(f"--{key.replace('_', '-')} takes one value, not '--'")
         return args.func(args)
     except IdentifiabilityError as exc:
         return _fail(EXIT_IDENT, "identifiability", str(exc))

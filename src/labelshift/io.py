@@ -16,6 +16,12 @@ loop `_read_rows`, which either accepts it or names the first bad row as
 `file:line`; that loop is the only source of error messages, and it returns
 exactly what the single parse returns on every file both accept. A handle that
 cannot seek back is read by the row loop alone.
+
+When at least half of the first PROBE_LINES body lines repeat an earlier
+line, each distinct line is parsed once and the rows are indexed from those;
+a line that is one whole record parses the same wherever it stands, so the
+arrays are bit for bit the single parse's. Memory then grows with the
+distinct lines and one chunk of text, not with the file.
 """
 from __future__ import annotations
 
@@ -30,6 +36,9 @@ from .simplex import row_sums
 
 ROW_SUM_TOL = 1e-6
 WRITE_CHUNK_ROWS = 4096  # rows formatted per write, which bounds the text held at once
+PROBE_LINES = 4096  # body lines whose repeats choose how the rest is parsed
+CHUNK_CHARS = 1 << 20  # text read at once while mapping repeated lines
+BLANK_LINES = ("\n", "\r\n", "\r")  # what a blank line is in a newline="" handle
 
 
 def read_prediction_file(path) -> tuple[np.ndarray, np.ndarray | None, list[str]]:
@@ -73,12 +82,41 @@ def _read_header(fh, name: str) -> tuple[list[str], bool]:
 
 
 def _parse_body(fh, k: int, has_label: bool):
-    """(outputs, labels or None) of a valid body in one parse, else None."""
+    """(outputs, labels or None) of a valid body, else None. The body is
+    parsed whole unless most of its first PROBE_LINES lines repeat."""
     for first in fh:  # loadtxt warns on a body with no rows, so look for one first
         if first.strip("\r\n"):
             break
     else:
         return None
+    probe = [first, *itertools.islice(fh, PROBE_LINES - 1)]
+    if 2 * len(set(probe)) > len(probe):
+        return _parse_lines(itertools.chain(probe, fh), k, has_label)
+    # Most lines repeat: parse each distinct line once and index the rows.
+    # loadtxt skips blank lines, so they map to -1 and are dropped.
+    position = dict.fromkeys(BLANK_LINES, -1)
+    index = []
+    chunk = probe
+    while chunk:
+        fresh = [line for line in dict.fromkeys(chunk) if line not in position]
+        position.update(zip(fresh, itertools.count(len(position) - len(BLANK_LINES))))
+        index.append(np.fromiter(map(position.__getitem__, chunk), np.intp, len(chunk)))
+        chunk = fh.readlines(CHUNK_CHARS)
+    distinct = list(position)[len(BLANK_LINES):]
+    # A line parses alone as it does in the file only if it is one whole
+    # record. A line that leaves a quoted field open swallows the next one,
+    # so one row per line, with the last line parsed twice, shows that.
+    parsed = _parse_lines([*distinct, distinct[-1]], k, has_label)
+    if parsed is None or len(parsed[0]) != len(distinct) + 1:
+        return None
+    index = np.concatenate(index)
+    index = index[index >= 0]
+    probs, labels = parsed
+    return probs[index], None if labels is None else labels[index]
+
+
+def _parse_lines(lines, k: int, has_label: bool):
+    """(outputs, labels or None) of valid lines in one np.loadtxt call, else None."""
     fields = [("p", np.float64, (k,))] + ([("y", np.int64)] if has_label else [])
     try:
         with warnings.catch_warnings():
@@ -88,8 +126,7 @@ def _parse_body(fh, k: int, has_label: bool):
             # warning sends the file to the row loop like a parse error
             warnings.simplefilter("error")
             data = np.loadtxt(
-                itertools.chain((first,), fh), dtype=fields,
-                delimiter=",", comments=None, quotechar='"', ndmin=1,
+                lines, dtype=fields, delimiter=",", comments=None, quotechar='"', ndmin=1,
             )
     except (ValueError, Warning):
         return None

@@ -79,6 +79,10 @@ class ShiftSpec:
                 raise InputError("explicit target marginal has the wrong length")
             return self.target_marginal
         draw = rng.dirichlet(np.full(k, self.alpha))
+        if not draw.sum() > 0:  # numpy returns zeros once the sum of its gamma draws overflows
+            raise InputError(
+                f"dirichlet alpha={self.alpha:g} is too large to draw from: its gamma draws overflow"
+            )
         return ProbVector.normalized(draw, tol=1e-9)
 
 

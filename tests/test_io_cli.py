@@ -20,6 +20,7 @@ from labelshift.cli import _parse_benchmark_config, main
 from labelshift.errors import InputError
 from labelshift.estimators import METHODS, EstimateResult
 from labelshift.io import (
+    PROBE_LINES,
     WRITE_CHUNK_ROWS,
     _read_rows,
     read_prediction_file,
@@ -32,6 +33,8 @@ from labelshift.simulation import ExperimentConfig, ShiftSpec, draw_trial
 from tests.conftest import F_ROWS, PS_ROWS, W_MISCAL_OPT, face_rlls, time_bound
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+# rows that all differ: as a probe they choose the parse of every line
+DISTINCT_ROWS = "".join(f"{i / PROBE_LINES!r},{1 - i / PROBE_LINES!r}\n" for i in range(PROBE_LINES))
 
 
 # Cells both readers must treat alike: tokens that float()/int() and a C parser
@@ -46,7 +49,9 @@ FAULTS = (
 
 @st.composite
 def prediction_csv_text(draw):
-    """CSV text, k in 2..4: a valid file, or one with one fault in one row."""
+    """CSV text, k in 2..4: a valid file, or one with one fault in one row.
+    Often the body is drawn from a pool of one or two of its rows, so that
+    lines repeat and the reader parses each distinct line once."""
     k = draw(st.integers(2, 4))
     has_label = draw(st.booleans())
     n = draw(st.integers(0, 6))
@@ -58,13 +63,9 @@ def prediction_csv_text(draw):
         return {"plain": text, "quoted": f'"{text}"', "padded": f" {text} ",
                 "quoted_padded": f'" {text} "'}[how]
 
-    lines = [",".join([f"c{j}" for j in range(k)] + (["label"] if has_label else []))]
-    for i in range(n):
-        if draw(st.integers(0, 3)) == 0:
-            lines.append("")
+    def row(i):
         if i == bad and fault == "space":
-            lines.append(draw(st.sampled_from([" ", "\t", " \t "])))
-            continue
+            return draw(st.sampled_from([" ", "\t", " \t "]))
         if draw(st.booleans()) or (i == bad and fault == "sum"):
             w = draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
             probs = [v / sum(w) for v in w]
@@ -88,9 +89,20 @@ def prediction_csv_text(draw):
         cells = [cell(t) for t in texts]
         if i == bad and fault == "columns":
             cells = cells[:-1] if draw(st.booleans()) else cells + ["0"]
-        lines.append(",".join(cells))
+        return ",".join(cells)
+
+    rows = [row(i) for i in range(n)]
+    if rows and draw(st.booleans()):
+        pool = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=2))
+        rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    lines = [",".join([f"c{j}" for j in range(k)] + (["label"] if has_label else []))]
+    for text in rows:
+        if draw(st.integers(0, 3)) == 0:
+            lines.append("")
+        lines.append(text)
     eols = st.sampled_from(["\n", "\r\n", "\r"])
-    return "".join(line + draw(eols) for line in lines)
+    eol = draw(eols)  # mostly one ending, so that repeated rows stay equal lines
+    return "".join(line + (draw(eols) if draw(st.integers(0, 3)) == 0 else eol) for line in lines)
 
 
 class TestPredictionFiles:
@@ -133,15 +145,36 @@ class TestPredictionFiles:
         assert out[0].sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_valid_file_is_read_without_the_row_loop(self, tmp_path, monkeypatch):
-        path = tmp_path / "ok.csv"
-        path.write_bytes(b'c0,c1,label\r\n"0.25", 0.75 ,01\r\n\r\n0.6,0.4,-0\r\n')
-
         def row_loop(fh, name):
             raise AssertionError("a valid file fell back to the row-by-row reader")
 
         monkeypatch.setattr(labelshift.io, "_read_rows", row_loop)
-        out, labels, names = read_prediction_file(path)
-        assert out.shape == (2, 2) and labels.tolist() == [1, 0] and names == ["c0", "c1"]
+        # once, and repeated so that each distinct line is parsed once: blank
+        # lines among the repeats must not unmatch the parsed and indexed rows
+        for repeats in (1, 50):
+            path = tmp_path / "ok.csv"
+            path.write_bytes(b'c0,c1,label\r\n' + b'"0.25", 0.75 ,01\r\n\r\n0.6,0.4,-0\r\n\n' * repeats)
+            out, labels, names = read_prediction_file(path)
+            assert out.shape == (2 * repeats, 2) and labels.tolist() == [1, 0] * repeats
+            assert names == ["c0", "c1"]
+
+    def test_repeated_lines_are_parsed_once(self, tmp_path, monkeypatch):
+        parsed = []
+        loadtxt = np.loadtxt
+
+        def counting_loadtxt(lines, **kwargs):
+            lines = list(lines)
+            parsed.append(len(lines))
+            return loadtxt(lines, **kwargs)
+
+        monkeypatch.setattr(labelshift.io.np, "loadtxt", counting_loadtxt)
+        path = tmp_path / "r.csv"
+        path.write_text("c0,c1,label\n" + "0.25,0.75,1\n0.5,0.5,0\n" * 3 * PROBE_LINES)
+        out, labels, _ = read_prediction_file(path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            ref = _read_rows(fh, str(path))
+        assert out.tobytes() == ref[0].tobytes() and labels.tobytes() == ref[1].tobytes()
+        assert parsed == [3]  # the two distinct lines, and the last one again
 
     # numpy versions that read float text into an integer field truncate it
     # with a DeprecationWarning, which the CLI does not turn into an error
@@ -214,6 +247,15 @@ class TestPredictionFiles:
     @example(text="c0,c1,label\n0.5,0.5,1\n0.5,0.5,-1\n")
     @example(text="c0,c1,label\n0.5,0.5,1\n0.5,0.5,2\n")
     @example(text="c0,c1,label\n0.5,0.5,1\n0.5,0.5,1.0\n")
+    @example(text="c0,c1\n0.25,0.75\n\n0.25,0.75\n0.25,0.75\n\n")  # repeats, blank lines
+    @example(text="c0,c1\r\n0.25,0.75\r\n0.25,0.75\n0.25,0.75\r\n0.25,0.75\n0.25,0.75")
+    @example(text="c0,c1,label\n0.5,0.5,1\n0.5,0.5,0\n0.5,0.5,1\n0.5,0.5,0\n0.5,0.5,1\n")
+    @example(text="c0,c1\n" + "0.5,0.5\n" * PROBE_LINES + DISTINCT_ROWS)  # fresh lines after the probe
+    @example(text="c0,c1\n" + "0.5,0.5\n" * PROBE_LINES + DISTINCT_ROWS + "0.5,0.6\n")
+    @example(text="c0,c1\n" + DISTINCT_ROWS + "0.5,0.5\n" * PROBE_LINES)  # repeats after the probe
+    @example(text="c0,c1\n0.5,0.5\n0.5,0.6\n0.5,0.5\n0.5,0.6\n0.5,0.5\n")  # a repeated bad row
+    @example(text='c0,c1\n0.5,"0.5\n0.5,"0.5\n0.5,"0.5\n')  # a quote left open
+    @example(text='c0,c1\n"0.5\n",0.5\n"0.5\n",0.5\n')  # a quoted field over two lines
     def test_matches_row_reader(self, text):
         def read(reader):
             try:
@@ -691,6 +733,10 @@ def simulate_argv(draw):
     return [f"--{name}={value}" for name, value in flags.items() if value is not None]
 
 
+# numpy's Dirichlet draw is all zeros once the sum of its gamma draws overflows
+OVERFLOWING_ALPHA = "dirichlet alpha=1e+308 is too large to draw from: its gamma draws overflow"
+
+
 class TestSimulateCommand:
     def test_writes_files_and_is_deterministic(self, tmp_path, capsys):
         argv = [
@@ -761,10 +807,15 @@ class TestSimulateCommand:
             (["--m-target", "0", "--alpha", "1"], "m_target must be >= 1, not 0"),
             (["--alpha", "nan"], "dirichlet shift requires a finite alpha > 0"),
             (["--alpha", "inf"], "dirichlet shift requires a finite alpha > 0"),
+            (["--alpha", "1e308"], OVERFLOWING_ALPHA),
+            (["--alpha=--"], "--alpha takes one value, not '--'"),
+            (["--mu=--", "--alpha", "1"], "--mu takes one value, not '--'"),
+            (["--target-marginal=--"], "--target-marginal takes one value, not '--'"),
         ],
         ids=["wrong_length_target", "zero_source_mass", "junk_target", "trailing_comma",
              "junk_source", "nan_target", "negative_seed", "seed_beyond_64_bits", "no_rows",
-             "no_target_rows", "nan_alpha", "infinite_alpha"],
+             "no_target_rows", "nan_alpha", "infinite_alpha", "overflowing_alpha",
+             "double_dash_alpha", "double_dash_mu", "double_dash_target"],
     )
     def test_bad_flag_exits_2(self, tmp_path, capsys, flags, message):
         code, out, err = run_cli(
@@ -970,6 +1021,28 @@ class TestBenchmarkCommand:
         error = json.loads(err)
         assert error["error"] == "input"
         assert key in error["message"]
+
+    def test_overflowing_alpha_exits_2_naming_alpha(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(self.benchmark_config(shifts=[{"mode": "dirichlet", "alpha": 1e308}])))
+        code, out, err = run_cli(
+            capsys, "benchmark", "--config", str(cfg_path), "--output", str(tmp_path / "o.csv")
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "input", "message": OVERFLOWING_ALPHA}
+
+    def test_huge_biases_calibrate_without_warning(self, tmp_path, capsys):
+        # logp + 1e308 - 1e308 overflows to -inf where logp - 1e300 - 1e300 does
+        # not; both calibrate every row to [1, 0], so the sweeps agree
+        csv_text = {}
+        for bias in (1e300, 1e308):
+            cfg_path, out_path = tmp_path / "cfg.json", tmp_path / f"{bias:g}.csv"
+            mis = {"temperature": 1, "biases": [bias, -bias]}
+            cfg_path.write_text(json.dumps(self.benchmark_config(methods=["mlls_em"], miscalibration=mis)))
+            code, _, err = run_cli(capsys, "benchmark", "--config", str(cfg_path), "--output", str(out_path))
+            assert (code, err) == (0, "")
+            csv_text[bias] = out_path.read_text()
+        assert csv_text[1e308] == csv_text[1e300]
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
