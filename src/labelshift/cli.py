@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Subcommands: simulate, estimate, calibrate, diagnose, benchmark.
-One JSON document or CSV stream on stdout; logs and error JSON on stderr.
-Exit codes: 0 ok, 2 input, 3 identifiability, 4 convergence, 5 I/O.
+Each returns its stdout document (or None) for `main` alone to print as
+strict JSON; errors are JSON on stderr. Exit codes: 0 ok, 2 input (any input
+file that cannot be opened, read or parsed), 3 identifiability, 4
+convergence, 5 output.
 """
 from __future__ import annotations
 
@@ -21,7 +23,6 @@ from .diagnostics import (
     condition_tau,
     check_identifiability,
     diagnostics_report,
-    kkt_residual,
 )
 from .estimators import (
     MAX_ITERS,
@@ -58,11 +59,13 @@ def _fail(code: int, kind: str, message: str) -> int:
 
 def _read_json(path):
     """The JSON document of a file, read as UTF-8 with an optional byte-order
-    mark; text that does not decode or parse is an InputError naming the
-    file."""
+    mark; a file that cannot be read, or text that does not decode or parse,
+    is an InputError naming the file."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             return json.load(fh)
+    except OSError as exc:
+        raise InputError(str(exc)) from None
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"{path}: {exc}") from None
 
@@ -183,7 +186,7 @@ def _read_inputs(args):
     return src_outputs, src_labels, tgt_outputs
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args) -> dict:
     s = _estimate_settings(args)
 
     src_outputs, src_labels, tgt_outputs = _read_inputs(args)
@@ -221,7 +224,7 @@ def cmd_estimate(args) -> int:
 
     identifiable, min_eig = check_identifiability(source_samples.outputs)
     nonneg = bool(np.all(result.weights.weights >= 0))
-    report = {
+    return {
         "method": s.method,
         "weights": list(result.weights.weights),
         "source_marginal": list(result.weights.source_marginal.entries),
@@ -236,13 +239,11 @@ def cmd_estimate(args) -> int:
             "tau": condition_tau(table, result.weights) if nonneg else None,
         },
     }
-    print(json.dumps(report))
-    return 0
 
 
 # ---------------------------------------------------------------- calibrate
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args) -> dict:
     outputs, labels, _ = read_prediction_file(args.source)
     if labels is None:
         raise InputError("calibration file must carry a label column")
@@ -252,8 +253,7 @@ def cmd_calibrate(args) -> int:
         {"iterations": fit.iterations, "converged": fit.converged,
          "final_grad_norm": fit.final_grad_norm, "final_loss": fit.loss_trace[-1]}
     )
-    print(json.dumps(report))
-    return 0
+    return report
 
 
 # ---------------------------------------------------------------- diagnose
@@ -269,7 +269,7 @@ def _weights_from_json(obj, source_marginal: ProbVector) -> WeightVector:
     return WeightVector(w / dot, source_marginal)
 
 
-def cmd_diagnose(args) -> int:
+def cmd_diagnose(args) -> dict:
     src_outputs, src_labels, tgt_outputs = _read_inputs(args)
     k = src_outputs.shape[1]
     table = target_table_from_outputs(tgt_outputs)
@@ -292,21 +292,7 @@ def cmd_diagnose(args) -> int:
         result = _run_estimator(args.method, MAX_ITERS, 0.0, source_samples, table, source_marginal)
         weights = result.weights
 
-    report = diagnostics_report(table, weights, src_rows)
-    g = report.gradient
-    p = source_marginal.entries
-    projected = g - (g @ p) / (p @ p) * p  # tangent component of the constraint
-    out = report.to_json()
-    out.update(
-        {
-            "weights": list(weights.weights),
-            "hessian_nsd": report.sigma_min >= -1e-8,
-            "projected_gradient_norm": float(np.linalg.norm(projected)),
-            "kkt_residual": kkt_residual(g, p, weights.weights),
-        }
-    )
-    print(json.dumps(out))
-    return 0
+    return diagnostics_report(table, weights, src_rows).to_json()
 
 
 # ---------------------------------------------------------------- simulate
@@ -325,7 +311,7 @@ def _list_flags(args, *keys) -> dict:
     return given
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     """Write the data that `draw_trial` draws for the flags' scenario under
     the key (--seed), held to the benchmark config's rules."""
     flags = _list_flags(args, "source_marginal", "target_marginal")
@@ -341,14 +327,10 @@ def cmd_simulate(args) -> int:
     check_count("m_target", args.m_target)
 
     p_t, src_outputs, src_y, tgt_outputs = draw_trial(spec, shift, args.n_source, args.m_target, args.seed)
-    try:
-        write_prediction_file(args.source_out, src_outputs, src_y)
-        write_prediction_file(args.target_out, tgt_outputs)
-        with open(args.marginal_out, "w", encoding="utf-8") as fh:
-            print(json.dumps({"target_marginal": list(p_t.entries), "seed": args.seed}), file=fh)
-    except OSError as exc:
-        raise IOError(str(exc)) from exc
-    return 0
+    write_prediction_file(args.source_out, src_outputs, src_y)
+    write_prediction_file(args.target_out, tgt_outputs)
+    with open(args.marginal_out, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"target_marginal": list(p_t.entries), "seed": args.seed}) + "\n")
 
 
 # ---------------------------------------------------------------- benchmark
@@ -402,15 +384,11 @@ def _parse_benchmark_config(obj: dict) -> ExperimentConfig:
     )
 
 
-def cmd_benchmark(args) -> int:
+def cmd_benchmark(args) -> dict:
     cfg = _parse_benchmark_config(_read_json(args.config))
     _, rows = run_trials(cfg)
-    csv_text = aggregate_to_csv(rows)
-    try:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-    except OSError as exc:
-        raise IOError(str(exc)) from exc
+    with open(args.output, "w", encoding="utf-8") as fh:
+        fh.write(aggregate_to_csv(rows))
     mses = {m: [r.mse for r in rows if r.method == m and r.n_failed < r.n_trials] for m in cfg.methods}
     failed = [m for m, v in mses.items() if not v]
     if failed:
@@ -418,12 +396,14 @@ def cmd_benchmark(args) -> int:
             f"every trial failed for {', '.join(failed)}; the n_failed column of "
             f"{args.output} counts the failures per cell"
         )
-    print(json.dumps({
+    with np.errstate(over="ignore"):
+        means = {m: float(np.mean(v)) for m, v in mses.items()}
+    return {
         "output": args.output,
-        "per_method_mean_mse": {m: float(np.mean(v)) for m, v in mses.items()},
+        # strict JSON has no Infinity: a mean past the float range is null
+        "per_method_mean_mse": {m: x if math.isfinite(x) else None for m, x in means.items()},
         "rows": len(rows),
-    }))
-    return 0
+    }
 
 
 # ---------------------------------------------------------------- wiring
@@ -484,14 +464,17 @@ def main(argv=None) -> int:
         for key, value in vars(args).items():
             if isinstance(value, list):  # Python 3.11's argparse reads `--flag=--` as []
                 raise InputError(f"--{key.replace('_', '-')} takes one value, not '--'")
-        return args.func(args)
+        doc = args.func(args)
+        if doc is not None:
+            print(json.dumps(doc, allow_nan=False))
+        return 0
     except IdentifiabilityError as exc:
         return _fail(EXIT_IDENT, "identifiability", str(exc))
     except ConvergenceError as exc:
         return _fail(EXIT_CONV, "convergence", str(exc))
-    except (InputError, FileNotFoundError) as exc:
+    except InputError as exc:
         return _fail(EXIT_INPUT, "input", str(exc))
-    except (IOError, OSError) as exc:
+    except OSError as exc:  # every input is read under an InputError, so this is an output
         return _fail(EXIT_IO, "io", str(exc))
 
 

@@ -30,6 +30,10 @@ class DiagnosticsReport:
     second_moment_min_eig: float  # of the source's E_s[f f^T]
     identifiable: bool
     bound_terms: BoundTerms | None
+    weights: np.ndarray
+    hessian_nsd: bool         # sigma_min >= -1e-8
+    projected_gradient_norm: float  # of the gradient's tangent component on w . p_s = 1
+    kkt_residual: float
 
     def to_json(self) -> dict:
         return {
@@ -37,6 +41,7 @@ class DiagnosticsReport:
             "gradient": self.gradient.tolist(),
             "hessian": self.hessian.tolist(),
             "sigma_min": max(self.sigma_min, 0.0),
+            "weights": self.weights.tolist(),
         }
 
 
@@ -215,16 +220,30 @@ def diagnostics_report(
 ) -> DiagnosticsReport:
     """Assemble the full report at a given weight vector: the likelihood
     terms over the target table, identifiability over the source outputs
-    (a PredictorTable or an (n, k) array, as for check_identifiability)."""
-    H = likelihood_hessian(table, w)
+    (a PredictorTable or an (n, k) array, as for check_identifiability).
+    Derivatives that overflow at w are an InputError naming the smallest
+    f(x)^T w."""
+    p = w.source_marginal.entries
+    tau = condition_tau(table, w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = likelihood_gradient(table, w)
+        H = likelihood_hessian(table, w)
+        projected_norm = float(np.linalg.norm(g - (g @ p) / (p @ p) * p))
+    if not (np.isfinite(H).all() and math.isfinite(projected_norm)):
+        raise InputError(f"the likelihood's derivatives overflow at these weights: the smallest f(x)^T w is {tau}")
+    sigma_min = float(np.linalg.eigvalsh(-H)[0])
     identifiable, min_eig = check_identifiability(source)
     return DiagnosticsReport(
         log_likelihood=log_likelihood(table, w),
-        gradient=likelihood_gradient(table, w),
+        gradient=g,
         hessian=H,
-        sigma_min=float(np.linalg.eigvalsh(-H)[0]),
-        tau=condition_tau(table, w),
+        sigma_min=sigma_min,
+        tau=tau,
         second_moment_min_eig=min_eig,
         identifiable=identifiable,
         bound_terms=bound_terms,
+        weights=w.weights,
+        hessian_nsd=sigma_min >= -1e-8,
+        projected_gradient_norm=projected_norm,
+        kkt_residual=kkt_residual(g, p, w.weights),
     )

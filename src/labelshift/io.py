@@ -15,7 +15,8 @@ whose parse raises a warning, is read again from the start by the row-by-row
 loop `_read_rows`, which either accepts it or names the first bad row as
 `file:line`; that loop is the only source of error messages, and it returns
 exactly what the single parse returns on every file both accept. A handle that
-cannot seek back is read by the row loop alone.
+cannot seek back, such as a pipe, is read into memory first and parsed the
+same way.
 
 When at least half of the first PROBE_LINES body lines repeat an earlier
 line, each distinct line is parsed once and the rows are indexed from those;
@@ -26,6 +27,7 @@ distinct lines and one chunk of text, not with the file.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import warnings
 
@@ -43,22 +45,21 @@ BLANK_LINES = ("\n", "\r\n", "\r")  # what a blank line is in a newline="" handl
 
 def read_prediction_file(path) -> tuple[np.ndarray, np.ndarray | None, list[str]]:
     """Return (outputs (n, k), labels or None, class column names). The file
-    is read as UTF-8 with an optional byte-order mark; text that does not
-    decode is an InputError naming the file."""
+    is read as UTF-8 with an optional byte-order mark; a file that cannot be
+    read, or text that does not decode, is an InputError naming the file."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             return read_predictions(fh, name=str(path))
+    except OSError as exc:
+        raise InputError(str(exc)) from None
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: {exc}") from None
 
 
 def read_predictions(fh, name: str = "<stream>"):
-    """Read a prediction file from a text handle opened with newline="".
-
-    A handle that cannot seek back (a pipe, stdin) is read by the row loop.
-    """
+    """Read a prediction file from a text handle opened with newline=""."""
     if not fh.seekable():
-        return _read_rows(fh, name)
+        fh = io.StringIO(fh.read(), newline="")
     start = fh.tell()
     class_names, has_label = _read_header(fh, name)
     parsed = _parse_body(fh, len(class_names), has_label)
@@ -68,12 +69,23 @@ def read_predictions(fh, name: str = "<stream>"):
     return parsed[0], parsed[1], class_names
 
 
-def _read_header(fh, name: str) -> tuple[list[str], bool]:
+def _records(fh, name: str, first_line: int):
+    """(line, row) of each CSV record read from fh, counting the first as
+    `first_line`; a record csv rejects, such as a quoted field past csv's
+    field size limit, is an InputError naming its line."""
+    lineno = first_line - 1
     try:
-        header = next(csv.reader(fh))
-    except StopIteration:
-        raise InputError(f"{name}: empty prediction file") from None
-    header = [h.strip() for h in header]
+        for lineno, row in enumerate(csv.reader(fh), start=first_line):
+            yield lineno, row
+    except csv.Error as exc:
+        raise InputError(f"{name}:{lineno + 1}: {exc}") from None
+
+
+def _read_header(fh, name: str) -> tuple[list[str], bool]:
+    first = next(_records(fh, name, 1), None)
+    if first is None:
+        raise InputError(f"{name}: empty prediction file")
+    header = [h.strip() for h in first[1]]
     has_label = bool(header) and header[-1] == "label"
     class_names = header[:-1] if has_label else header
     if len(class_names) < 2:
@@ -149,7 +161,7 @@ def _read_rows(fh, name: str):
     class_names, has_label = _read_header(fh, name)
     k = len(class_names)
     outputs, labels = [], []
-    for lineno, row in enumerate(csv.reader(fh), start=2):
+    for lineno, row in _records(fh, name, 2):
         if not row:
             continue
         expect = k + 1 if has_label else k

@@ -211,7 +211,8 @@ def run_single_trial(cfg: ExperimentConfig, shift_idx: int, m_idx: int, trial: i
             res = require_converged(
                 method, _estimate_once(method, cfg, source_samples, target_table, p_s), cfg.max_iters
             )
-            sq = float(((res.weights.weights - w_star.weights) ** 2).sum())
+            with np.errstate(over="ignore"):  # a weight past 1e154 squares to inf
+                sq = float(((res.weights.weights - w_star.weights) ** 2).sum())
             reports.append(
                 TrialReport(method, res.weights, w_star, sq, seed64, m, min_eig)
             )
@@ -241,8 +242,9 @@ def _aggregate_cell(methods, shift_param: str, m: int, reports: list) -> list:
         reps = [r for r in reports if r.method == method]
         errs = np.array([r.squared_error for r in reps])
         ok = errs[~np.isnan(errs)]
-        mse = float(ok.mean()) if ok.size else math.nan
-        stderr = float(ok.std(ddof=1) / math.sqrt(ok.size)) if ok.size > 1 else math.nan
+        with np.errstate(over="ignore", invalid="ignore"):  # infinite errors give mse inf, stderr nan
+            mse = float(ok.mean()) if ok.size else math.nan
+            stderr = float(ok.std(ddof=1) / math.sqrt(ok.size)) if ok.size > 1 else math.nan
         eigs = [r.min_eig for r in reps if r.min_eig is not None]
         rows.append(
             AggregateRow(

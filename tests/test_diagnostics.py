@@ -316,7 +316,23 @@ class TestReport:
         assert report.identifiable is False
 
     def test_sigma_min_is_clamped_only_in_json(self):
-        # a rounding error below zero stays in the report for `diagnose`'s hessian_nsd
-        report = DiagnosticsReport(0.0, np.zeros(2), np.zeros((2, 2)), -1e-9, 1.0, 1.0, True, None)
+        # a rounding error below zero stays in the report, where hessian_nsd reads it
+        report = DiagnosticsReport(
+            0.0, np.zeros(2), np.zeros((2, 2)), -1e-9, 1.0, 1.0, True, None, np.ones(2), True, 0.0, 0.0
+        )
         assert report.sigma_min == -1e-9
         assert report.to_json()["sigma_min"] == 0.0
+
+    def test_first_order_fields_use_the_weights_marginal(self):
+        p = ProbVector(np.array([0.25, 0.75]))
+        w = WeightVector(np.array([1.6, 0.8]), p)
+        report = diagnostics_report(TWO_POINT, w, TWO_POINT)
+        g = likelihood_gradient(TWO_POINT, w)
+        r = g - (g @ w.weights) / (p.entries @ w.weights) * p.entries
+        out = report.to_json()
+        assert list(out)[-4:] == ["weights", "hessian_nsd", "projected_gradient_norm", "kkt_residual"]
+        assert out["weights"] == [1.6, 0.8]
+        assert out["hessian_nsd"] is True
+        assert out["kkt_residual"] == pytest.approx(np.abs(r).max(), rel=1e-12)
+        tangent = g - (g @ p.entries) / (p.entries @ p.entries) * p.entries
+        assert out["projected_gradient_norm"] == pytest.approx(np.linalg.norm(tangent), rel=1e-12)

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import re
@@ -203,18 +204,41 @@ class TestPredictionFiles:
         with pytest.raises(InputError, match=r"f\.csv:3: label is not an integer"):
             read_prediction_file(path)
 
-    def test_pipe_is_read_row_by_row(self, tmp_path):
+    def test_pipe_is_parsed_like_a_file(self, tmp_path, monkeypatch):
+        def read_piped(data: bytes):
+            r, w = os.pipe()
+            os.write(w, data)
+            os.close(w)
+            with open(r, newline="", encoding="utf-8") as fh:
+                assert not fh.seekable()
+                return read_predictions(fh, "p.csv")
+
         text = "c0,c1,label\r\n0.25,0.75,1\r\n0.6,0.4,0\r\n"
         path = tmp_path / "p.csv"
         path.write_text(text, newline="")
-        r, w = os.pipe()
-        os.write(w, text.encode())
-        os.close(w)
-        with open(r, newline="", encoding="utf-8") as fh:
-            assert not fh.seekable()
-            out, labels, names = read_predictions(fh, "p.csv")
         ref = read_prediction_file(path)
+        # a bad body still reaches the row loop, which names its line
+        with pytest.raises(InputError, match=r"p\.csv:3: probabilities sum to"):
+            read_piped(b"c0,c1\n0.5,0.5\n0.5,0.6\n")
+
+        def row_loop(fh, name):
+            raise AssertionError("a valid piped file fell back to the row-by-row reader")
+
+        monkeypatch.setattr(labelshift.io, "_read_rows", row_loop)
+        out, labels, names = read_piped(text.encode())
         assert out.tobytes() == ref[0].tobytes() and labels.tolist() == [1, 0] and names == ref[2]
+
+    # an open quote makes csv read on past its 131,072-character field limit
+    @pytest.mark.parametrize("head, line", [("c0,c1\n0.5,\"0.5\n", 2), ('"c0,c1\n', 1)],
+                             ids=["body", "header"])
+    def test_field_past_csv_limit_names_its_line(self, tmp_path, capsys, head, line):
+        path = tmp_path / "q.csv"
+        path.write_text(head + "0.5,0.5\n" * 20_000)
+        code, out, err = run_cli(capsys, "calibrate", "--source", str(path))
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "input", "message": f"{path}:{line}: field larger than field limit (131072)"
+        }
 
     def test_bad_row_late_in_large_file_names_its_line(self, tmp_path):
         rows = ["0.25,0.75"] * 60_000
@@ -328,9 +352,20 @@ def calibration_files(tmp_path):
     return src_path, tgt_path
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def run_cli(capsys, *argv):
+    """(exit code, stdout, stderr) of one CLI call. Each stream must be empty
+    or one line of strict JSON: no NaN or Infinity, no traceback, no warning."""
+    capsys.readouterr()  # drop what earlier calls in the test wrote
     code = main(list(argv))
     captured = capsys.readouterr()
+    for stream in (captured.out, captured.err):
+        if stream:
+            assert stream.endswith("\n") and stream.count("\n") == 1, stream
+            json.loads(stream, parse_constant=_reject_constant)
     return code, captured.out, captured.err
 
 
@@ -524,7 +559,9 @@ class TestEstimateCommand:
             "--target", str(tmp_path / "nope2.csv"), "--no-calibration",
         )
         assert code == 2
-        assert json.loads(err)["error"] == "input"
+        assert json.loads(err) == {
+            "error": "input", "message": f"[Errno 2] No such file or directory: '{tmp_path / 'nope.csv'}'"
+        }
 
     def test_singular_confusion_exits_3(self, tmp_path, capsys):
         outputs = np.array([[0.9, 0.1]] * 6)
@@ -693,6 +730,24 @@ class TestDiagnoseCommand:
         assert out == ""
         assert len(err.splitlines()) == 1  # the JSON error alone: no traceback, no warning
         assert json.loads(err) == {"error": "input", "message": message}
+
+    # f(x) . w = 2e-310 overflows the gradient and the Hessian; 2e-200 only the Hessian
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tiny", [1e-310, 1e-200])
+    def test_overflowing_derivatives_exit_2(self, hand_files, tmp_path, capsys, tiny):
+        tgt, wfile = tmp_path / "tgt.csv", tmp_path / "w.json"
+        tgt.write_text(f"c0,c1\n{tiny!r},1\n0.5,0.5\n")
+        wfile.write_text("[2, 0]")
+        code, out, err = run_cli(
+            capsys, "diagnose", "--source", str(hand_files[0]), "--target", str(tgt),
+            "--weights", str(wfile),
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "input",
+            "message": f"the likelihood's derivatives overflow at these weights: "
+                       f"the smallest f(x)^T w is {2 * tiny!r}",
+        }
 
     @pytest.mark.parametrize(
         "command, method",
@@ -911,6 +966,18 @@ class TestBenchmarkCommand:
         assert lines[0] == "shift_param,method,m,n_trials,n_failed,mse,stderr"
         assert len(lines) == 2
 
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_mean_mse_is_null(self, tmp_path, capsys):
+        # w* is about 5e299, so each squared error is past the float range
+        cfg_path, out_path = tmp_path / "cfg.json", tmp_path / "out.csv"
+        cfg_path.write_text(json.dumps(self.benchmark_config(
+            gmm={"mu": 1, "source_marginal": [1e-300, 1]}, methods=["mlls_em"]
+        )))
+        code, out, _ = run_cli(capsys, "benchmark", "--config", str(cfg_path), "--output", str(out_path))
+        assert code == 0
+        assert json.loads(out)["per_method_mean_mse"] == {"mlls_em": None}
+        assert out_path.read_text().splitlines()[1] == "alpha=1,mlls_em,100,2,0,inf,nan"
+
     def test_every_trial_failing_exits_4(self, tmp_path, capsys, monkeypatch):
         # one step cannot solve the face instance (see conftest), nor the
         # likelihood of any trial; two-class rlls would be solved by it
@@ -1090,6 +1157,28 @@ class TestBenchmarkCommand:
         )
         assert code == 5
         assert json.loads(err)["error"] == "io"
+
+
+class TestUnreadableInput:
+    """An input path that cannot be opened is the input error (exit 2);
+    exit 5 is left to outputs."""
+
+    @pytest.mark.parametrize("argv", [
+        ("estimate", "--source"), ("estimate", "--target"), ("estimate", "--config"),
+        ("calibrate", "--source"), ("diagnose", "--source"), ("diagnose", "--target"),
+        ("diagnose", "--weights"), ("benchmark", "--output", "out.csv", "--config"),
+    ], ids="_".join)
+    def test_directory_exits_2(self, hand_files, tmp_path, capsys, argv):
+        command, *rest, flag = argv
+        given = {"--source": str(hand_files[0]), "--target": str(hand_files[1])}
+        if command == "calibrate":
+            given.pop("--target")
+        elif command == "benchmark":
+            given = {}
+        given[flag] = str(tmp_path)
+        code, out, err = run_cli(capsys, command, *rest, *itertools.chain(*given.items()))
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "input", "message": f"[Errno 21] Is a directory: '{tmp_path}'"}
 
 
 class TestNonUtf8Input:
