@@ -53,7 +53,7 @@ def _inner(F, m, w):
     """f(x)^T w for every row, with 1 in place of a non-positive or NaN value
     on a row of zero mass; a row of positive mass must have a positive value."""
     inner = F @ w
-    if not np.all(inner > 0):
+    if not (inner > 0).all():
         bad = ~(inner > 0) & (m > 0)
         if bad.any():
             i = int(np.argmax(bad))
@@ -70,15 +70,33 @@ def ll_value(F, m, w) -> float:
     return float(m @ np.log(_inner(F, m, w)))
 
 
-def ll_gradient(F, m, w) -> np.ndarray:
-    """E_t[f(x) / f(x)^T w]."""
-    return F.T @ (m / _inner(F, m, w))
+def ll_gradient(F, m, w, inner=None) -> np.ndarray:
+    """E_t[f(x) / f(x)^T w]; `inner`, when given, is _inner(F, m, w)."""
+    return F.T @ (m / (_inner(F, m, w) if inner is None else inner))
 
 
-def ll_hessian(F, m, w) -> np.ndarray:
-    """-E_t[f(x) f(x)^T / (f(x)^T w)^2]; symmetric negative semidefinite."""
-    scaled = F * (np.sqrt(m) / _inner(F, m, w))[:, None]
+def ll_hessian(F, m, w, inner=None) -> np.ndarray:
+    """-E_t[f(x) f(x)^T / (f(x)^T w)^2]; symmetric negative semidefinite.
+    `inner`, when given, is _inner(F, m, w)."""
+    scaled = F * (np.sqrt(m) / (_inner(F, m, w) if inner is None else inner))[:, None]
     return -(scaled.T @ scaled)
+
+
+def ll_derivatives(F, m):
+    """grad(w) and hess(w) of the likelihood for a solver that takes the
+    Hessian only at the point of its last gradient: hess reuses the f(x)^T w
+    of that call instead of forming it and checking it again."""
+    inner = None
+
+    def grad(w):
+        nonlocal inner
+        inner = _inner(F, m, w)
+        return ll_gradient(F, m, w, inner)
+
+    def hess(w):
+        return ll_hessian(F, m, w, inner)
+
+    return grad, hess
 
 
 def reduced_gradient(g, p, w) -> np.ndarray:
@@ -87,13 +105,18 @@ def reduced_gradient(g, p, w) -> np.ndarray:
     return g - (g @ w) / (p @ w) * p
 
 
+def kkt_violation(r, free) -> float:
+    """The KKT residual from the reduced gradient r and the mask of the
+    positive coordinates: |r| where free, the positive part of r elsewhere."""
+    return float(np.where(free, np.abs(r), np.maximum(r, 0.0)).max())
+
+
 def kkt_residual(g, p, w) -> float:
     """Largest violation of the KKT conditions for maximizing a concave f
     over the slice W = {w >= 0 : w . p = 1}, given the gradient g of f at w:
     the reduced gradient must be zero where w > 0 and nonpositive where w = 0.
     """
-    r = reduced_gradient(g, p, w)
-    return float(np.max(np.where(w > 0, np.abs(r), np.maximum(r, 0.0))))
+    return kkt_violation(reduced_gradient(g, p, w), w > 0)
 
 
 def log_likelihood(table: PredictorTable, w) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ConvergenceError, IdentifiabilityError, InputError
 from .confusion import ConfusionMatrix, build_hard_confusion, prediction_rows
-from .diagnostics import kkt_residual, ll_gradient, ll_hessian, ll_value, reduced_gradient
+from .diagnostics import kkt_residual, kkt_violation, ll_derivatives, ll_value, reduced_gradient
 from .simplex import (
     LabeledPredictions,
     PredictorTable,
@@ -27,7 +27,16 @@ from .simplex import (
 METHODS = ("bbse_hard", "bbse_soft", "rlls", "mlls_em", "mlls_grad", "mlls_cm")
 
 COND_LIMIT = 1e12
-KKT_TOL = 1e-10  # `converged` means the KKT residual at the result is at most this
+# `converged` means the KKT residual at the result is at most KKT_TOL, or at
+# most the rounding level of the objective's terms where that is larger
+KKT_TOL = 1e-10
+# Rounding level per unit of term size: a reduced gradient g - (g.w / p.w) p
+# is formed from terms of size up to the objective's term scale, and its
+# inner products and subtraction each err by a few eps times that scale (a
+# factor that grows slowly with k and with the rows summed into g). A
+# residual below ROUNDING * scale cannot be told from 0; another step would
+# only move the last bits of w.
+ROUNDING = 64.0 * np.finfo(float).eps
 FINISH_STEP = 1e-3  # a first-order step shorter than this starts another Newton finish
 STEP_TOL = 1e-8  # an uncertified first-order run gives up after a step shorter than this
 MAX_ITERS = 10_000  # default budget of an iterative solve: first-order and Newton steps together
@@ -101,9 +110,26 @@ def _armijo_step(value, p):
     return step
 
 
-def _newton_finish(grad, hess, p, w, max_steps=NEWTON_STEPS):
+def _max_abs_gradient(w, g):
+    """Term scale of the likelihood: its gradient is a sum of positive terms,
+    so max|g| bounds them."""
+    return np.abs(g).max()
+
+
+def _certify_tol(rounding):
+    """The residual that certifies a point whose objective's terms round at
+    `rounding`: KKT_TOL, or `rounding` if larger and finite."""
+    return max(KKT_TOL, rounding) if np.isfinite(rounding) else KKT_TOL
+
+
+def _newton_finish(grad, hess, p, w, max_steps=NEWTON_STEPS, scale=_max_abs_gradient):
     """Primal active-set Newton method for a concave maximization over the
     slice W = {w >= 0 : w . p = 1}, started at w.
+
+    `grad(w)` gives the gradient at w. `hess(w)` gives the Hessian and is
+    only called at the point of the last `grad` call, so it may reuse that
+    call's work. `scale(w, g)` bounds the size of the terms summed into the
+    gradient g at w.
 
     Coordinates at or below 1e-9 start fixed at 0. Each step solves the
     equality-constrained Newton system on the free (positive) coordinates. A
@@ -113,22 +139,24 @@ def _newton_finish(grad, hess, p, w, max_steps=NEWTON_STEPS):
     (a violated multiplier sign) is released.
 
     The point after each step is checked, so max_steps steps check
-    max_steps + 1 points. Once some point has KKT residual at most KKT_TOL,
-    the finish stops at the first point whose residual is at the rounding
-    level of the gradient or not a tenth of the residual one step before.
-    It also ends after max_steps steps, after STALL_STEPS steps without a
-    new smallest residual, at a point outside the domain of `grad`, at a
-    point with no positive coordinate, or where the point, the gradient or
-    the Newton system is not finite. A singular Newton system is solved in
-    the least-squares sense.
+    max_steps + 1 points. A point is certified when its KKT residual is at
+    most _certify_tol of its scale. Once the point with the smallest residual
+    so far is certified, the finish stops at the first point whose residual
+    is at the rounding level ROUNDING * scale or not a tenth of the residual
+    one step before. It also ends after max_steps steps, after STALL_STEPS
+    steps without a new smallest residual, at a point outside the domain of
+    `grad`, at a point with no positive coordinate, or where the point, the
+    gradient or the Newton system is not finite. A singular Newton system is
+    solved in the least-squares sense.
 
-    Returns (w, steps): the point with the smallest residual if that residual
-    is at most KKT_TOL and None otherwise, and the Newton steps taken.
+    Returns (w, steps): the point with the smallest residual if it is
+    certified and None otherwise, and the Newton steps taken.
     """
     w = np.where(w <= 1e-9, 0.0, w)
     w /= w @ p
-    best, best_res, prev_res = None, np.inf, np.inf
+    best, best_res, best_tol, prev_res = None, np.inf, 0.0, np.inf
     steps = stalled = 0
+    K, rhs = np.zeros((w.size + 1, w.size + 1)), np.empty(w.size + 1)  # bordered Newton system
     with np.errstate(all="ignore"):  # a non-finite value ends the attempt
         while True:
             try:
@@ -137,47 +165,42 @@ def _newton_finish(grad, hess, p, w, max_steps=NEWTON_STEPS):
                 break
             if not (np.isfinite(w).all() and np.isfinite(g).all()):
                 break
-            res = kkt_residual(g, p, w)
+            r, free = reduced_gradient(g, p, w), w > 0
+            res, rounding = kkt_violation(r, free), ROUNDING * scale(w, g)
             if res < best_res:
-                best, best_res, stalled = w.copy(), res, 0
+                best, best_res, best_tol, stalled = w.copy(), res, _certify_tol(rounding), 0
             else:
                 stalled += 1
-            # Rounding level: the reduced gradient g - (g.w / p.w) p is formed
-            # from terms of size up to max|g|, and its inner products and
-            # subtraction each err by a few eps * max|g| (a factor that grows
-            # slowly with k and with the rows summed into g). A residual below
-            # 64 eps max|g| cannot be told from 0; another step would only
-            # move the last bits of w.
-            rounding = 64.0 * np.finfo(float).eps * np.abs(g).max()
-            if best_res <= KKT_TOL and (res <= rounding or not res < 0.1 * prev_res):
+            if best_res <= best_tol and (res <= rounding or not res < 0.1 * prev_res):
                 break
             if steps == max_steps or stalled == STALL_STEPS:
                 break
             prev_res = res
-            r = reduced_gradient(g, p, w)
-            free = w > 0
             if not free.any():
                 break
             if np.abs(r[free]).max() <= KKT_TOL:
                 fixed_r = np.where(free, -np.inf, r)
                 if fixed_r.max() > KKT_TOL:
                     free[np.argmax(fixed_r)] = True
-            f = np.flatnonzero(free)
-            K = np.zeros((f.size + 1, f.size + 1))
-            K[:-1, :-1] = hess(w)[np.ix_(f, f)]
-            K[:-1, -1] = K[-1, :-1] = p[f]
-            if not np.isfinite(K).all():  # an overflowed Hessian; LAPACK may not return on it
+            f = free.nonzero()[0]
+            n, H, pf, wf = f.size, hess(w), p[f], w[f]
+            K[:n, :n] = H if n == w.size else H[f[:, None], f]
+            K[:n, n] = K[n, :n] = pf
+            K[n, n] = 0.0
+            A = K[: n + 1, : n + 1]
+            if not np.isfinite(A).all():  # an overflowed Hessian; LAPACK may not return on it
                 break
-            rhs = np.append(-g[f], 1.0 - p[f] @ w[f])
+            rhs[:n] = -g[f]
+            rhs[n] = 1.0 - pf @ wf
+            b = rhs[: n + 1]
             try:
-                dw = np.linalg.solve(K, rhs)[:-1]
+                dw = np.linalg.solve(A, b)[:-1]
             except np.linalg.LinAlgError:
                 # A singular Hessian (two classes with equal columns in every
                 # support row) leaves the maximizer a face, not a point: step
                 # to its nearest point by the minimum-norm solution.
-                dw = np.linalg.lstsq(K, rhs, rcond=None)[0][:-1]
-            wf = w[f]
-            blocked = np.flatnonzero(wf + dw < 0)
+                dw = np.linalg.lstsq(A, b, rcond=None)[0][:-1]
+            blocked = (wf + dw < 0).nonzero()[0]
             if blocked.size:
                 ratios = wf[blocked] / -dw[blocked]
                 j = np.argmin(ratios)
@@ -186,19 +209,19 @@ def _newton_finish(grad, hess, p, w, max_steps=NEWTON_STEPS):
             else:
                 w[f] = np.maximum(wf + dw, 0.0)
             steps += 1
-    return (best if best_res <= KKT_TOL else None), steps
+    return (best if best_res <= best_tol else None), steps
 
 
-def _solve_on_slice(step, grad, hess, p, w0, max_iters):
+def _solve_on_slice(step, grad, hess, p, w0, max_iters, scale=_max_abs_gradient):
     """Maximize a concave f over the slice W = {w >= 0 : w . p = 1} from w0.
 
-    `grad` and `hess` give the gradient and Hessian of f; `step(w, g)` is one
+    `grad`, `hess` and `scale` are as for _newton_finish; `step(w, g)` is one
     first-order step from w with gradient g, landing on the slice. The
     active-set Newton finish runs first, from w0. Only if it cannot certify
     do first-order steps run from w0; after a step smaller than FINISH_STEP,
     and after every 10th step, the finish is tried again from the iterate.
-    The solver returns as soon as the finish or the iterate has KKT residual
-    at most KKT_TOL; that certificate is what `converged` reports. Without
+    The solver returns as soon as the finish or the iterate has a KKT residual
+    that _certify_tol accepts; that certificate is what `converged` reports. Without
     it, the loop stops once a first-order step moves less than STEP_TOL or
     lands on a non-finite point, or once the budget is spent: max_iters
     bounds the steps of both kinds together.
@@ -214,12 +237,12 @@ def _solve_on_slice(step, grad, hess, p, w0, max_iters):
     while True:
         # first_order % 10 == 0 holds at the start, so the finish leads
         if taken < max_iters and (first_order % 10 == 0 or moved < FINISH_STEP):
-            finished, newton = _newton_finish(grad, hess, p, w, min(NEWTON_STEPS, max_iters - taken))
+            finished, newton = _newton_finish(grad, hess, p, w, min(NEWTON_STEPS, max_iters - taken), scale)
             taken += newton
             if finished is not None:
                 return finished, taken, True
         g = grad(w)
-        if kkt_residual(g, p, w) <= KKT_TOL:
+        if kkt_residual(g, p, w) <= _certify_tol(ROUNDING * scale(w, g)):
             return w, taken, True
         if taken >= max_iters or moved < STEP_TOL:
             return w, taken, False
@@ -238,8 +261,9 @@ def _least_squares(A, b, lam, source_marginal, w0, max_iters) -> EstimateResult:
     is the objective."""
     p = source_marginal.entries
     ones = np.ones(p.size)
+    AtA, max_atb = A.T @ A, np.abs(A.T @ b).max()
     with np.errstate(over="ignore"):  # a huge lam overflows H; the Newton finish then gives up
-        H = -2.0 * (A.T @ A + lam * np.eye(p.size))
+        H = -2.0 * (AtA + lam * np.eye(p.size))
 
     def value(w):  # negated objective: the solver maximizes
         r, d = A @ w - b, w - ones
@@ -248,7 +272,11 @@ def _least_squares(A, b, lam, source_marginal, w0, max_iters) -> EstimateResult:
     def grad(w):
         return -2.0 * (A.T @ (A @ w - b) + lam * (w - ones))
 
-    w, it, ok = _solve_on_slice(_armijo_step(value, p), grad, lambda w: H, p, w0, max_iters)
+    def scale(w, g):  # the size of the terms of g; infinite once lam * max|w| overflows
+        with np.errstate(over="ignore"):
+            return 2.0 * (np.abs(AtA @ w).max() + max_atb + lam * (np.abs(w).max() + 1.0))
+
+    w, it, ok = _solve_on_slice(_armijo_step(value, p), grad, lambda w: H, p, w0, max_iters, scale)
     return EstimateResult(WeightVector(w, source_marginal), it, -value(w), ok)
 
 
@@ -273,9 +301,7 @@ def _mlls(table, source_marginal, max_iters, em: bool) -> EstimateResult:
     p = source_marginal.entries
     value = partial(ll_value, F, m)
     step = (lambda w, g: w * g / p) if em else _armijo_step(value, p)
-    w, it, ok = _solve_on_slice(
-        step, partial(ll_gradient, F, m), partial(ll_hessian, F, m), p, np.ones(p.size), max_iters
-    )
+    w, it, ok = _solve_on_slice(step, *ll_derivatives(F, m), p, np.ones(p.size), max_iters)
     return EstimateResult(WeightVector(w, source_marginal), it, value(w), ok)
 
 

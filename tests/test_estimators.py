@@ -1,3 +1,4 @@
+from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -18,15 +19,19 @@ from labelshift.diagnostics import (
     kkt_residual,
     likelihood_gradient,
     likelihood_hessian,
+    ll_derivatives,
     ll_gradient,
     ll_hessian,
     log_likelihood,
+    reduced_gradient,
     second_moment,
 )
 from labelshift.errors import IdentifiabilityError, InputError
 from labelshift.estimators import (
     KKT_TOL,
     NEWTON_STEPS,
+    ROUNDING,
+    STALL_STEPS,
     _newton_finish,
     bbse,
     distribution_match_lsq,
@@ -118,6 +123,30 @@ class TestRlls:
         ts = np.linspace(0.0, 2.0, 200_001)
         best = ts[np.argmin([obj(t) for t in ts])]
         assert res.weights.weights[0] == pytest.approx(best, abs=1e-4)
+
+    @pytest.mark.parametrize("lam", [0.0, *(10.0 ** e for e in range(-3, 301, 3))])
+    def test_every_lambda_certifies_and_tends_to_one(self, lam):
+        # The face instance: at lam = 0 the minimizer has w_2 = 0, and a
+        # growing lam pulls it to w = 1 as c / lam. The gradient's terms grow
+        # as lam, so it is certified at their rounding level, 64 eps times
+        # the scale below, where that exceeds KKT_TOL; past lam ~ 1e14 the
+        # start point w = 1 is the minimizer to working precision.
+        C, mu, p = FACE_CONFUSION.joint, FACE_MU.entries, FACE_CONFUSION.column_marginal.entries
+        res = rlls(FACE_CONFUSION, FACE_MU, lam)
+        w = res.weights.weights
+        g = -2.0 * (C.T @ (C @ w - mu) + lam * (w - 1.0))
+        scale = 2.0 * (np.abs(C.T @ C @ w).max() + np.abs(C.T @ mu).max() + lam * (np.abs(w).max() + 1.0))
+        assert res.converged
+        assert kkt_residual(g, p, w) <= max(KKT_TOL, ROUNDING * scale)
+        if lam > 0:
+            c = np.abs(C.T @ (C @ np.ones(3) - mu)).max()
+            assert np.abs(w - 1.0).max() <= 2.0 * c / lam + 1e-13
+
+    def test_interior_optimum_takes_one_newton_step(self):
+        # the objective is quadratic, so one Newton step lands on an interior
+        # minimizer, where the residual is at the rounding level of its terms
+        res = rlls(HAND_CONF, ProbVector(np.array([0.35, 0.65])), lam=1.0)
+        assert res.converged and res.iterations == 1
 
     def test_budget_exhaustion_raises(self):
         # the budget runs out: rlls reports it in `converged`, as every method
@@ -296,9 +325,9 @@ def _declining_first(finish):
     point, and runs every later attempt."""
     attempts = []
 
-    def declining(grad, hess, p, w, max_steps=NEWTON_STEPS):
+    def declining(grad, hess, p, w, max_steps=NEWTON_STEPS, *args):
         attempts.append(max_steps)
-        return (None, 0) if len(attempts) == 1 else finish(grad, hess, p, w, max_steps)
+        return (None, 0) if len(attempts) == 1 else finish(grad, hess, p, w, max_steps, *args)
 
     return declining, attempts
 
@@ -346,6 +375,178 @@ class TestFirstOrderFallback:
             UNIFORM_3.entries, np.ones(3), 100,
         )
         assert (w.tolist(), steps, converged) == ([1.0, 1.0, 1.0], 1, False)
+
+
+def newton_finish_reference(grad, hess, p, w, max_steps=NEWTON_STEPS):
+    """Reference: the former `_newton_finish`, which formed f(x)^T w again for
+    the Hessian, the reduced gradient twice per point and the Newton system
+    by np.ix_ and np.append, and certified at KKT_TOL alone."""
+    w = np.where(w <= 1e-9, 0.0, w)
+    w /= w @ p
+    best, best_res, prev_res = None, np.inf, np.inf
+    steps = stalled = 0
+    with np.errstate(all="ignore"):
+        while True:
+            try:
+                g = grad(w)
+            except InputError:
+                break
+            if not (np.isfinite(w).all() and np.isfinite(g).all()):
+                break
+            res = kkt_residual(g, p, w)
+            if res < best_res:
+                best, best_res, stalled = w.copy(), res, 0
+            else:
+                stalled += 1
+            rounding = 64.0 * np.finfo(float).eps * np.abs(g).max()
+            if best_res <= KKT_TOL and (res <= rounding or not res < 0.1 * prev_res):
+                break
+            if steps == max_steps or stalled == STALL_STEPS:
+                break
+            prev_res = res
+            r = reduced_gradient(g, p, w)
+            free = w > 0
+            if not free.any():
+                break
+            if np.abs(r[free]).max() <= KKT_TOL:
+                fixed_r = np.where(free, -np.inf, r)
+                if fixed_r.max() > KKT_TOL:
+                    free[np.argmax(fixed_r)] = True
+            f = np.flatnonzero(free)
+            K = np.zeros((f.size + 1, f.size + 1))
+            K[:-1, :-1] = hess(w)[np.ix_(f, f)]
+            K[:-1, -1] = K[-1, :-1] = p[f]
+            if not np.isfinite(K).all():
+                break
+            rhs = np.append(-g[f], 1.0 - p[f] @ w[f])
+            try:
+                dw = np.linalg.solve(K, rhs)[:-1]
+            except np.linalg.LinAlgError:
+                dw = np.linalg.lstsq(K, rhs, rcond=None)[0][:-1]
+            wf = w[f]
+            blocked = np.flatnonzero(wf + dw < 0)
+            if blocked.size:
+                ratios = wf[blocked] / -dw[blocked]
+                j = np.argmin(ratios)
+                w[f] = np.maximum(wf + ratios[j] * dw, 0.0)
+                w[f[blocked[j]]] = 0.0
+            else:
+                w[f] = np.maximum(wf + dw, 0.0)
+            steps += 1
+    return (best if best_res <= KKT_TOL else None), steps
+
+
+def _likelihood(rows, masses):
+    F = np.array(rows, dtype=float)
+    return F / F.sum(axis=1, keepdims=True), np.array(masses, dtype=float) / np.sum(masses)
+
+
+# Likelihood cases (F, m, p, w0) of the finish, one per path it can take.
+# A blocked step fixes w_1 at 0, where the maximizer lies.
+BLOCKED = (*_likelihood([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]], [1.0, 2.0]), UNIFORM_3.entries, np.ones(3))
+# Started on the face w_0 = 0, the finish releases w_0.
+_WORKED = worked_instance_target_table()
+RELEASED = (_WORKED.support, _WORKED.normalized_masses(), UNIFORM_3.entries, np.array([0.0, 1.5, 1.5]))
+# Classes 1 and 2 have equal columns, so the Hessian is singular and the
+# Newton system is solved by least squares.
+SINGULAR = (
+    *_likelihood([[3 / 11, 4 / 11, 4 / 11], [1 / 6, 5 / 12, 5 / 12]], [1.0, 1.0]),
+    np.array([10, 13, 13]) / 36, np.ones(3),
+)
+# Columns 0 and 1 differ by 1e-9: the attempt stalls and ends uncertified.
+_A, _D = np.array([0.05, 0.1, 0.4]), 1e-9 * np.array([1.0, -1.0, 1.0])
+STALLED = (
+    np.column_stack([_A, _A + _D, 1.0 - 2.0 * _A - _D]), np.ones(3) / 3.0,
+    np.array([0.25, 0.25, 0.5]), np.ones(3),
+)
+
+
+@st.composite
+def finish_cases(draw):
+    """A likelihood over k = 2..10 classes and a start point of the finish.
+    Peaked rows and few of them put the maximizer on a face; a copied column
+    makes the Hessian singular; entries of 1e-280 to 1e-310 reach the edge of
+    the likelihood's domain; zeros in the start point make the finish
+    release coordinates."""
+    k, rng = draw(st.integers(2, 10)), np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 3 * k))
+    F = rng.dirichlet(np.full(k, draw(st.sampled_from([0.2, 1.0, 5.0]))), size=n)
+    if draw(st.booleans()):
+        F[:, 1] = F[:, 0]
+    if draw(st.booleans()):
+        tiny = rng.random(F.shape) < 0.3
+        F[tiny] = 10.0 ** -rng.uniform(280, 310, size=int(tiny.sum()))
+    F[np.arange(n), rng.integers(0, k, size=n)] += 1e-3  # every row has a positive sum
+    m = rng.dirichlet(np.ones(n))
+    p = rng.dirichlet(np.ones(k)) + draw(st.sampled_from([0.0, 0.05]))
+    w0 = np.where(rng.random(k) < draw(st.sampled_from([0.0, 0.3, 0.7])), 0.0, 1.0)
+    w0[rng.integers(0, k)] = 1.0
+    return (*_likelihood(F, m), p / p.sum(), w0)
+
+
+class TestFinishMatchesReference:
+    """The finish with the likelihood's one pass per point takes the former
+    finish's steps to the bit."""
+
+    @given(case=finish_cases())
+    @example(case=BLOCKED)
+    @example(case=RELEASED)
+    @example(case=SINGULAR)
+    @example(case=STALLED)
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_on_likelihoods(self, case):
+        F, m, p, w0 = case
+        w, steps = _newton_finish(*ll_derivatives(F, m), p, w0.copy())
+        w_ref, steps_ref = newton_finish_reference(partial(ll_gradient, F, m), partial(ll_hessian, F, m), p, w0.copy())
+        assert steps == steps_ref
+        assert (w is None) == (w_ref is None)
+        if w is not None:
+            assert w.tobytes() == w_ref.tobytes()
+
+    def test_pinned_cases_take_their_paths(self, monkeypatch):
+        lstsq_calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **kw: lstsq_calls.append(1) or lstsq(*a, **kw))
+
+        def finish(case):
+            F, m, p, w0 = case
+            return _newton_finish(*ll_derivatives(F, m), p, w0.copy())
+
+        assert finish(BLOCKED)[0][1] == 0.0
+        assert finish(RELEASED)[0][0] > 0.0
+        assert not lstsq_calls
+        assert finish(SINGULAR)[0] is not None and lstsq_calls
+        assert finish(STALLED)[0] is None
+
+
+def counting_rows(rows):
+    """`rows` as an array that counts, in the returned Counter, its products
+    with a weight vector (f(x)^T w for every row) and the (k, n) by (n, k)
+    products that form a Hessian."""
+    counts = Counter()
+    rows = np.array(rows, dtype=float)
+
+    class Rows(np.ndarray):
+        def __matmul__(self, other):
+            other = np.asarray(other)
+            if (self.shape, self.strides, other.shape) == (rows.shape, rows.strides, rows.shape[1:]):
+                counts["F @ w"] += 1
+            elif other.ndim == 2:
+                counts["hessian"] += 1
+            return np.asarray(self) @ other
+
+    return rows.view(Rows), counts
+
+
+@pytest.mark.parametrize("case", [BLOCKED, RELEASED, SINGULAR, STALLED], ids=["blocked", "released", "singular", "stalled"])
+def test_finish_forms_f_w_once_per_point_and_the_hessian_once_per_step(case):
+    F, m, p, w0 = case
+    rows, counts = counting_rows(F)
+    grad, hess = ll_derivatives(rows, m)
+    points = []
+    _, steps = _newton_finish(lambda w: points.append(1) or grad(w), hess, p, w0.copy())
+    assert steps >= 1
+    assert counts == {"F @ w": len(points), "hessian": steps}
 
 
 class TestKktCertificate:
