@@ -2,9 +2,9 @@
 
 Subcommands: simulate, estimate, calibrate, diagnose, benchmark.
 Each returns its stdout document (or None) for `main` alone to print as
-strict JSON; errors are JSON on stderr. Exit codes: 0 ok, 2 input (any input
-file that cannot be opened, read or parsed), 3 identifiability, 4
-convergence, 5 output.
+strict JSON; errors are JSON on stderr. Exit codes: 0 ok, 2 input (a usage
+error, or any input file that cannot be opened, read or parsed), 3
+identifiability, 4 convergence, 5 output.
 """
 from __future__ import annotations
 
@@ -158,6 +158,24 @@ def _split_source(outputs, labels, val_fraction: float, seed: int):
     return (outputs[val], labels[val]), (outputs[est], labels[est])
 
 
+def _source_inputs(outputs, labels, method):
+    """What an estimator reads of source rows and their labels (or None):
+    (rows normalized, LabeledPredictions or None, p_s). p_s is the label
+    frequencies, or uniform for an unlabelled source, which only mlls_em and
+    mlls_grad take. A `method` (None where none runs) needs every class among
+    the labels."""
+    rows = normalized_rows(outputs, tol=1e-6)
+    if labels is None:
+        if method not in (None, "mlls_em", "mlls_grad"):
+            raise InputError(f"method {method} needs a source file with a label column")
+        return rows, None, ProbVector(np.full(rows.shape[1], 1.0 / rows.shape[1]))
+    samples = LabeledPredictions(rows, labels)
+    counts = np.bincount(samples.labels, minlength=rows.shape[1]).astype(float)
+    if method is not None and np.any(counts == 0):
+        raise InputError(f"class {int(np.argmin(counts))} is absent from the source rows the estimator reads")
+    return samples.outputs, samples, ProbVector(counts / counts.sum())
+
+
 def _run_estimator(
     method, max_iters, rlls_lambda, source_samples, table, source_marginal, clip_negative=False
 ):
@@ -193,13 +211,9 @@ def cmd_estimate(args) -> dict:
     if src_labels is None:
         raise InputError("source file must carry a label column")
 
-    calibration = None
-    if args.no_calibration:
-        est_out, est_lab = src_outputs, src_labels
-    else:
-        (val_out, val_lab), (est_out, est_lab) = _split_source(
-            src_outputs, src_labels, s.val_fraction, s.seed
-        )
+    calibration, est_out, est_lab = None, src_outputs, src_labels
+    if not args.no_calibration:
+        (val_out, val_lab), (est_out, est_lab) = _split_source(src_outputs, src_labels, s.val_fraction, s.seed)
         fit = bcts_fit(samples_from_outputs(val_out, val_lab), loss=s.calibration_loss)
         if not fit.converged:
             raise ConvergenceError(
@@ -210,19 +224,11 @@ def cmd_estimate(args) -> dict:
         est_out = bcts_apply_matrix(fit.params, est_out)
         tgt_outputs = bcts_apply_matrix(fit.params, tgt_outputs)
 
-    source_samples = samples_from_outputs(est_out, est_lab)
-    k = src_outputs.shape[1]
-    counts = np.bincount(est_lab, minlength=k).astype(float)
-    if np.any(counts == 0):
-        raise InputError("a class is absent from the source estimation split")
-    source_marginal = ProbVector(counts / counts.sum())
+    rows, samples, source_marginal = _source_inputs(est_out, est_lab, s.method)
     table = target_table_from_outputs(tgt_outputs)
+    result = _run_estimator(s.method, s.max_iters, s.rlls_lambda, samples, table, source_marginal, s.clip_negative)
 
-    result = _run_estimator(
-        s.method, s.max_iters, s.rlls_lambda, source_samples, table, source_marginal, s.clip_negative
-    )
-
-    identifiable, min_eig = check_identifiability(source_samples.outputs)
+    identifiable, min_eig = check_identifiability(rows)
     nonneg = bool(np.all(result.weights.weights >= 0))
     return {
         "method": s.method,
@@ -271,28 +277,14 @@ def _weights_from_json(obj, source_marginal: ProbVector) -> WeightVector:
 
 def cmd_diagnose(args) -> dict:
     src_outputs, src_labels, tgt_outputs = _read_inputs(args)
-    k = src_outputs.shape[1]
     table = target_table_from_outputs(tgt_outputs)
-    src_rows = normalized_rows(src_outputs, tol=1e-6)
-
-    if src_labels is not None:
-        counts = np.bincount(src_labels, minlength=k).astype(float)
-        source_marginal = ProbVector.normalized(counts / counts.sum(), tol=1e-9)
-    else:
-        source_marginal = ProbVector(np.full(k, 1.0 / k))
-
+    rows, samples, source_marginal = _source_inputs(src_outputs, src_labels, None if args.weights else args.method)
     if args.weights:
         weights = _weights_from_json(_read_json(args.weights), source_marginal)
     else:
-        labelled = args.method not in ("mlls_em", "mlls_grad")
-        if labelled and src_labels is None:
-            raise InputError(f"method {args.method} needs a source file with a label column")
-        source_samples = LabeledPredictions(src_rows, src_labels) if labelled else None
         # diagnose has no lambda setting: rlls runs unregularized
-        result = _run_estimator(args.method, MAX_ITERS, 0.0, source_samples, table, source_marginal)
-        weights = result.weights
-
-    return diagnostics_report(table, weights, src_rows).to_json()
+        weights = _run_estimator(args.method, MAX_ITERS, 0.0, samples, table, source_marginal).weights
+    return diagnostics_report(table, weights, rows).to_json()
 
 
 # ---------------------------------------------------------------- simulate
@@ -408,8 +400,15 @@ def cmd_benchmark(args) -> dict:
 
 # ---------------------------------------------------------------- wiring
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors, and its subparsers', are InputErrors."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="labelshift")
+    parser = _Parser(prog="labelshift")
     sub = parser.add_subparsers(dest="command", required=True)
 
     est = sub.add_parser("estimate", help="estimate shift weights from prediction files")
@@ -458,9 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         for key, value in vars(args).items():
             if isinstance(value, list):  # Python 3.11's argparse reads `--flag=--` as []
                 raise InputError(f"--{key.replace('_', '-')} takes one value, not '--'")

@@ -110,10 +110,10 @@ def _armijo_step(value, p):
     return step
 
 
-def _max_abs_gradient(w, g):
-    """Term scale of the likelihood: its gradient is a sum of positive terms,
-    so max|g| bounds them."""
-    return np.abs(g).max()
+def _likelihood_rounding(w, g):
+    """Rounding level of the likelihood's gradient: it is a sum of positive
+    terms, so max|g| bounds them."""
+    return ROUNDING * np.abs(g).max()
 
 
 def _certify_tol(rounding):
@@ -122,14 +122,14 @@ def _certify_tol(rounding):
     return max(KKT_TOL, rounding) if np.isfinite(rounding) else KKT_TOL
 
 
-def _newton_finish(grad, hess, p, w, max_steps=NEWTON_STEPS, scale=_max_abs_gradient):
+def _newton_finish(grad, hess, p, w, max_steps=NEWTON_STEPS, rounding=_likelihood_rounding):
     """Primal active-set Newton method for a concave maximization over the
     slice W = {w >= 0 : w . p = 1}, started at w.
 
     `grad(w)` gives the gradient at w. `hess(w)` gives the Hessian and is
     only called at the point of the last `grad` call, so it may reuse that
-    call's work. `scale(w, g)` bounds the size of the terms summed into the
-    gradient g at w.
+    call's work. `rounding(w, g)` is the rounding level of the gradient g
+    at w: ROUNDING times the size of the terms summed into it.
 
     Coordinates at or below 1e-9 start fixed at 0. Each step solves the
     equality-constrained Newton system on the free (positive) coordinates. A
@@ -140,9 +140,9 @@ def _newton_finish(grad, hess, p, w, max_steps=NEWTON_STEPS, scale=_max_abs_grad
 
     The point after each step is checked, so max_steps steps check
     max_steps + 1 points. A point is certified when its KKT residual is at
-    most _certify_tol of its scale. Once the point with the smallest residual
-    so far is certified, the finish stops at the first point whose residual
-    is at the rounding level ROUNDING * scale or not a tenth of the residual
+    most _certify_tol of its rounding level. Once the point with the smallest
+    residual so far is certified, the finish stops at the first point whose
+    residual is at the rounding level or not a tenth of the residual
     one step before. It also ends after max_steps steps, after STALL_STEPS
     steps without a new smallest residual, at a point outside the domain of
     `grad`, at a point with no positive coordinate, or where the point, the
@@ -166,12 +166,12 @@ def _newton_finish(grad, hess, p, w, max_steps=NEWTON_STEPS, scale=_max_abs_grad
             if not (np.isfinite(w).all() and np.isfinite(g).all()):
                 break
             r, free = reduced_gradient(g, p, w), w > 0
-            res, rounding = kkt_violation(r, free), ROUNDING * scale(w, g)
+            res, level = kkt_violation(r, free), rounding(w, g)
             if res < best_res:
-                best, best_res, best_tol, stalled = w.copy(), res, _certify_tol(rounding), 0
+                best, best_res, best_tol, stalled = w.copy(), res, _certify_tol(level), 0
             else:
                 stalled += 1
-            if best_res <= best_tol and (res <= rounding or not res < 0.1 * prev_res):
+            if best_res <= best_tol and (res <= level or not res < 0.1 * prev_res):
                 break
             if steps == max_steps or stalled == STALL_STEPS:
                 break
@@ -212,10 +212,10 @@ def _newton_finish(grad, hess, p, w, max_steps=NEWTON_STEPS, scale=_max_abs_grad
     return (best if best_res <= best_tol else None), steps
 
 
-def _solve_on_slice(step, grad, hess, p, w0, max_iters, scale=_max_abs_gradient):
+def _solve_on_slice(step, grad, hess, p, w0, max_iters, rounding=_likelihood_rounding):
     """Maximize a concave f over the slice W = {w >= 0 : w . p = 1} from w0.
 
-    `grad`, `hess` and `scale` are as for _newton_finish; `step(w, g)` is one
+    `grad`, `hess` and `rounding` are as for _newton_finish; `step(w, g)` is one
     first-order step from w with gradient g, landing on the slice. The
     active-set Newton finish runs first, from w0. Only if it cannot certify
     do first-order steps run from w0; after a step smaller than FINISH_STEP,
@@ -237,12 +237,12 @@ def _solve_on_slice(step, grad, hess, p, w0, max_iters, scale=_max_abs_gradient)
     while True:
         # first_order % 10 == 0 holds at the start, so the finish leads
         if taken < max_iters and (first_order % 10 == 0 or moved < FINISH_STEP):
-            finished, newton = _newton_finish(grad, hess, p, w, min(NEWTON_STEPS, max_iters - taken), scale)
+            finished, newton = _newton_finish(grad, hess, p, w, min(NEWTON_STEPS, max_iters - taken), rounding)
             taken += newton
             if finished is not None:
                 return finished, taken, True
         g = grad(w)
-        if kkt_residual(g, p, w) <= _certify_tol(ROUNDING * scale(w, g)):
+        if kkt_residual(g, p, w) <= _certify_tol(rounding(w, g)):
             return w, taken, True
         if taken >= max_iters or moved < STEP_TOL:
             return w, taken, False
@@ -272,11 +272,12 @@ def _least_squares(A, b, lam, source_marginal, w0, max_iters) -> EstimateResult:
     def grad(w):
         return -2.0 * (A.T @ (A @ w - b) + lam * (w - ones))
 
-    def scale(w, g):  # the size of the terms of g; infinite once lam * max|w| overflows
-        with np.errstate(over="ignore"):
-            return 2.0 * (np.abs(AtA @ w).max() + max_atb + lam * (np.abs(w).max() + 1.0))
+    def rounding(w, g):  # 64 eps times the size of g's terms, 2 (max|AtA w| + max|Atb| + lam (max|w| + 1))
+        with np.errstate(over="ignore"):  # 64 eps goes in before lam, so only a huge max|w| overflows
+            terms, ridge = np.abs(AtA @ w).max() + max_atb, np.abs(w).max() + 1.0
+            return 2.0 * ROUNDING * terms + 2.0 * ROUNDING * lam * ridge
 
-    w, it, ok = _solve_on_slice(_armijo_step(value, p), grad, lambda w: H, p, w0, max_iters, scale)
+    w, it, ok = _solve_on_slice(_armijo_step(value, p), grad, lambda w: H, p, w0, max_iters, rounding)
     return EstimateResult(WeightVector(w, source_marginal), it, -value(w), ok)
 
 

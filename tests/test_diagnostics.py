@@ -72,6 +72,14 @@ class TestLikelihoodQuantities:
             with pytest.raises(InputError, match="= nan at support point 0"):
                 quantity(TWO_POINT, np.array([np.nan, 1.0]))
 
+    def test_zero_mass_point_may_leave_the_domain(self):
+        # f(x)^T w = 0 on a support point of zero mass: the point adds nothing
+        table = grouped_table([np.array([1.0, 0.0]), np.array([0.0, 1.0])], [1.0, 0.0])
+        w = np.array([2.0, 0.0])
+        assert log_likelihood(table, w) == math.log(2.0)
+        assert likelihood_gradient(table, w).tolist() == [0.5, 0.0]
+        assert likelihood_hessian(table, w).tolist() == [[-0.25, -0.0], [-0.0, -0.0]]
+
     def test_worked_instance_matches_high_precision_recomputation(self):
         # 50-digit recomputation of the six-point population log-likelihood.
         import mpmath

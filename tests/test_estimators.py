@@ -124,20 +124,22 @@ class TestRlls:
         best = ts[np.argmin([obj(t) for t in ts])]
         assert res.weights.weights[0] == pytest.approx(best, abs=1e-4)
 
-    @pytest.mark.parametrize("lam", [0.0, *(10.0 ** e for e in range(-3, 301, 3))])
+    @pytest.mark.parametrize("lam", [0.0, *(10.0 ** e for e in range(-3, 301, 3)), 5e307, 8e307, 1e308])
     def test_every_lambda_certifies_and_tends_to_one(self, lam):
         # The face instance: at lam = 0 the minimizer has w_2 = 0, and a
         # growing lam pulls it to w = 1 as c / lam. The gradient's terms grow
         # as lam, so it is certified at their rounding level, 64 eps times
-        # the scale below, where that exceeds KKT_TOL; past lam ~ 1e14 the
-        # start point w = 1 is the minimizer to working precision.
+        # their size, where that exceeds KKT_TOL; past lam ~ 1e14 the start
+        # point w = 1 is the minimizer to working precision. 64 eps goes in
+        # before lam, so the level stays finite up to lam = 1e308.
         C, mu, p = FACE_CONFUSION.joint, FACE_MU.entries, FACE_CONFUSION.column_marginal.entries
         res = rlls(FACE_CONFUSION, FACE_MU, lam)
         w = res.weights.weights
         g = -2.0 * (C.T @ (C @ w - mu) + lam * (w - 1.0))
-        scale = 2.0 * (np.abs(C.T @ C @ w).max() + np.abs(C.T @ mu).max() + lam * (np.abs(w).max() + 1.0))
-        assert res.converged
-        assert kkt_residual(g, p, w) <= max(KKT_TOL, ROUNDING * scale)
+        level = 2.0 * ROUNDING * (np.abs(C.T @ C @ w).max() + np.abs(C.T @ mu).max()) \
+            + 2.0 * ROUNDING * lam * (np.abs(w).max() + 1.0)
+        assert res.converged and np.isfinite(level)
+        assert kkt_residual(g, p, w) <= max(KKT_TOL, level)
         if lam > 0:
             c = np.abs(C.T @ (C @ np.ones(3) - mu)).max()
             assert np.abs(w - 1.0).max() <= 2.0 * c / lam + 1e-13
@@ -172,6 +174,14 @@ def test_budget_below_one_rejected():
     ):
         with pytest.raises(InputError, match="max_iters"):
             solve(max_iters=0)
+
+
+def test_zero_source_marginal_entry_rejected():
+    table = worked_instance_target_table()
+    for solver in (mlls_em, mlls_grad):
+        with pytest.raises(InputError) as exc_info:
+            solver(table, ProbVector(np.array([0.5, 0.5, 0.0])))
+        assert str(exc_info.value) == "the weight slice needs a strictly positive source marginal"
 
 
 class TestMllsEm:

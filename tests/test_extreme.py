@@ -113,11 +113,13 @@ def test_mlls_overflowed_hessian():
 
 def test_rlls_overflowed_hessian():
     # -2 (C^T C + lam I) overflows to -inf; the Newton finish used to hand it
-    # to least squares, which did not return
+    # to least squares, which did not return. The rounding level of the
+    # gradient's terms stays finite, and certifies the start point w = 1.
     samples = make_samples([[0.9, 0.1], [0.8, 0.2], [0.3, 0.7], [0.2, 0.8], [0.6, 0.4]], [0, 0, 1, 1, 1])
     mu = ProbVector(np.array([0.3, 0.7]))
     res = ends(rlls, build_hard_confusion(samples), mu, 1e308)
-    assert res is not None and not res.converged
+    assert res.converged and res.iterations == 0
+    assert res.weights.weights.tolist() == [1.0, 1.0]
 
 
 @given(mlls_problem())

@@ -17,7 +17,7 @@ import labelshift.cli
 import labelshift.io
 import labelshift.simulation
 from labelshift.calibration import BctsParams
-from labelshift.cli import _parse_benchmark_config, main
+from labelshift.cli import ESTIMATE_SETTINGS, _parse_benchmark_config, main
 from labelshift.errors import InputError
 from labelshift.estimators import METHODS, EstimateResult
 from labelshift.io import (
@@ -138,6 +138,16 @@ class TestPredictionFiles:
         path.write_text(f"c0,c1\n0.5,0.5\n{cell},0.5\n")
         with pytest.raises(InputError, match="nan.csv:3"):
             read_prediction_file(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "f.csv: empty prediction file"),
+        ("c0\n1\n", "f.csv: need at least two class columns"),
+        ("c0,label\n1,0\n", "f.csv: need at least two class columns"),
+    ], ids=["empty", "one_column", "one_column_and_label"])
+    def test_bad_header_names_file(self, text, message):
+        with pytest.raises(InputError) as exc_info:
+            read_predictions(io.StringIO(text, newline=""), "f.csv")
+        assert str(exc_info.value) == message
 
     def test_small_drift_renormalized(self, tmp_path):
         path = tmp_path / "drift.csv"
@@ -504,19 +514,19 @@ class TestEstimateCommand:
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": "input", "message": message}
 
-    def test_overflowing_lambda_exits_4(self, calibration_files, capsys):
-        # -2 (C^T C + lam I) overflows; the solver must give up, not hang
+    def test_overflowing_lambda_certifies_w_one(self, calibration_files, capsys):
+        # -2 (C^T C + lam I) overflows; the solver must not hang, and the
+        # start point w = 1 is the minimizer to working precision
         src, tgt = calibration_files
         with time_bound(30):
             code, out, err = run_cli(
                 capsys, "estimate", "--source", str(src), "--target", str(tgt),
                 "--method", "rlls", "--rlls-lambda", "1e308",
             )
-        assert (code, out) == (4, "")
-        assert json.loads(err) == {
-            "error": "convergence",
-            "message": "rlls did not converge in 1 of at most 10000 steps",
-        }
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["converged"] is True and report["iterations"] == 0
+        assert report["weights"] == [1.0, 1.0]
 
     @pytest.mark.parametrize("value, half", [(0.001, "validation"), (0.999, "estimation")])
     def test_empty_split_names_val_fraction(self, calibration_files, capsys, value, half):
@@ -598,7 +608,7 @@ class TestEstimateCommand:
         )
         assert (code, out) == (2, "")
         assert json.loads(err) == {
-            "error": "input", "message": "a class is absent from the source estimation split"
+            "error": "input", "message": "class 1 is absent from the source rows the estimator reads"
         }
 
     @pytest.mark.parametrize("method", METHODS)
@@ -748,6 +758,24 @@ class TestDiagnoseCommand:
             "message": f"the likelihood's derivatives overflow at these weights: "
                        f"the smallest f(x)^T w is {2 * tiny!r}",
         }
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_class_absent_from_source_exits_2(self, face_files, tmp_path, capsys, method):
+        # every method reads the labels through one rule; --weights reads no estimate
+        src = tmp_path / "two_classes.csv"
+        outputs, labels, _ = read_prediction_file(face_files[0])
+        write_csv(src, outputs, np.where(labels == 1, 2, labels))
+        files = ["--source", str(src), "--target", str(face_files[1])]
+        code, out, err = run_cli(capsys, "diagnose", *files, "--method", method)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "input", "message": "class 1 is absent from the source rows the estimator reads"
+        }
+        wfile = tmp_path / "w.json"
+        wfile.write_text("[1, 1, 1]")
+        code, out, err = run_cli(capsys, "diagnose", *files, "--weights", str(wfile))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["weights"] == [1.0, 1.0, 1.0]
 
     @pytest.mark.parametrize(
         "command, method",
@@ -937,6 +965,93 @@ class TestSimulateCommand:
         )
         assert code == 5
         assert json.loads(err)["error"] == "io"
+
+
+# JSON values of every kind: numbers up to the float range and past it (as
+# integers), NaN and infinities, strings, methods, lists and objects
+JSON_LEAF = (st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | st.floats()
+             | st.floats(0, 1) | st.integers(-1, 50) | st.text(max_size=4)
+             | st.sampled_from([*METHODS, "nll", "mse"]))
+JSON_VALUE = st.recursive(JSON_LEAF, lambda inner: st.lists(inner, max_size=4), max_leaves=6)
+
+
+@st.composite
+def file_command_argv(draw):
+    """(argv before the file flags, whether the source has labels, the JSON
+    document of --weights or --config or None) for `estimate`, `diagnose` or
+    `calibrate`. A flag is left out, valid, or drawn from any number up to
+    +-1e308, nan, inf and junk tokens; seeds lie on both sides of 0."""
+    command = draw(st.sampled_from(["estimate", "diagnose", "calibrate"]))
+    junk = ["", "x", " ", "--", "1_0", "0x1p-1", "1e400", "nan", "inf", "-inf", "1e308", "-1e308"]
+    any_value = st.floats().map(repr) | st.sampled_from(junk)
+    method = st.sampled_from(METHODS)
+    if command == "estimate":
+        flags = {"method": method.map(str),
+                 "seed": st.integers(-2, 2 ** 70).map(str),
+                 "val-fraction": st.floats(0.05, 0.95).map(repr),
+                 "rlls-lambda": st.floats(0, 1e308).map(repr)}
+        switches = ["--no-calibration", "--clip-negative"]
+        valid_settings = {**{key: st.just(default) for key, (_, default) in ESTIMATE_SETTINGS.items()},
+                          "method": method, "max_iters": st.integers(1, 2 ** 70)}
+        document = st.fixed_dictionaries(
+            {}, optional={key: value | JSON_VALUE for key, value in valid_settings.items()}
+        )
+        keys = st.sampled_from([*ESTIMATE_SETTINGS, "junk"])
+        document = document | st.dictionaries(keys, JSON_VALUE) | JSON_VALUE
+    elif command == "diagnose":
+        flags, switches = {"method": method}, []
+        document = st.lists(st.floats() | st.floats(-2, 2), min_size=2, max_size=2) | JSON_VALUE
+    else:
+        flags, switches, document = {"loss": st.sampled_from(["nll", "mse"])}, [], st.nothing()
+    argv = [command]
+    for name, valid in flags.items():
+        kind = draw(st.sampled_from(["absent", "valid", "valid", "any"]))
+        if kind != "absent":
+            argv.append(f"--{name}={draw(valid if kind == 'valid' else any_value)}")
+    argv += [flag for flag in switches if draw(st.booleans())]
+    labelled = draw(st.sampled_from([True, True, True, False]))
+    return argv, labelled, draw(document) if draw(st.booleans()) else None
+
+
+class TestFileCommandsOnGeneratedArgv:
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        """The hand instance's files, the source with and without labels."""
+        work = tmp_path_factory.mktemp("hand")
+        src = np.array([[0.9, 0.1]] * 5 + [[0.1, 0.9]] * 5)
+        write_csv(work / "labelled.csv", src, np.array([0, 0, 0, 0, 1, 0, 1, 1, 1, 1]))
+        write_csv(work / "unlabelled.csv", src)
+        write_csv(work / "tgt.csv", np.array([[0.9, 0.1]] * 35 + [[0.1, 0.9]] * 65))
+        return work
+
+    @settings(max_examples=250, deadline=None)
+    @given(drawn=file_command_argv())
+    @example(drawn=(["estimate", "--method=rlls", "--rlls-lambda=1e308"], True, None))
+    @example(drawn=(["diagnose"], True, [1e308, -1e308]))
+    @example(drawn=(["estimate", "--no-calibration"], True, {"max_iters": 2 ** 70, "seed": 2 ** 70}))
+    def test_ends_in_one_document_or_one_error(self, files, drawn):
+        argv, labelled, document = drawn
+        argv = [*argv, "--source", str(files / ("labelled.csv" if labelled else "unlabelled.csv"))]
+        if argv[0] != "calibrate":
+            argv += ["--target", str(files / "tgt.csv")]
+        if document is not None:
+            path = files / "doc.json"
+            path.write_text(json.dumps(document))
+            argv += ["--weights" if argv[0] == "diagnose" else "--config", str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, time_bound(60), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert [str(w.message) for w in caught] == []
+        stream = out.getvalue() if code == 0 else err.getvalue()
+        assert (err.getvalue() if code == 0 else out.getvalue()) == ""
+        assert code in (0, 2, 3, 4, 5)
+        assert stream.endswith("\n") and stream.count("\n") == 1, stream
+        doc = json.loads(stream, parse_constant=_reject_constant)
+        assert isinstance(doc, dict)
+        if code:
+            assert set(doc) == {"error", "message"}
 
 
 class TestBenchmarkCommand:
@@ -1157,6 +1272,30 @@ class TestBenchmarkCommand:
         )
         assert code == 5
         assert json.loads(err)["error"] == "io"
+
+
+class TestUsageErrors:
+    """The argument parser's own errors end in the JSON input error."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["estimate", "--method", "bogus"], "labelshift estimate: argument --method: invalid choice: 'bogus'"),
+        (["estimate", "--source", "a"], "labelshift estimate: the following arguments are required: --target"),
+        (["simulate", "--alpha", "x"], "labelshift simulate: argument --alpha: invalid float value: 'x'"),
+        ([], "labelshift: the following arguments are required: command"),
+        (["bogus"], "labelshift: argument command: invalid choice: 'bogus'"),
+    ], ids=["unknown_method", "missing_target", "junk_float", "no_command", "unknown_command"])
+    def test_usage_error_exits_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["error"] == "input"
+        assert error["message"].startswith(message)
+
+    def test_help_still_prints(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["estimate", "-h"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: labelshift estimate")
 
 
 class TestUnreadableInput:

@@ -15,6 +15,7 @@ from labelshift.simplex import (
     column_sums,
     group_rows,
     grouped_table,
+    normalized_rows,
     project_to_weight_simplex,
     row_argmax,
     row_max,
@@ -126,6 +127,11 @@ class TestProbVector:
         with pytest.raises(InputError):
             ProbVector.normalized(np.array([0.5, 0.6]), tol=1e-6)
 
+    def test_normalized_rows_names_the_row(self):
+        with pytest.raises(InputError) as exc_info:
+            normalized_rows([[0.5, 0.5], [0.5, 0.625]], tol=1e-6)
+        assert str(exc_info.value) == "row 1: probabilities sum to 1.125, beyond renormalization tolerance 1e-06"
+
     def test_frozen_and_read_only(self):
         p = ProbVector(np.array([0.3, 0.7]))
         with pytest.raises((AttributeError, ValueError)):
@@ -154,6 +160,21 @@ class TestWeightVector:
 
 
 class TestLabeledPredictions:
+    @pytest.mark.parametrize("build, what", [
+        (lambda rows: LabeledPredictions(rows, [0, 1, 0]), "prediction"),
+        (lambda rows: PredictorTable(rows, np.ones(3)), "support"),
+    ], ids=["labeled", "table"])
+    @pytest.mark.parametrize("bad, reason", [
+        ([1.25, -0.25], "negative probability entry: -0.25"),
+        ([np.nan, 0.5], "probability vector has non-finite entries"),
+        ([0.5, 0.625], f"probabilities sum to 1.125, off by more than {SIMPLEX_TOL}"),
+    ], ids=["negative", "nan", "sum"])
+    def test_bad_row_is_named(self, build, what, bad, reason):
+        rows = np.array([[0.5, 0.5], bad, [0.25, 0.75]])
+        with pytest.raises(InputError) as exc_info:
+            build(rows)
+        assert str(exc_info.value) == f"{what} row 1: {reason}"
+
     def test_label_bounds(self):
         out = np.array([[0.2, 0.8]])
         assert LabeledPredictions(out, [1]).labels[0] == 1
