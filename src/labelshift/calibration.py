@@ -23,6 +23,7 @@ ARMIJO_SHRINK = 0.5
 CLIP_EPS = 1e-12  # floor on an entry before its log
 BCTS_TOL = 1e-8  # a BCTS fit stops once its gradient norm is below this
 BCTS_MAX_ITERS = 10_000  # most Newton steps of a BCTS fit
+LOSSES = ("nll", "mse")  # the losses a BCTS fit takes; the first is the default
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,7 @@ def _descent_direction(H, grad):
     return d
 
 
-def bcts_fit(validation: LabeledPredictions, loss: str = "nll") -> BctsFit:
+def bcts_fit(validation: LabeledPredictions, loss: str = LOSSES[0]) -> BctsFit:
     """Fit BCTS on (1/T, b) by damped Newton steps with backtracking line search.
 
     The direction solves H d = -grad with H the softmax Fisher matrix at the
@@ -145,7 +146,7 @@ def bcts_fit(validation: LabeledPredictions, loss: str = "nll") -> BctsFit:
     BCTS_MAX_ITERS steps runs out with the gradient norm still at least
     BCTS_TOL.
     """
-    if loss not in ("nll", "mse"):
+    if loss not in LOSSES:
         raise InputError(f"unknown loss: {loss}")
     n, k = validation.outputs.shape
     if n < k + 1:

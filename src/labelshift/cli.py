@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .errors import ConvergenceError, IdentifiabilityError, InputError
-from .calibration import BctsParams, bcts_apply_matrix, bcts_fit
+from .calibration import LOSSES, BctsParams, bcts_apply_matrix, bcts_fit
 from .confusion import bbse_inputs
 from .diagnostics import (
     condition_tau,
@@ -27,7 +27,9 @@ from .diagnostics import (
 from .estimators import (
     MAX_ITERS,
     METHODS,
+    RLLS_LAMBDA,
     bbse,
+    check_count,
     mlls_cm,
     mlls_em,
     mlls_grad,
@@ -41,8 +43,8 @@ from .simulation import (
     ExperimentConfig,
     ShiftSpec,
     aggregate_to_csv,
-    check_count,
     check_seed,
+    check_size,
     draw_trial,
     rng_for,
     run_trials,
@@ -114,36 +116,33 @@ ESTIMATE_SETTINGS = {
     "method": (str, "mlls_em"),
     "seed": (int, 0),
     "val_fraction": (float, 0.5),
-    "rlls_lambda": (float, 1e-3),
+    "rlls_lambda": (float, RLLS_LAMBDA),
     "clip_negative": (bool, False),
-    "calibration_loss": (str, "nll"),
+    "calibration_loss": (str, LOSSES[0]),
     "max_iters": (int, MAX_ITERS),
 }
 
 
 def _estimate_settings(args) -> argparse.Namespace:
-    """Every `estimate` setting, checked before a prediction file is read."""
-    overrides = {}
-    if args.config is not None:
-        overrides = _read_json(args.config)
-        if not isinstance(overrides, dict):
-            raise InputError("config overrides must be a JSON object")
-        _check_keys(overrides, ESTIMATE_SETTINGS, "config")
+    """Every setting of an estimator run in `estimate` or `diagnose`, checked before a prediction file is read."""
+    overrides = {} if getattr(args, "config", None) is None else _read_json(args.config)
+    if not isinstance(overrides, dict):
+        raise InputError("config overrides must be a JSON object")
+    _check_keys(overrides, ESTIMATE_SETTINGS, "config")
     s = argparse.Namespace()
     for key, (kind, default) in ESTIMATE_SETTINGS.items():
         flag = getattr(args, key, None)
         given = overrides if flag is None else {key: flag}
         setattr(s, key, _config_value(given, key, kind, default))
-    if s.method not in METHODS:
-        raise InputError(f"unknown method {s.method!r}")
-    if s.seed < 0:
-        raise InputError(f"seed must be nonnegative, got {s.seed}")
+    for key, allowed in (("method", METHODS), ("calibration_loss", LOSSES)):
+        if getattr(s, key) not in allowed:
+            raise InputError(f"unknown {key} {getattr(s, key)!r}")
+    check_seed("seed", s.seed)
     if not 0 < s.val_fraction < 1:
         raise InputError(f"val_fraction must lie in (0, 1), got {s.val_fraction}")
     if not s.rlls_lambda >= 0:
         raise InputError(f"rlls_lambda must be nonnegative, got {s.rlls_lambda}")
-    if s.max_iters < 1:
-        raise InputError(f"max_iters must be >= 1, got {s.max_iters}")
+    check_count("max_iters", s.max_iters)
     return s
 
 
@@ -176,22 +175,20 @@ def _source_inputs(outputs, labels, method):
     return samples.outputs, samples, ProbVector(counts / counts.sum())
 
 
-def _run_estimator(
-    method, max_iters, rlls_lambda, source_samples, table, source_marginal, clip_negative=False
-):
-    """Run one method; a result that did not converge raises ConvergenceError."""
-    if method in ("bbse_hard", "bbse_soft", "rlls"):
-        conf, mu = bbse_inputs(source_samples, table, "soft" if method == "bbse_soft" else "hard")
-        if method == "rlls":
-            result = rlls(conf, mu, rlls_lambda, max_iters)
+def _run_estimator(s, source_samples, table, source_marginal):
+    """Run the method of the settings `s`; a result that did not converge raises ConvergenceError."""
+    if s.method in ("bbse_hard", "bbse_soft", "rlls"):
+        conf, mu = bbse_inputs(source_samples, table, "soft" if s.method == "bbse_soft" else "hard")
+        if s.method == "rlls":
+            result = rlls(conf, mu, s.rlls_lambda, s.max_iters)
         else:
-            result = bbse(conf, mu, clip_negative=clip_negative)
-    elif method in ("mlls_em", "mlls_grad"):
-        solver = mlls_em if method == "mlls_em" else mlls_grad
-        result = solver(table, source_marginal, max_iters)
+            result = bbse(conf, mu, clip_negative=s.clip_negative)
+    elif s.method in ("mlls_em", "mlls_grad"):
+        solver = mlls_em if s.method == "mlls_em" else mlls_grad
+        result = solver(table, source_marginal, s.max_iters)
     else:  # mlls_cm
-        result = mlls_cm(source_samples, table, source_marginal, max_iters)
-    return require_converged(method, result, max_iters)
+        result = mlls_cm(source_samples, table, source_marginal, s.max_iters)
+    return require_converged(s.method, result, s.max_iters)
 
 
 def _read_inputs(args):
@@ -226,7 +223,7 @@ def cmd_estimate(args) -> dict:
 
     rows, samples, source_marginal = _source_inputs(est_out, est_lab, s.method)
     table = target_table_from_outputs(tgt_outputs)
-    result = _run_estimator(s.method, s.max_iters, s.rlls_lambda, samples, table, source_marginal, s.clip_negative)
+    result = _run_estimator(s, samples, table, source_marginal)
 
     identifiable, min_eig = check_identifiability(rows)
     nonneg = bool(np.all(result.weights.weights >= 0))
@@ -254,19 +251,14 @@ def cmd_calibrate(args) -> dict:
     if labels is None:
         raise InputError("calibration file must carry a label column")
     fit = bcts_fit(samples_from_outputs(outputs, labels), loss=args.loss)
-    report = fit.params.to_json()
-    report.update(
-        {"iterations": fit.iterations, "converged": fit.converged,
-         "final_grad_norm": fit.final_grad_norm, "final_loss": fit.loss_trace[-1]}
-    )
-    return report
+    return {**fit.params.to_json(), "iterations": fit.iterations, "converged": fit.converged,
+            "final_grad_norm": fit.final_grad_norm, "final_loss": fit.loss_trace[-1]}
 
 
 # ---------------------------------------------------------------- diagnose
 
-def _weights_from_json(obj, source_marginal: ProbVector) -> WeightVector:
-    """A weight vector read from JSON, rescaled so that w . p_s = 1."""
-    w = np.asarray(_config_value({"weights": obj}, "weights", [float]))
+def _rescaled_weights(w: np.ndarray, source_marginal: ProbVector) -> WeightVector:
+    """The weights of a --weights file, rescaled so that w . p_s = 1."""
     if len(w) != source_marginal.k:
         raise InputError(f"weights file must hold a JSON list of {source_marginal.k} numbers")
     dot = float(w @ source_marginal.entries)
@@ -276,14 +268,14 @@ def _weights_from_json(obj, source_marginal: ProbVector) -> WeightVector:
 
 
 def cmd_diagnose(args) -> dict:
+    """Diagnostics at the --weights vector, or at --method's estimate as `estimate --no-calibration` makes it."""
+    s = _estimate_settings(args)
+    w = _config_value({"weights": _read_json(args.weights)}, "weights", [float]) if args.weights else None
     src_outputs, src_labels, tgt_outputs = _read_inputs(args)
     table = target_table_from_outputs(tgt_outputs)
-    rows, samples, source_marginal = _source_inputs(src_outputs, src_labels, None if args.weights else args.method)
-    if args.weights:
-        weights = _weights_from_json(_read_json(args.weights), source_marginal)
-    else:
-        # diagnose has no lambda setting: rlls runs unregularized
-        weights = _run_estimator(args.method, MAX_ITERS, 0.0, samples, table, source_marginal).weights
+    rows, samples, source_marginal = _source_inputs(src_outputs, src_labels, None if args.weights else s.method)
+    weights = (_rescaled_weights(np.asarray(w), source_marginal) if args.weights
+               else _run_estimator(s, samples, table, source_marginal).weights)
     return diagnostics_report(table, weights, rows).to_json()
 
 
@@ -315,8 +307,8 @@ def cmd_simulate(args) -> None:
     else:
         raise InputError("provide --alpha or --target-marginal")
     check_seed("seed", args.seed)
-    check_count("n_source", args.n_source)
-    check_count("m_target", args.m_target)
+    check_size("n_source", args.n_source)
+    check_size("m_target", args.m_target)
 
     p_t, src_outputs, src_y, tgt_outputs = draw_trial(spec, shift, args.n_source, args.m_target, args.seed)
     write_prediction_file(args.source_out, src_outputs, src_y)
@@ -426,14 +418,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     cal = sub.add_parser("calibrate", help="fit temperature-plus-bias calibration")
     cal.add_argument("--source", required=True)
-    cal.add_argument("--loss", choices=("nll", "mse"), default="nll")
+    cal.add_argument("--loss", choices=LOSSES, default=LOSSES[0])
     cal.set_defaults(func=cmd_calibrate)
 
     dia = sub.add_parser("diagnose", help="likelihood diagnostics at a weight vector")
     dia.add_argument("--source", required=True)
     dia.add_argument("--target", required=True)
     dia.add_argument("--weights", help="JSON file with a weight vector")
-    dia.add_argument("--method", choices=METHODS, default="mlls_em")
+    dia.add_argument("--method", choices=METHODS)
     dia.set_defaults(func=cmd_diagnose)
 
     sim = sub.add_parser("simulate", help="write synthetic prediction files")

@@ -11,6 +11,7 @@ from .errors import InputError
 from .simplex import PredictorTable, ProbVector, WeightVector
 
 IDENTIFIABILITY_EIG_FLOOR = 1e-10
+SANDWICH_SLACK = 1e-8  # absolute slack on each side of the eigenvalue sandwich
 
 
 @dataclass(frozen=True)
@@ -75,18 +76,19 @@ def ll_gradient(F, m, w, inner=None) -> np.ndarray:
     return F.T @ (m / (_inner(F, m, w) if inner is None else inner))
 
 
-def ll_hessian(F, m, w, inner=None) -> np.ndarray:
+def ll_hessian(F, m, w, inner=None, sqrt_m=None) -> np.ndarray:
     """-E_t[f(x) f(x)^T / (f(x)^T w)^2]; symmetric negative semidefinite.
-    `inner`, when given, is _inner(F, m, w)."""
-    scaled = F * (np.sqrt(m) / (_inner(F, m, w) if inner is None else inner))[:, None]
+    `inner` and `sqrt_m`, when given, are _inner(F, m, w) and np.sqrt(m)."""
+    inner = _inner(F, m, w) if inner is None else inner
+    scaled = F * ((np.sqrt(m) if sqrt_m is None else sqrt_m) / inner)[:, None]
     return -(scaled.T @ scaled)
 
 
 def ll_derivatives(F, m):
     """grad(w) and hess(w) of the likelihood for a solver that takes the
     Hessian only at the point of its last gradient: hess reuses the f(x)^T w
-    of that call instead of forming it and checking it again."""
-    inner = None
+    of that call, and the square roots of the masses taken once, instead of forming them again."""
+    inner, sqrt_m = None, np.sqrt(m)
 
     def grad(w):
         nonlocal inner
@@ -94,7 +96,7 @@ def ll_derivatives(F, m):
         return ll_gradient(F, m, w, inner)
 
     def hess(w):
-        return ll_hessian(F, m, w, inner)
+        return ll_hessian(F, m, w, inner, sqrt_m)
 
     return grad, hess
 
@@ -190,9 +192,7 @@ def compute_bound_terms(
     return BoundTerms(term1, term2, term1 + term2)
 
 
-def eigenvalue_sandwich_check(
-    table: PredictorTable, w: WeightVector, p_s: ProbVector, slack: float = 1e-8
-) -> bool:
+def eigenvalue_sandwich_check(table: PredictorTable, w: WeightVector, p_s: ProbVector) -> bool:
     """Check p_min^2 * sigma_f <= sigma_{f,w} <= sigma_f / tau^2, where sigma_f
     is the minimum eigenvalue of E_t[f f^T] and sigma_{f,w} of the negated
     likelihood Hessian."""
@@ -202,7 +202,7 @@ def eigenvalue_sandwich_check(
     if tau <= 0:
         raise InputError("sandwich check requires tau > 0 on the instance")
     p_min = float(p_s.entries.min())
-    return (p_min ** 2) * sigma_f <= sigma_fw + slack and sigma_fw <= sigma_f / tau ** 2 + slack
+    return (p_min ** 2) * sigma_f <= sigma_fw + SANDWICH_SLACK and sigma_fw <= sigma_f / tau ** 2 + SANDWICH_SLACK
 
 
 def gaussian_cdf(x: float) -> float:

@@ -40,6 +40,7 @@ ROUNDING = 64.0 * np.finfo(float).eps
 FINISH_STEP = 1e-3  # a first-order step shorter than this starts another Newton finish
 STEP_TOL = 1e-8  # an uncertified first-order run gives up after a step shorter than this
 MAX_ITERS = 10_000  # default budget of an iterative solve: first-order and Newton steps together
+RLLS_LAMBDA = 1e-3  # default ridge weight of rlls wherever a command runs it
 NEWTON_STEPS = 30  # most Newton steps in one attempt of the finish
 STALL_STEPS = 5  # an attempt ends after this many steps without a new smallest residual
 
@@ -50,6 +51,12 @@ class EstimateResult:
     iterations: int
     final_objective: float
     converged: bool
+
+
+def check_count(key: str, value: int) -> None:
+    """A budget, sample size, trial count or bin count is at least 1."""
+    if value < 1:
+        raise InputError(f"{key} must be >= 1, not {value}")
 
 
 def require_converged(method: str, result: EstimateResult, max_iters: int) -> EstimateResult:
@@ -228,8 +235,7 @@ def _solve_on_slice(step, grad, hess, p, w0, max_iters, rounding=_likelihood_rou
 
     Returns (w, steps taken of both kinds, converged).
     """
-    if max_iters < 1:
-        raise InputError(f"max_iters must be >= 1, not {max_iters}")
+    check_count("max_iters", max_iters)
     if np.any(p <= 0):
         raise InputError("the weight slice needs a strictly positive source marginal")
     taken = 0

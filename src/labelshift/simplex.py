@@ -61,9 +61,6 @@ class ProbVector:
     def k(self) -> int:
         return self.entries.size
 
-    def __len__(self) -> int:
-        return self.entries.size
-
 
 @dataclass(frozen=True)
 class WeightVector:
@@ -86,10 +83,6 @@ class WeightVector:
         if abs(dot - 1.0) > SIMPLEX_TOL:
             raise InputError(f"weights violate sum_y w_y p_s(y) = 1 (got {dot})")
         object.__setattr__(self, "weights", w)
-
-    @property
-    def k(self) -> int:
-        return self.weights.size
 
 
 # Every sum, max or argmax over the class axis of a float array goes through
@@ -265,8 +258,6 @@ def group_rows(rows) -> tuple[np.ndarray, np.ndarray]:
     is its group's first occurrence. Rows whose first column has no repeated
     value are all distinct, and form n groups of one without the lexsort."""
     rows = np.asarray(rows)
-    if rows.ndim == 1:
-        rows = rows[:, None]
     if rows.ndim != 2 or rows.shape[1] == 0:
         raise InputError("rows must form an (n, k) array with k >= 1")
     if _first_column_distinct(rows):
@@ -302,13 +293,15 @@ def project_onto_slice(v: np.ndarray, p: np.ndarray) -> np.ndarray:
     constraint fixes on the longest prefix whose last coordinate stays
     positive (sort plus cumsum; Condat, Math. Program. 2016, weighted form).
     When one v_y / p_y dwarfs the rest, rounding can leave no coordinate
-    positive; the projection is then the vertex e_j / p_j of the largest.
+    positive, or only a first one whose p_y^2 underflows to 0 and leaves lam
+    infinite or NaN; the projection is then the vertex e_j / p_j of the largest.
     """
-    order = np.argsort(-(v / p))
-    vs, ps = v[order], p[order]
-    lams = (np.cumsum(vs * ps) - 1.0) / np.cumsum(ps * ps)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        order = np.argsort(-(v / p))
+        vs, ps = v[order], p[order]
+        lams = (np.cumsum(vs * ps) - 1.0) / np.cumsum(ps * ps)
     positive = np.flatnonzero(vs > lams * ps)
-    if positive.size == 0:
+    if positive.size == 0 or not np.isfinite(lams[positive[-1]]):
         return np.where(np.arange(p.size) == order[0], 1.0 / p, 0.0)
     w = np.maximum(v - lams[positive[-1]] * p, 0.0)
     return w / (w @ p)  # remove last-bit drift

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,9 @@ from .diagnostics import check_identifiability
 from .estimators import (
     MAX_ITERS,
     METHODS,
+    RLLS_LAMBDA,
     bbse,
+    check_count,
     mlls_cm,
     mlls_em,
     mlls_grad,
@@ -29,6 +32,8 @@ from .estimators import (
 )
 from .predictors import GmmSpec, bin_aggregate, gmm_posterior, samples_from_outputs
 from .simplex import PredictorTable, ProbVector, WeightVector, grouped_table, normalized_rows
+
+MEMORY_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def rng_for(base_seed: int, *indices: int) -> np.random.Generator:
@@ -43,10 +48,12 @@ def check_seed(key: str, seed: int) -> None:
         raise InputError(f"{key} must be a 64-bit unsigned integer")
 
 
-def check_count(key: str, value: int) -> None:
-    """A sample size, trial count, budget or bin count is at least 1."""
-    if value < 1:
-        raise InputError(f"{key} must be >= 1, not {value}")
+def check_size(key: str, n: int) -> None:
+    """A sample size or bin count is a count whose arrays, of one float per
+    row or bin, fit in this machine's memory; numpy cannot allocate more."""
+    check_count(key, n)
+    if n * 8 > MEMORY_BYTES:
+        raise InputError(f"{key} of {n} cannot be allocated: one float each needs over {MEMORY_BYTES} bytes")
 
 
 @dataclass(frozen=True)
@@ -107,7 +114,7 @@ class ExperimentConfig:
     n_trials: int
     base_seed: int
     n_source: int = 1000
-    rlls_lambda: float = 1e-3
+    rlls_lambda: float = RLLS_LAMBDA
     max_iters: int = MAX_ITERS
     bins: int | None = None
     miscalibration: BctsParams | None = None
@@ -119,12 +126,13 @@ class ExperimentConfig:
             raise InputError("rlls_lambda must be nonnegative")
         for key in ("n_trials", "n_source", "max_iters", "bins"):
             if getattr(self, key) is not None:
-                check_count(key, getattr(self, key))
+                (check_size if key in ("n_source", "bins") else check_count)(key, getattr(self, key))
         check_seed("base_seed", self.base_seed)
         if not self.shifts:
             raise InputError("shifts must name at least one shift")
         if not self.m_values or min(self.m_values) < 1:
             raise InputError(f"m_values must be a nonempty list of sizes >= 1, not {list(self.m_values)}")
+        check_size("m_values", max(self.m_values))
 
 
 def sample_gmm(spec: GmmSpec, marginal: ProbVector, n: int, seed: int, *indices: int) -> tuple:

@@ -30,7 +30,7 @@ from labelshift.io import (
 )
 from labelshift.predictors import GmmSpec
 from labelshift.simplex import ProbVector, WeightVector
-from labelshift.simulation import ExperimentConfig, ShiftSpec, draw_trial
+from labelshift.simulation import MEMORY_BYTES, ExperimentConfig, ShiftSpec, draw_trial
 from tests.conftest import F_ROWS, PS_ROWS, W_MISCAL_OPT, face_rlls, time_bound
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -349,6 +349,18 @@ def face_files(tmp_path):
     return src_path, tgt_path
 
 
+@pytest.fixture(scope="module")
+def simulated_files(tmp_path_factory):
+    """A 600-row two-class source and target pair drawn by `simulate`."""
+    work = tmp_path_factory.mktemp("simulated")
+    src, tgt = work / "s.csv", work / "t.csv"
+    assert main([
+        "simulate", "--alpha", "1", "--seed", "1", "--n-source", "600", "--m-target", "600",
+        "--source-out", str(src), "--target-out", str(tgt), "--marginal-out", str(work / "m.json"),
+    ]) == 0
+    return src, tgt
+
+
 @pytest.fixture
 def calibration_files(tmp_path):
     """400 calibrated two-class source rows and 50 target rows that all
@@ -460,9 +472,10 @@ class TestEstimateCommand:
             ({"clip_negative": "yes"}, "clip_negative"),
             (["method", "bbse_hard"], "JSON object"),
             ({"method": "magic"}, "method"),
+            ({"calibration_loss": "junk"}, "calibration_loss"),
         ],
         ids=["string_max_iters", "null_lambda", "negative_seed", "no_budget", "unknown_tol",
-             "string_flag", "not_an_object", "unknown_method"],
+             "string_flag", "not_an_object", "unknown_method", "unknown_loss"],
     )
     def test_bad_config_value_exits_2(
         self, calibration_files, tmp_path, capsys, monkeypatch, overrides, key
@@ -471,14 +484,25 @@ class TestEstimateCommand:
         src, tgt = calibration_files
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(overrides))
+        for switch in ([], ["--no-calibration"]):  # a setting is checked whether or not it is used
+            code, out, err = run_cli(
+                capsys, "estimate", "--source", str(src), "--target", str(tgt), "--config", str(cfg), *switch
+            )
+            assert code == 2
+            assert out == ""
+            error = json.loads(err)
+            assert error["error"] == "input"
+            assert key in error["message"]
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 70])
+    def test_seed_outside_64_bits_exits_2(self, calibration_files, capsys, monkeypatch, seed):
+        monkeypatch.setattr(labelshift.cli, "read_prediction_file", None)  # no file may be read
+        src, tgt = calibration_files
         code, out, err = run_cli(
-            capsys, "estimate", "--source", str(src), "--target", str(tgt), "--config", str(cfg)
+            capsys, "estimate", "--source", str(src), "--target", str(tgt), "--seed", str(seed)
         )
-        assert code == 2
-        assert out == ""
-        error = json.loads(err)
-        assert error["error"] == "input"
-        assert key in error["message"]
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "input", "message": "seed must be a 64-bit unsigned integer"}
 
     @pytest.mark.parametrize("value", [-0.5, 0.0, 1.0, 1.5])
     @pytest.mark.parametrize("given_by", ["flag", "config"])
@@ -693,6 +717,39 @@ class TestDiagnoseCommand:
         assert report["projected_gradient_norm"] < 1e-5
         assert report["kkt_residual"] <= 1e-10
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_each_method_runs_as_estimate_without_calibration(self, simulated_files, capsys, method):
+        files = ["--source", str(simulated_files[0]), "--target", str(simulated_files[1]), "--method", method]
+        code, out, err = run_cli(capsys, "estimate", *files, "--no-calibration")
+        assert (code, err) == (0, "")
+        estimated = json.loads(out)["weights"]
+        code, out, err = run_cli(capsys, "diagnose", *files)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["weights"] == estimated
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('[1, "a"]', 'weights must be a finite number, not "a"'),
+            ('{"w": [1, 1]}', 'weights must be a list, not {"w": [1, 1]}'),
+            ("[1, 1", "w.json: Expecting ',' delimiter: line 1 column 6 (char 5)"),
+        ],
+        ids=["non_numeric", "object", "syntax_error"],
+    )
+    def test_bad_weights_json_exits_2_before_reading_predictions(
+        self, hand_files, tmp_path, capsys, monkeypatch, text, message
+    ):
+        monkeypatch.setattr(labelshift.cli, "read_prediction_file", None)  # no file may be read
+        wfile = tmp_path / "w.json"
+        wfile.write_text(text)
+        code, out, err = run_cli(
+            capsys, "diagnose", "--source", str(hand_files[0]), "--target", str(hand_files[1]),
+            "--weights", str(wfile),
+        )
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["error"] == "input" and error["message"].endswith(message)
+
     def test_estimator_not_converged_exits_4(self, hand_files, capsys, monkeypatch):
         def stalled(table, source_marginal, max_iters):
             w = WeightVector(np.ones(source_marginal.k), source_marginal)
@@ -809,8 +866,8 @@ def simulate_argv(draw):
         "alpha": draw(st.none() | number),
         "source-marginal": draw(st.none() | marginal),
         "target-marginal": draw(st.none() | marginal),
-        "n-source": draw(st.integers(-2, 50)),
-        "m-target": draw(st.integers(-2, 50)),
+        "n-source": draw(st.integers(-2, 50) | st.sampled_from(UNALLOCATABLE)),
+        "m-target": draw(st.integers(-2, 50) | st.sampled_from(UNALLOCATABLE)),
         "seed": draw(st.integers(-2, 2 ** 70)),
     }
     return [f"--{name}={value}" for name, value in flags.items() if value is not None]
@@ -818,6 +875,12 @@ def simulate_argv(draw):
 
 # numpy's Dirichlet draw is all zeros once the sum of its gamma draws overflows
 OVERFLOWING_ALPHA = "dirichlet alpha=1e+308 is too large to draw from: its gamma draws overflow"
+# sizes past any machine's memory, and past what numpy can index (2**62 floats)
+UNALLOCATABLE = [10 ** 15, 2 ** 62]
+
+
+def unallocatable(key, size):
+    return f"{key} of {size} cannot be allocated: one float each needs over {MEMORY_BYTES} bytes"
 
 
 class TestSimulateCommand:
@@ -894,11 +957,14 @@ class TestSimulateCommand:
             (["--alpha=--"], "--alpha takes one value, not '--'"),
             (["--mu=--", "--alpha", "1"], "--mu takes one value, not '--'"),
             (["--target-marginal=--"], "--target-marginal takes one value, not '--'"),
+            (["--n-source", str(10 ** 15), "--alpha", "1"], unallocatable("n_source", 10 ** 15)),
+            (["--m-target", str(2 ** 62), "--alpha", "1"], unallocatable("m_target", 2 ** 62)),
         ],
         ids=["wrong_length_target", "zero_source_mass", "junk_target", "trailing_comma",
              "junk_source", "nan_target", "negative_seed", "seed_beyond_64_bits", "no_rows",
              "no_target_rows", "nan_alpha", "infinite_alpha", "overflowing_alpha",
-             "double_dash_alpha", "double_dash_mu", "double_dash_target"],
+             "double_dash_alpha", "double_dash_mu", "double_dash_target", "unallocatable_source",
+             "unallocatable_target"],
     )
     def test_bad_flag_exits_2(self, tmp_path, capsys, flags, message):
         code, out, err = run_cli(
@@ -917,6 +983,7 @@ class TestSimulateCommand:
     @example(flags=["--mu=1e+308", "--alpha=1e-308", "--source-marginal=1.0,5e-324", "--n-source=3"])
     @example(flags=["--mu=-1e+308", "--target-marginal=1e+308,1e+308"])
     @example(flags=["--alpha=1.0", "--source-marginal=1e-300,1.0", "--seed=18446744073709551615"])
+    @example(flags=["--alpha=1.0", f"--n-source={10 ** 15}"])
     def test_generated_flags_end_in_files_or_one_error(self, tmp_path_factory, flags):
         work = tmp_path_factory.mktemp("simulate")
         files = {name: work / name for name in ("s.csv", "t.csv", "m.json")}
@@ -1054,6 +1121,97 @@ class TestFileCommandsOnGeneratedArgv:
             assert set(doc) == {"error", "message"}
 
 
+@st.composite
+def benchmark_config_json(draw):
+    """A `benchmark` config whose every key is, nine times in ten, drawn from
+    its valid values and otherwise from junk: numbers up to +-1e308, nan and
+    inf, marginal entries down to 1e-300, miscalibration biases up to
+    +-1e308, shift entries of both modes and junk, method names and junk
+    tokens, sizes from -2 up (n_source and m <= 50, n_trials <= 3, bins <= 20)
+    and sizes no machine can allocate. Now and then a key other than the
+    budget is left out, an unknown key is added, or the document is not an
+    object."""
+    def pick(valid, junk):
+        return draw(valid if draw(st.sampled_from([True] * 9 + [False])) else junk)
+
+    number = st.floats() | st.floats(-1e308, 1e308) | JSON_VALUE
+
+    def marginal():
+        return pick(st.floats(1e-300, 1.0).map(lambda p: [p, 1.0 - p]),
+                    st.lists(st.floats() | st.sampled_from([1e-300, 5e-324, 0.0]), min_size=1, max_size=3))
+
+    def shift():
+        if draw(st.booleans()):
+            return {"mode": "dirichlet", "alpha": pick(st.floats(1e-3, 10), number | st.just(1e308))}
+        return pick(st.builds(lambda m: {"mode": "explicit", "target_marginal": m}, st.just(marginal())),
+                    st.dictionaries(st.sampled_from(["mode", "alpha", "target_marginal", "junk"]),
+                                    st.sampled_from(["dirichlet", "explicit", "magic"]) | number, max_size=3))
+
+    values = {
+        "gmm": lambda: {"mu": pick(st.floats(-3, 3), number), "source_marginal": marginal()},
+        "shifts": lambda: [shift() for _ in range(draw(st.integers(1, 2)))],
+        "methods": lambda: pick(st.lists(st.sampled_from(METHODS), min_size=1, max_size=3),
+                                st.lists(st.sampled_from([*METHODS, "mlls", "", "BBSE_HARD"]), max_size=3)),
+        "m_values": lambda: pick(st.lists(st.integers(1, 50), min_size=1, max_size=3),
+                                 st.lists(st.integers(-2, 50) | st.sampled_from(UNALLOCATABLE), max_size=3)),
+        "n_trials": lambda: pick(st.integers(1, 3), st.integers(-2, 0) | number),
+        "base_seed": lambda: pick(st.integers(0, 2 ** 64 - 1), st.integers(-2, 2 ** 70) | number),
+        "n_source": lambda: pick(st.integers(1, 50), st.integers(-2, 0) | st.sampled_from(UNALLOCATABLE)),
+        "rlls_lambda": lambda: pick(st.floats(0, 1e308), number),
+        "max_iters": lambda: pick(st.integers(1, 50), st.integers(-2, 0) | number),
+        "bins": lambda: pick(st.none() | st.integers(1, 20), st.integers(-2, 0) | st.just(10 ** 15) | number),
+        "miscalibration": lambda: pick(
+            st.none() | st.fixed_dictionaries({"temperature": st.floats(1e-2, 1e2),
+                                                "biases": st.lists(st.floats(-1e308, 1e308), min_size=2, max_size=2)}),
+            st.fixed_dictionaries({"temperature": number, "biases": st.lists(number, min_size=1, max_size=3)})),
+    }
+    required = {"gmm", "shifts", "methods", "m_values", "n_trials", "base_seed"}
+    # The budget is always given and small: at the default 10,000 steps,
+    # mlls_grad spends about a second on each trial whose source marginal has
+    # a tiny entry, such as 6e-40, too slow for a generated test (CHANGES.md).
+    cfg = {"max_iters": values.pop("max_iters")()}
+    for key, value in values.items():
+        if draw(st.sampled_from([True] * (19 if key in required else 3) + [False])):
+            cfg[key] = value()
+    if draw(st.sampled_from([False] * 19 + [True])):
+        cfg["junk"] = draw(JSON_VALUE)
+    return cfg if draw(st.sampled_from([True] * 29 + [False])) else draw(JSON_VALUE)
+
+
+class TestBenchmarkOnGeneratedConfigs:
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=benchmark_config_json())
+    @example(cfg={"gmm": {"mu": 1}, "shifts": [{"mode": "dirichlet", "alpha": 1}], "methods": ["mlls_em"],
+                  "m_values": [10], "n_trials": 1, "base_seed": 0, "n_source": 10 ** 15})
+    @example(cfg={"gmm": {"mu": 1, "source_marginal": [1e-300, 1]}, "shifts": [{"mode": "dirichlet", "alpha": 1}],
+                  "methods": ["mlls_em"], "m_values": [10, 2 ** 62], "n_trials": 1, "base_seed": 0,
+                  "miscalibration": {"temperature": 1, "biases": [1e308, -1e308]}})
+    @example(cfg={"gmm": {"mu": -7.272890413844837e-198, "source_marginal": [1e-300, 1.0]},
+                  "shifts": [{"mode": "explicit", "target_marginal": [0.3767042486578157, 0.6232957513421843]}],
+                  "methods": ["mlls_grad"], "m_values": [4, 20, 34], "n_trials": 3, "base_seed": 31, "n_source": 49,
+                  "max_iters": 31, "miscalibration": {"temperature": 70.54047707482879, "biases": [0.0, 0.0]}})
+    def test_ends_in_csv_and_document_or_one_error(self, tmp_path_factory, cfg):
+        work = tmp_path_factory.mktemp("benchmark")
+        cfg_path, csv_path = work / "cfg.json", work / "out.csv"
+        cfg_path.write_text(json.dumps(cfg))
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, time_bound(60), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["benchmark", "--config", str(cfg_path), "--output", str(csv_path)])
+        assert [str(w.message) for w in caught] == []
+        stream = out.getvalue() if code == 0 else err.getvalue()
+        assert (err.getvalue() if code == 0 else out.getvalue()) == ""
+        assert code in (0, 2, 3, 4, 5), stream
+        assert stream.endswith("\n") and stream.count("\n") == 1, stream
+        doc = json.loads(stream, parse_constant=_reject_constant)
+        if code == 0:
+            assert set(doc) == {"output", "per_method_mean_mse", "rows"}
+            assert len(csv_path.read_text().splitlines()) == doc["rows"] + 1
+        else:
+            assert set(doc) == {"error", "message"}
+
+
 class TestBenchmarkCommand:
     def benchmark_config(self, **overrides):
         cfg = {
@@ -1181,13 +1339,18 @@ class TestBenchmarkCommand:
             ({"gmm": {"mu": 1.0, "source_marginal": [1, 0]}}, "source_marginal"),
             ({"shifts": [{"mode": "dirichlet", "alpha": 1, "typo": 3}]}, "typo"),
             ({"shifts": [{"mode": "explicit", "target_marginal": [0.9, 0.1], "alpha": -5}]}, "alpha"),
+            ({"n_source": 10 ** 15}, unallocatable("n_source", 10 ** 15)),
+            ({"n_source": 2 ** 62}, unallocatable("n_source", 2 ** 62)),
+            ({"m_values": [100, 10 ** 15]}, unallocatable("m_values", 10 ** 15)),
+            ({"bins": 10 ** 15}, unallocatable("bins", 10 ** 15)),
         ],
         ids=["dirichlet_without_alpha", "string_n_source", "string_shifts", "float_m", "null_mu",
              "no_budget", "unknown_tol", "zero_temperature", "biases_not_k",
              "unknown_miscalibration_key", "string_bias", "no_shifts", "no_m_values", "zero_m",
              "zero_trials", "zero_source", "zero_bins", "not_an_object", "unknown_gmm_key",
              "unknown_shift_mode", "shift_without_mode", "negative_seed", "seed_beyond_64_bits",
-             "zero_source_mass", "unknown_shift_key", "explicit_shift_with_alpha"],
+             "zero_source_mass", "unknown_shift_key", "explicit_shift_with_alpha",
+             "unallocatable_source", "source_past_numpy_index", "unallocatable_m", "unallocatable_bins"],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, monkeypatch, overrides, key):
         monkeypatch.setattr(labelshift.cli, "run_trials", None)  # no trial may run

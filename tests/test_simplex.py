@@ -308,7 +308,7 @@ class TestGroupRows:
             with pytest.raises(InputError, match="duplicate output vector"):
                 PredictorTable(rows, np.ones(rows.shape[0]))
 
-    @pytest.mark.parametrize("shape", [(3, 0), (0, 0), (2, 2, 2)])
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 0), (2, 2, 2), (3,)])
     def test_rejects_arrays_that_are_not_rows(self, shape):
         with pytest.raises(InputError, match=r"\(n, k\) array"):
             group_rows(np.empty(shape))
@@ -357,6 +357,17 @@ class TestProjection:
         p = ProbVector(np.array([1 / 3, 1 / 6, 1 / 6, 1 / 3]))
         w = project_to_weight_simplex(np.array([2.5, 1.38, 0.47, 3.3e17]), p)
         np.testing.assert_array_equal(w.weights, [0.0, 0.0, 0.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "v, expect",
+        [([1.0, 0.5], [1.0, 1.0]), ([2.0, 3.0], [2.0, 1.0]),
+         ([1.0, 1e17], [1 / 1e-300, 0.0]), ([1e301, 1.0], [1 / 1e-300, 0.0])],
+    )
+    def test_underflowing_square_projects_without_warning(self, v, expect):
+        # p_0^2 = 1e-600 underflows to 0, so the first prefix's lam is not
+        # finite; where it decides the projection, the projection is the vertex
+        p = ProbVector(np.array([1e-300, 1.0]))
+        np.testing.assert_array_equal(project_to_weight_simplex(np.array(v), p).weights, expect)
 
     def test_interior_point_is_fixed(self):
         p = ProbVector(np.array([0.4, 0.6]))
