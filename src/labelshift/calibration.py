@@ -16,6 +16,7 @@ from .simplex import (
     grouped_table,
     row_max,
     row_sums,
+    scale_rows,
 )
 
 ARMIJO_C = 1e-4
@@ -89,35 +90,37 @@ def bcts_apply_matrix(params: BctsParams, outputs: np.ndarray) -> np.ndarray:
     return _bcts_transform(logp, 1.0 / params.temperature, params.biases)
 
 
-def _bcts_loss_grad(logp, onehot, inv_t, b, loss):
-    """Loss, its (k+1,) gradient in (1/T, b) and the calibrated rows g."""
+def _bcts_loss_grad(logp, onehot, wts, inv_t, b, loss):
+    """Loss, its (k+1,) gradient in (1/T, b) and the calibrated rows g, each
+    row weighted by its share `wts` of the examples."""
     g = _bcts_transform(logp, inv_t, b)
-    n = logp.shape[0]
     if loss == "nll":
-        val = -np.log(np.maximum(row_sums(g * onehot), 1e-300)).mean()
-        dz = (g - onehot) / n
+        val = -(wts @ np.log(np.maximum(row_sums(g * onehot), 1e-300)))
+        dz = scale_rows(g - onehot, wts)
     else:  # mse
         diff = g - onehot
-        val = row_sums(diff ** 2).mean()
+        val = wts @ row_sums(diff ** 2)
         # dz through the softmax Jacobian diag(g) - g g^T
-        dg = 2.0 * diff / n
+        dg = scale_rows(2.0 * diff, wts)
         dz = g * (dg - row_sums(dg * g)[:, None])
     grad = np.concatenate(([(dz * logp).sum()], column_sums(dz)))
     return val, grad, g
 
 
-def _bcts_fisher(logp, g):
-    """Softmax Fisher matrix sum_i J_i^T (diag g_i - g_i g_i^T) J_i / n in
-    (1/T, b), with J_i = [log p_i | I]: the exact Hessian of the NLL. Softmax
-    is shift-invariant, so the b-block has a null direction along 1; adding
-    1/k to every b-block entry removes it without moving a step orthogonal to 1."""
-    n, k = g.shape
+def _bcts_fisher(logp, g, wts):
+    """Softmax Fisher matrix sum_i wts_i J_i^T (diag g_i - g_i g_i^T) J_i in
+    (1/T, b), with J_i = [log p_i | I] and wts the rows' shares of the
+    examples: the exact Hessian of the NLL. Softmax is shift-invariant, so
+    the b-block has a null direction along 1; adding 1/k to every b-block
+    entry removes it without moving a step orthogonal to 1."""
+    k = g.shape[1]
     gl = g * logp
     m = row_sums(gl)  # g_i . log p_i
+    mw = wts * m
     H = np.empty((k + 1, k + 1))
-    H[0, 0] = ((gl * logp).sum() - m @ m) / n
-    H[0, 1:] = H[1:, 0] = (column_sums(gl) - m @ g) / n
-    H[1:, 1:] = (np.diag(column_sums(g)) - g.T @ g) / n + 1.0 / k
+    H[0, 0] = wts @ row_sums(gl * logp) - mw @ m
+    H[0, 1:] = H[1:, 0] = wts @ gl - mw @ g
+    H[1:, 1:] = np.diag(wts @ g) - scale_rows(g, wts).T @ g + 1.0 / k
     return H
 
 
@@ -144,12 +147,13 @@ def bcts_fit(validation: LabeledPredictions, loss: str = LOSSES[0]) -> BctsFit:
     False when the line search can no longer lower the loss while the
     gradient norm is still at least 1e-6, and when the budget of
     BCTS_MAX_ITERS steps runs out with the gradient norm still at least
-    BCTS_TOL.
+    BCTS_TOL. The losses are means over the examples, each row weighted by
+    its count.
     """
     if loss not in LOSSES:
         raise InputError(f"unknown loss: {loss}")
     n, k = validation.outputs.shape
-    if n < k + 1:
+    if validation.counts.sum() < k + 1:
         raise InputError(f"need at least k+1={k + 1} validation samples")
     labels = validation.labels
     if np.unique(labels).size < 2:
@@ -157,9 +161,10 @@ def bcts_fit(validation: LabeledPredictions, loss: str = LOSSES[0]) -> BctsFit:
     logp = np.log(clip_probs(validation.outputs))
     onehot = np.zeros((n, k))
     onehot[np.arange(n), labels] = 1.0
+    wts = validation.weights()
 
     theta = np.concatenate(([1.0], np.zeros(k)))  # (1/T, b)
-    val, grad, g = _bcts_loss_grad(logp, onehot, theta[0], theta[1:], loss)
+    val, grad, g = _bcts_loss_grad(logp, onehot, wts, theta[0], theta[1:], loss)
     trace = [val]
     it = 0
     for it in range(1, BCTS_MAX_ITERS + 1):
@@ -167,13 +172,13 @@ def bcts_fit(validation: LabeledPredictions, loss: str = LOSSES[0]) -> BctsFit:
         if gnorm < BCTS_TOL:
             converged = True
             break
-        d = _descent_direction(_bcts_fisher(logp, g), grad)
+        d = _descent_direction(_bcts_fisher(logp, g, wts), grad)
         slope = float(grad @ d)
         step = 1.0
         while True:
             nxt = theta + step * d
             if nxt[0] > 0:
-                nval, ngrad, ng = _bcts_loss_grad(logp, onehot, nxt[0], nxt[1:], loss)
+                nval, ngrad, ng = _bcts_loss_grad(logp, onehot, wts, nxt[0], nxt[1:], loss)
                 if nval <= val + ARMIJO_C * step * slope:
                     break
             step *= ARMIJO_SHRINK
@@ -203,14 +208,15 @@ def confusion_row_calibrate(confusion: ConfusionMatrix) -> PredictorTable:
 
 def estimate_calibration_error(samples: LabeledPredictions) -> CalibrationReport:
     """Canonical calibration error E(f) = sqrt(E_s ||f - f_c||^2) with f_c the
-    empirical label mean per exact-output group."""
-    outputs, labels = samples.outputs, samples.labels
-    n, k = outputs.shape
+    empirical label mean per exact-output group, over the examples the
+    rows' counts stand for."""
+    outputs, labels, counts = samples.outputs, samples.labels, samples.counts
+    k = outputs.shape[1]
     first, group = group_rows(outputs)
     g = first.size
-    sizes = np.bincount(group, minlength=g).astype(float)
-    label_means = np.bincount(group * k + labels, minlength=g * k).reshape(g, k) / sizes[:, None]
-    masses = sizes / n
+    sizes = np.bincount(group, counts, g)
+    label_means = np.bincount(group * k + labels, counts, g * k).reshape(g, k) / sizes[:, None]
+    masses = sizes / counts.sum()
     F = outputs[first]
     sq = float(masses @ row_sums((F - label_means) ** 2))
     return CalibrationReport(float(np.sqrt(sq)), F, label_means, masses)

@@ -38,7 +38,7 @@ from .estimators import (
 )
 from .io import read_prediction_file, write_prediction_file
 from .predictors import GmmSpec, samples_from_outputs
-from .simplex import LabeledPredictions, ProbVector, WeightVector, normalized_rows, weights_to_target_marginal
+from .simplex import ProbVector, WeightVector, weights_to_target_marginal
 from .simulation import (
     ExperimentConfig,
     ShiftSpec,
@@ -146,39 +146,45 @@ def _estimate_settings(args) -> argparse.Namespace:
     return s
 
 
-def _split_source(outputs, labels, val_fraction: float, seed: int):
-    n = outputs.shape[0]
+def _split_source(index, val_fraction: float, seed: int):
+    """The validation and the estimation half of the source, each as its
+    distinct rows (indices into the file's distinct rows, in file order)
+    and their line counts: the seed permutes the n lines of the file, whose
+    line index is `index`, and the first round(n * val_fraction) form the
+    validation half."""
+    n = index.size
     perm = rng_for(seed, 0).permutation(n)
     n_val = int(round(n * val_fraction))
-    val, est = perm[:n_val], perm[n_val:]
-    for half, rows in (("validation", val), ("estimation", est)):
-        if rows.size == 0:
+    halves = index[perm[:n_val]], index[perm[n_val:]]
+    for half, lines in zip(("validation", "estimation"), halves):
+        if lines.size == 0:
             raise InputError(f"val_fraction {val_fraction} leaves no {half} rows of the {n} source rows")
-    return (outputs[val], labels[val]), (outputs[est], labels[est])
+    return [np.unique(lines, return_counts=True) for lines in halves]
 
 
-def _source_inputs(outputs, labels, method):
-    """What an estimator reads of source rows and their labels (or None):
-    (rows normalized, LabeledPredictions or None, p_s). p_s is the label
-    frequencies, or uniform for an unlabelled source, which only mlls_em and
-    mlls_grad take. A `method` (None where none runs) needs every class among
-    the labels."""
-    rows = normalized_rows(outputs, tol=1e-6)
+def _source_inputs(outputs, labels, counts, method):
+    """What an estimator reads of distinct source rows, their labels (or
+    None) and their counts: (source, p_s). The source is LabeledPredictions,
+    or the table of an unlabelled file's rows; either is what
+    check_identifiability takes. p_s is the label frequencies, or uniform
+    for an unlabelled source, which only mlls_em and mlls_grad take. A
+    `method` (None where none runs) needs every class among the labels."""
+    k = outputs.shape[1]
     if labels is None:
         if method not in (None, "mlls_em", "mlls_grad"):
             raise InputError(f"method {method} needs a source file with a label column")
-        return rows, None, ProbVector(np.full(rows.shape[1], 1.0 / rows.shape[1]))
-    samples = LabeledPredictions(rows, labels)
-    counts = np.bincount(samples.labels, minlength=rows.shape[1]).astype(float)
-    if method is not None and np.any(counts == 0):
-        raise InputError(f"class {int(np.argmin(counts))} is absent from the source rows the estimator reads")
-    return samples.outputs, samples, ProbVector(counts / counts.sum())
+        return target_table_from_outputs(outputs, counts), ProbVector(np.full(k, 1.0 / k))
+    samples = samples_from_outputs(outputs, labels, counts)
+    per_class = np.bincount(samples.labels, samples.counts, k)
+    if method is not None and np.any(per_class == 0):
+        raise InputError(f"class {int(np.argmin(per_class))} is absent from the source rows the estimator reads")
+    return samples, ProbVector(per_class / per_class.sum())
 
 
-def _run_estimator(s, source_samples, table, source_marginal):
+def _run_estimator(s, source, table, source_marginal):
     """Run the method of the settings `s`; a result that did not converge raises ConvergenceError."""
     if s.method in ("bbse_hard", "bbse_soft", "rlls"):
-        conf, mu = bbse_inputs(source_samples, table, "soft" if s.method == "bbse_soft" else "hard")
+        conf, mu = bbse_inputs(source, table, "soft" if s.method == "bbse_soft" else "hard")
         if s.method == "rlls":
             result = rlls(conf, mu, s.rlls_lambda, s.max_iters)
         else:
@@ -187,45 +193,49 @@ def _run_estimator(s, source_samples, table, source_marginal):
         solver = mlls_em if s.method == "mlls_em" else mlls_grad
         result = solver(table, source_marginal, s.max_iters)
     else:  # mlls_cm
-        result = mlls_cm(source_samples, table, source_marginal, s.max_iters)
+        result = mlls_cm(source, table, source_marginal, s.max_iters)
     return require_converged(s.method, result, s.max_iters)
 
 
 def _read_inputs(args):
-    """(source outputs, source labels or None, target outputs) of --source
-    and --target, which must have the same class count."""
-    src_outputs, src_labels, _ = read_prediction_file(args.source)
-    tgt_outputs, _, _ = read_prediction_file(args.target)
+    """The distinct rows, labels (or None) and line index of --source, and
+    the distinct rows and line counts of --target, which must have the same
+    class count."""
+    src_outputs, src_labels, src_index, _ = read_prediction_file(args.source)
+    tgt_outputs, _, tgt_index, _ = read_prediction_file(args.target)
     if tgt_outputs.shape[1] != src_outputs.shape[1]:
         raise InputError("source and target class counts differ")
-    return src_outputs, src_labels, tgt_outputs
+    return src_outputs, src_labels, src_index, tgt_outputs, np.bincount(tgt_index)
 
 
 def cmd_estimate(args) -> dict:
     s = _estimate_settings(args)
 
-    src_outputs, src_labels, tgt_outputs = _read_inputs(args)
+    src_outputs, src_labels, src_index, tgt_outputs, tgt_counts = _read_inputs(args)
     if src_labels is None:
         raise InputError("source file must carry a label column")
 
-    calibration, est_out, est_lab = None, src_outputs, src_labels
-    if not args.no_calibration:
-        (val_out, val_lab), (est_out, est_lab) = _split_source(src_outputs, src_labels, s.val_fraction, s.seed)
-        fit = bcts_fit(samples_from_outputs(val_out, val_lab), loss=s.calibration_loss)
+    calibration = None
+    if args.no_calibration:
+        est_counts = np.bincount(src_index)
+    else:
+        (val, val_counts), (est, est_counts) = _split_source(src_index, s.val_fraction, s.seed)
+        fit = bcts_fit(samples_from_outputs(src_outputs[val], src_labels[val], val_counts),
+                       loss=s.calibration_loss)
         if not fit.converged:
             raise ConvergenceError(
                 f"BCTS calibration did not converge (gradient norm {fit.final_grad_norm:.3g} "
                 f"after {fit.iterations} iterations)"
             )
         calibration = fit.params
-        est_out = bcts_apply_matrix(fit.params, est_out)
+        src_outputs, src_labels = bcts_apply_matrix(fit.params, src_outputs[est]), src_labels[est]
         tgt_outputs = bcts_apply_matrix(fit.params, tgt_outputs)
 
-    rows, samples, source_marginal = _source_inputs(est_out, est_lab, s.method)
-    table = target_table_from_outputs(tgt_outputs)
-    result = _run_estimator(s, samples, table, source_marginal)
+    source, source_marginal = _source_inputs(src_outputs, src_labels, est_counts, s.method)
+    table = target_table_from_outputs(tgt_outputs, tgt_counts)
+    result = _run_estimator(s, source, table, source_marginal)
 
-    identifiable, min_eig = check_identifiability(rows)
+    identifiable, min_eig = check_identifiability(source)
     nonneg = bool(np.all(result.weights.weights >= 0))
     return {
         "method": s.method,
@@ -247,10 +257,10 @@ def cmd_estimate(args) -> dict:
 # ---------------------------------------------------------------- calibrate
 
 def cmd_calibrate(args) -> dict:
-    outputs, labels, _ = read_prediction_file(args.source)
+    outputs, labels, index, _ = read_prediction_file(args.source)
     if labels is None:
         raise InputError("calibration file must carry a label column")
-    fit = bcts_fit(samples_from_outputs(outputs, labels), loss=args.loss)
+    fit = bcts_fit(samples_from_outputs(outputs, labels, np.bincount(index)), loss=args.loss)
     return {**fit.params.to_json(), "iterations": fit.iterations, "converged": fit.converged,
             "final_grad_norm": fit.final_grad_norm, "final_loss": fit.loss_trace[-1]}
 
@@ -271,12 +281,14 @@ def cmd_diagnose(args) -> dict:
     """Diagnostics at the --weights vector, or at --method's estimate as `estimate --no-calibration` makes it."""
     s = _estimate_settings(args)
     w = _config_value({"weights": _read_json(args.weights)}, "weights", [float]) if args.weights else None
-    src_outputs, src_labels, tgt_outputs = _read_inputs(args)
-    table = target_table_from_outputs(tgt_outputs)
-    rows, samples, source_marginal = _source_inputs(src_outputs, src_labels, None if args.weights else s.method)
+    src_outputs, src_labels, src_index, tgt_outputs, tgt_counts = _read_inputs(args)
+    table = target_table_from_outputs(tgt_outputs, tgt_counts)
+    source, source_marginal = _source_inputs(
+        src_outputs, src_labels, np.bincount(src_index), None if args.weights else s.method
+    )
     weights = (_rescaled_weights(np.asarray(w), source_marginal) if args.weights
-               else _run_estimator(s, samples, table, source_marginal).weights)
-    return diagnostics_report(table, weights, rows).to_json()
+               else _run_estimator(s, source, table, source_marginal).weights)
+    return diagnostics_report(table, weights, source).to_json()
 
 
 # ---------------------------------------------------------------- simulate

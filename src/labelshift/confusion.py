@@ -17,6 +17,7 @@ from .simplex import (
     normalized_rows,
     row_argmax,
     row_sums,
+    scale_rows,
 )
 
 
@@ -50,28 +51,29 @@ class ConfusionMatrix:
 
 def build_hard_confusion(samples: LabeledPredictions) -> ConfusionMatrix:
     """Count-based joint with yhat = argmax output (ties to the lowest index)."""
-    n, k = samples.outputs.shape
-    joint = np.zeros((k, k))
-    np.add.at(joint, (row_argmax(samples.outputs), samples.labels), 1.0)
-    joint /= n
+    counts = samples.counts
+    k = samples.outputs.shape[1]
+    cells = row_argmax(samples.outputs) * k + samples.labels
+    joint = np.bincount(cells, counts, k * k).reshape(k, k) / counts.sum()
     return ConfusionMatrix(joint, ProbVector(column_sums(joint)))
 
 
 def build_soft_confusion(samples: LabeledPredictions) -> ConfusionMatrix:
-    """Expectation form: joint[i][j] = mean over rows of output[i] * 1{label=j}.
+    """Expectation form: joint[i][j] = mean over examples of output[i] * 1{label=j}.
 
     No random prediction is drawn; this is the variance-free estimator of the
     same joint, and equals the empirical second moment E_s[f f^T] re-indexed as
     p_s(yhat, y) when the predictor is calibrated on the sample.
     """
-    outputs, labels = samples.outputs, samples.labels
-    n, k = outputs.shape
+    outputs, labels, counts = samples.outputs, samples.labels, samples.counts
+    k = outputs.shape[1]
+    scaled = scale_rows(outputs, counts)
     joint = np.zeros((k, k))
     for j in range(k):
         mask = labels == j
         if mask.any():
-            joint[:, j] = column_sums(outputs[mask])
-    joint /= n
+            joint[:, j] = column_sums(scaled[mask])
+    joint /= counts.sum()
     return ConfusionMatrix(joint, ProbVector.normalized(column_sums(joint), tol=1e-9))
 
 

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InputError
-from .simplex import PredictorTable, ProbVector, WeightVector
+from .simplex import LabeledPredictions, PredictorTable, ProbVector, WeightVector, scale_rows
 
 IDENTIFIABILITY_EIG_FLOOR = 1e-10
 SANDWICH_SLACK = 1e-8  # absolute slack on each side of the eigenvalue sandwich
@@ -80,7 +80,7 @@ def ll_hessian(F, m, w, inner=None, sqrt_m=None) -> np.ndarray:
     """-E_t[f(x) f(x)^T / (f(x)^T w)^2]; symmetric negative semidefinite.
     `inner` and `sqrt_m`, when given, are _inner(F, m, w) and np.sqrt(m)."""
     inner = _inner(F, m, w) if inner is None else inner
-    scaled = F * ((np.sqrt(m) if sqrt_m is None else sqrt_m) / inner)[:, None]
+    scaled = scale_rows(F, (np.sqrt(m) if sqrt_m is None else sqrt_m) / inner)
     return -(scaled.T @ scaled)
 
 
@@ -140,16 +140,19 @@ def likelihood_hessian(table: PredictorTable, w) -> np.ndarray:
 
 
 def second_moment(arg) -> np.ndarray:
-    """Empirical E[f f^T] over a PredictorTable's masses, or over the rows of
-    an (n, k) output array taken with equal mass."""
+    """Empirical E[f f^T] over a PredictorTable's masses, over the rows of
+    LabeledPredictions weighted by their counts, or over the rows of an
+    (n, k) output array taken with equal mass."""
     if isinstance(arg, PredictorTable):
         F, m = arg.support, arg.normalized_masses()
+    elif isinstance(arg, LabeledPredictions):
+        F, m = arg.outputs, arg.weights()
     else:
         F = np.asarray(arg, dtype=float)
         if F.ndim != 2 or F.shape[0] == 0:
             raise InputError("second moment needs at least one sample")
         m = np.full(F.shape[0], 1.0 / F.shape[0])
-    scaled = F * np.sqrt(m)[:, None]
+    scaled = scale_rows(F, np.sqrt(m))
     return scaled.T @ scaled
 
 
@@ -243,7 +246,7 @@ def diagnostics_report(
 ) -> DiagnosticsReport:
     """Assemble the full report at a given weight vector: the likelihood
     terms over the target table, identifiability over the source outputs
-    (a PredictorTable or an (n, k) array, as for check_identifiability).
+    (anything check_identifiability takes).
     Derivatives that overflow at w are an InputError naming the smallest
     f(x)^T w."""
     p = w.source_marginal.entries

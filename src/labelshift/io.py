@@ -4,8 +4,14 @@ A prediction file is UTF-8 CSV, with or without a leading byte-order mark,
 with a header of class-column names, optional trailing integer "label" column
 (0-based class index), '.' decimals, one row per example. Entries must be
 finite; probability rows off from 1 by at most 1e-6 are renormalized; anything
-worse is rejected. A file reads as an (n, k) output array plus an optional
-(n,) label array.
+worse is rejected.
+
+A file reads as its distinct rows: a (d, k) output array, an optional (d,)
+label array and the line index, an (n,) array whose entry i is the distinct
+row of data line i, so `outputs[index]` is the file row by row and
+`np.bincount(index)` counts the lines that show each distinct row. Distinct
+means distinct text; lines that differ only in how they write a number are
+separate rows with equal values.
 
 The body of a file is parsed in one `np.loadtxt` call, streamed from the open
 handle, and checked over whole columns; labels are parsed in C by numpy's
@@ -19,10 +25,11 @@ cannot seek back, such as a pipe, is read into memory first and parsed the
 same way.
 
 When at least half of the first PROBE_LINES body lines repeat an earlier
-line, each distinct line is parsed once and the rows are indexed from those;
-a line that is one whole record parses the same wherever it stands, so the
-arrays are bit for bit the single parse's. Memory then grows with the
-distinct lines and one chunk of text, not with the file.
+line, each distinct line is parsed once and indexed; a line that is one
+whole record parses the same wherever it stands, so the indexed rows are bit
+for bit the single parse's. Memory then grows with the distinct lines and
+one chunk of text, not with the file. Otherwise every line is its own row
+and the index is `arange(n)`.
 """
 from __future__ import annotations
 
@@ -43,10 +50,11 @@ CHUNK_CHARS = 1 << 20  # text read at once while mapping repeated lines
 BLANK_LINES = ("\n", "\r\n", "\r")  # what a blank line is in a newline="" handle
 
 
-def read_prediction_file(path) -> tuple[np.ndarray, np.ndarray | None, list[str]]:
-    """Return (outputs (n, k), labels or None, class column names). The file
-    is read as UTF-8 with an optional byte-order mark; a file that cannot be
-    read, or text that does not decode, is an InputError naming the file."""
+def read_prediction_file(path) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, list[str]]:
+    """Return (distinct outputs (d, k), their labels or None, line index (n,),
+    class column names). The file is read as UTF-8 with an optional byte-order
+    mark; a file that cannot be read, or text that does not decode, is an
+    InputError naming the file."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             return read_predictions(fh, name=str(path))
@@ -66,7 +74,7 @@ def read_predictions(fh, name: str = "<stream>"):
     if parsed is None:
         fh.seek(start)
         return _read_rows(fh, name)
-    return parsed[0], parsed[1], class_names
+    return (*parsed, class_names)
 
 
 def _records(fh, name: str, first_line: int):
@@ -94,8 +102,8 @@ def _read_header(fh, name: str) -> tuple[list[str], bool]:
 
 
 def _parse_body(fh, k: int, has_label: bool):
-    """(outputs, labels or None) of a valid body, else None. The body is
-    parsed whole unless most of its first PROBE_LINES lines repeat."""
+    """(outputs, labels or None, line index) of a valid body, else None. The
+    body is parsed whole unless most of its first PROBE_LINES lines repeat."""
     for first in fh:  # loadtxt warns on a body with no rows, so look for one first
         if first.strip("\r\n"):
             break
@@ -103,7 +111,8 @@ def _parse_body(fh, k: int, has_label: bool):
         return None
     probe = [first, *itertools.islice(fh, PROBE_LINES - 1)]
     if 2 * len(set(probe)) > len(probe):
-        return _parse_lines(itertools.chain(probe, fh), k, has_label)
+        parsed = _parse_lines(itertools.chain(probe, fh), k, has_label)
+        return None if parsed is None else (*parsed, np.arange(parsed[0].shape[0]))
     # Most lines repeat: parse each distinct line once and index the rows.
     # loadtxt skips blank lines, so they map to -1 and are dropped.
     position = dict.fromkeys(BLANK_LINES, -1)
@@ -122,9 +131,9 @@ def _parse_body(fh, k: int, has_label: bool):
     if parsed is None or len(parsed[0]) != len(distinct) + 1:
         return None
     index = np.concatenate(index)
-    index = index[index >= 0]
     probs, labels = parsed
-    return probs[index], None if labels is None else labels[index]
+    d = len(distinct)
+    return probs[:d], None if labels is None else labels[:d], index[index >= 0]
 
 
 def _parse_lines(lines, k: int, has_label: bool):
@@ -157,7 +166,8 @@ def _parse_lines(lines, k: int, has_label: bool):
 
 
 def _read_rows(fh, name: str):
-    """Row-by-row reader; names the first bad row as `file:line`."""
+    """Row-by-row reader; names the first bad row as `file:line`. Each line
+    is its own row, so the line index is `arange(n)`."""
     class_names, has_label = _read_header(fh, name)
     k = len(class_names)
     outputs, labels = [], []
@@ -192,6 +202,7 @@ def _read_rows(fh, name: str):
     return (
         np.array(outputs),
         np.array(labels) if has_label else None,
+        np.arange(len(outputs)),
         class_names,
     )
 

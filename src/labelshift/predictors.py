@@ -105,26 +105,27 @@ def bin_aggregate(samples: LabeledPredictions, n_bins: int) -> BinnedPredictor:
     if n_bins < 1:
         raise InputError("n_bins must be >= 1")
     outputs, labels = samples.outputs, samples.labels
-    n, k = outputs.shape
-    if k != 2:
+    if outputs.shape[1] != 2:
         raise InputError("equal-width binning is defined for 2-class outputs only")
     idx = _bin_of(outputs, n_bins)
 
-    counts = np.bincount(idx, minlength=n_bins).astype(float)
-    sums1 = np.bincount(idx, weights=labels.astype(float), minlength=n_bins)
+    counts = np.bincount(idx, samples.counts, n_bins)
+    sums1 = np.bincount(idx, labels * samples.counts, n_bins)
     with np.errstate(invalid="ignore"):
         frac1 = sums1 / counts
     vecs = np.stack([1.0 - frac1, frac1], axis=1)
 
     nonempty = counts > 0
-    table = grouped_table(normalized_rows(vecs[nonempty], tol=1e-9), counts[nonempty] / n)
+    masses = counts[nonempty] / samples.counts.sum()
+    table = grouped_table(normalized_rows(vecs[nonempty], tol=1e-9), masses)
     return BinnedPredictor(table, vecs)
 
 
-def samples_from_outputs(outputs, labels) -> LabeledPredictions:
-    """Labelled predictions from parallel (n, k) outputs and (n,) labels.
+def samples_from_outputs(outputs, labels, counts=None) -> LabeledPredictions:
+    """Labelled predictions from parallel (n, k) outputs, (n,) labels and
+    (n,) counts of the examples each row stands for (one each by default).
 
     Rows whose sums are off from 1 by at most 1e-6 are renormalized; worse
     rows are rejected, naming the first.
     """
-    return LabeledPredictions(normalized_rows(outputs, tol=1e-6), labels)
+    return LabeledPredictions(normalized_rows(outputs, tol=1e-6), labels, counts)

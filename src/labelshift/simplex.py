@@ -1,8 +1,10 @@
 """Prediction arrays and probability/weight vectors shared by every estimator.
 
 Predictor outputs are held as validated (n, k) arrays of probability rows:
-`LabeledPredictions` pairs source rows with their labels, and a
-`PredictorTable` holds distinct rows with masses. `ProbVector` and
+`LabeledPredictions` pairs source rows with their labels and the count of
+examples each stands for, and a `PredictorTable` holds distinct rows with
+masses. Every sum over examples weights a row by its count, so a file's
+repeated lines are summed once per distinct line. `ProbVector` and
 `WeightVector` are single length-k vectors. A weight vector w lives on the
 affine slice W = {w >= 0 : sum_y w_y p_s(y) = 1} fixed by a source label
 marginal p_s. All shift estimators optimize over W.
@@ -16,6 +18,7 @@ import numpy as np
 from .errors import InputError
 
 SIMPLEX_TOL = 1e-9
+PROJECTION_TOL = 1e-12  # most drift of w . p from 1 a projection's last division removes
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -106,6 +109,19 @@ def row_sums(a: np.ndarray) -> np.ndarray:
     return s
 
 
+def scale_rows(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """`a * c[:, None]`: row i of an (n, k) array times c[i]. Each entry is
+    one product either way; at two classes a broadcast over the length-2 axis
+    runs one tiny loop per row, so the columns are multiplied whole. From
+    three classes on, the broadcast is the faster."""
+    if a.shape[-1] != 2:
+        return a * c[:, None]
+    out = np.empty(a.shape, np.result_type(a, c))
+    np.multiply(a[:, 0], c, out=out[:, 0])
+    np.multiply(a[:, 1], c, out=out[:, 1])
+    return out
+
+
 def row_max(a: np.ndarray) -> np.ndarray:
     """`a.max(axis=-1)`, by np.maximum over columns in order. Beyond
     COLUMNWISE_MAX_K classes numpy's vector loop can pick the other of two
@@ -174,10 +190,13 @@ def normalized_rows(rows, tol: float) -> np.ndarray:
 @dataclass(frozen=True)
 class LabeledPredictions:
     """Predictor outputs on labelled rows: a read-only (n, k) array of
-    probability rows and the (n,) true class indices (0-based)."""
+    probability rows, the (n,) true class indices (0-based), and the (n,)
+    positive counts of the examples each (row, label) pair stands for, one
+    each when not given. A file's distinct lines carry their line counts."""
 
     outputs: np.ndarray
     labels: np.ndarray
+    counts: np.ndarray | None = None
 
     def __post_init__(self):
         out = _freeze(self.outputs)
@@ -189,12 +208,24 @@ class LabeledPredictions:
         if bad.any():
             i = int(np.argmax(bad))
             raise InputError(f"row {i}: label {lab[i]} out of range for k={out.shape[1]}")
+        counts = _freeze(np.ones(out.shape[0]) if self.counts is None else self.counts)
+        if counts.shape != out.shape[:1]:
+            raise InputError(f"{counts.size} counts for {out.shape[0]} prediction rows")
+        ok = (counts > 0) & (counts < np.inf)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise InputError(f"row {i}: count {counts[i]} is not positive and finite")
         lab.setflags(write=False)
         object.__setattr__(self, "outputs", out)
         object.__setattr__(self, "labels", lab)
+        object.__setattr__(self, "counts", counts)
 
     def __len__(self) -> int:
         return self.outputs.shape[0]
+
+    def weights(self) -> np.ndarray:
+        """Each row's share of the examples: its count over their total."""
+        return self.counts / self.counts.sum()
 
 
 @dataclass(frozen=True)
@@ -289,22 +320,38 @@ def project_onto_slice(v: np.ndarray, p: np.ndarray) -> np.ndarray:
     for a strictly positive p, returned as a raw array.
 
     The minimizer of ||v - w||^2 is w_y = max(0, v_y - lam * p_y). Sorted by
-    v_y / p_y, the positive coordinates form a prefix, and lam is the value the
-    constraint fixes on the longest prefix whose last coordinate stays
-    positive (sort plus cumsum; Condat, Math. Program. 2016, weighted form).
-    When one v_y / p_y dwarfs the rest, rounding can leave no coordinate
-    positive, or only a first one whose p_y^2 underflows to 0 and leaves lam
-    infinite or NaN; the projection is then the vertex e_j / p_j of the largest.
+    the breakpoints t_y = v_y / p_y, the positive coordinates form a prefix,
+    and lam is the value the constraint fixes on the longest prefix whose
+    last coordinate stays positive (sort plus cumsum; Condat, Math. Program.
+    2016, weighted form). Only that lam gives w . p = 1, so a w that misses
+    it by more than PROJECTION_TOL shows that rounding picked the prefix or
+    cancelled v - lam * p, as when one v_y / p_y dwarfs the rest. The prefix
+    is then the longest whose excess E_j = sum_{i <= j} p_i^2 (t_i - t_j) is
+    below 1, and its coordinates are (v_y - p_y t_j) + p_y (1 - E_j) / Q_j,
+    with Q_j the prefix's sum of p_y^2: sums of nonnegative terms, which
+    rounding cannot cancel. A one-coordinate prefix is the vertex e_j / p_j.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         order = np.argsort(-(v / p))
         vs, ps = v[order], p[order]
-        lams = (np.cumsum(vs * ps) - 1.0) / np.cumsum(ps * ps)
-    positive = np.flatnonzero(vs > lams * ps)
-    if positive.size == 0 or not np.isfinite(lams[positive[-1]]):
-        return np.where(np.arange(p.size) == order[0], 1.0 / p, 0.0)
-    w = np.maximum(v - lams[positive[-1]] * p, 0.0)
-    return w / (w @ p)  # remove last-bit drift
+        qs = np.cumsum(ps * ps)
+        lams = (np.cumsum(vs * ps) - 1.0) / qs
+        positive = np.flatnonzero(vs > lams * ps)
+        if positive.size:
+            w = np.maximum(v - lams[positive[-1]] * p, 0.0)
+            total = w @ p
+            if abs(total - 1.0) <= PROJECTION_TOL:
+                return w / total  # remove last-bit drift
+        ts = vs / ps
+        excess = np.concatenate(([0.0], np.cumsum((ts[:-1] - ts[1:]) * qs[:-1])))
+        j = np.count_nonzero(excess < 1.0) - 1
+        if j == 0:
+            return np.where(np.arange(p.size) == order[0], 1.0 / p, 0.0)
+        head = vs[:j + 1] - ps[:j + 1] * ts[j]
+        head[j] = 0.0  # v_j - p_j t_j, which is 0 but for rounding
+        w = np.zeros(p.size)
+        w[order[:j + 1]] = np.maximum(head + ps[:j + 1] * ((1.0 - excess[j]) / qs[j]), 0.0)
+        return w / (w @ p)
 
 
 def project_to_weight_simplex(v, source_marginal: ProbVector) -> WeightVector:

@@ -163,11 +163,13 @@ def draw_trial(spec: GmmSpec, shift: ShiftSpec, n_source: int, m: int, seed: int
     return p_t, gmm_posterior(spec, src_x), src_y, gmm_posterior(spec, tgt_x)
 
 
-def target_table_from_outputs(outputs: np.ndarray) -> PredictorTable:
-    """Group an (m, k) output matrix into a count table over distinct rows,
-    in order of first occurrence."""
+def target_table_from_outputs(outputs: np.ndarray, counts=None) -> PredictorTable:
+    """Group an (m, k) output matrix, whose row i stands for counts[i]
+    examples (one each by default), into a count table over distinct rows,
+    in order of first occurrence. The distinct lines of a file can still
+    normalize to equal rows, which this merges."""
     rows = normalized_rows(outputs, tol=1e-6)
-    return grouped_table(rows, np.ones(rows.shape[0]))
+    return grouped_table(rows, np.ones(rows.shape[0]) if counts is None else counts)
 
 
 def _estimate_once(method, cfg, source_samples, target_table, source_marginal):

@@ -178,15 +178,16 @@ class TestBctsFit:
         logp = np.log(rng.dirichlet(np.ones(k), size=n))
         onehot = np.eye(k)[rng.integers(0, k, size=n)]
         theta = np.r_[0.8, rng.normal(0.0, 0.5, k)]
-        _, _, g = calibration._bcts_loss_grad(logp, onehot, theta[0], theta[1:], "nll")
-        H = calibration._bcts_fisher(logp, g)
+        wts = np.full(n, 1.0 / n)
+        _, _, g = calibration._bcts_loss_grad(logp, onehot, wts, theta[0], theta[1:], "nll")
+        H = calibration._bcts_fisher(logp, g, wts)
         h = 1e-6
         fd = np.empty((k + 1, k + 1))
         for j in range(k + 1):
             e = np.zeros(k + 1)
             e[j] = h
-            up = calibration._bcts_loss_grad(logp, onehot, theta[0] + e[0], theta[1:] + e[1:], "nll")[1]
-            dn = calibration._bcts_loss_grad(logp, onehot, theta[0] - e[0], theta[1:] - e[1:], "nll")[1]
+            up = calibration._bcts_loss_grad(logp, onehot, wts, theta[0] + e[0], theta[1:] + e[1:], "nll")[1]
+            dn = calibration._bcts_loss_grad(logp, onehot, wts, theta[0] - e[0], theta[1:] - e[1:], "nll")[1]
             fd[:, j] = (up - dn) / (2 * h)
         fd[1:, 1:] += 1.0 / k
         np.testing.assert_allclose(H, fd, atol=1e-7)
@@ -203,7 +204,7 @@ class TestBctsFit:
         )
         newton = bcts_fit(distorted)
         monkeypatch.setattr(
-            calibration, "_bcts_fisher", lambda logp, g: -np.eye(logp.shape[1] + 1)
+            calibration, "_bcts_fisher", lambda logp, g, wts: -np.eye(logp.shape[1] + 1)
         )
         descent = bcts_fit(distorted)
         assert descent.converged

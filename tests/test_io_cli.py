@@ -34,6 +34,13 @@ from labelshift.simulation import MEMORY_BYTES, ExperimentConfig, ShiftSpec, dra
 from tests.conftest import F_ROWS, PS_ROWS, W_MISCAL_OPT, face_rlls, time_bound
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def read_lines(path):
+    """(outputs, labels or None, class names) of a prediction file, one row
+    per data line: its distinct rows indexed by its line index."""
+    out, labels, index, names = read_prediction_file(path)
+    return out[index], None if labels is None else labels[index], names
 # rows that all differ: as a probe they choose the parse of every line
 DISTINCT_ROWS = "".join(f"{i / PROBE_LINES!r},{1 - i / PROBE_LINES!r}\n" for i in range(PROBE_LINES))
 
@@ -112,7 +119,7 @@ class TestPredictionFiles:
         outputs = np.array([[0.25, 0.75], [0.6, 0.4]])
         labels = np.array([1, 0])
         write_prediction_file(path, outputs, labels)
-        back_out, back_lab, names = read_prediction_file(path)
+        back_out, back_lab, names = read_lines(path)
         np.testing.assert_allclose(back_out, outputs, atol=1e-12)
         np.testing.assert_array_equal(back_lab, labels)
         assert len(names) == 2
@@ -121,7 +128,7 @@ class TestPredictionFiles:
         path = tmp_path / "preds.csv"
         outputs = np.array([[0.25, 0.75]])
         write_prediction_file(path, outputs)
-        back_out, back_lab, _ = read_prediction_file(path)
+        back_out, back_lab, _ = read_lines(path)
         assert back_lab is None
         np.testing.assert_allclose(back_out, outputs, atol=1e-12)
 
@@ -152,7 +159,7 @@ class TestPredictionFiles:
     def test_small_drift_renormalized(self, tmp_path):
         path = tmp_path / "drift.csv"
         path.write_text("c0,c1\n0.5000001,0.5\n")
-        out, _, _ = read_prediction_file(path)
+        out, _, _ = read_lines(path)
         assert out[0].sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_valid_file_is_read_without_the_row_loop(self, tmp_path, monkeypatch):
@@ -165,7 +172,7 @@ class TestPredictionFiles:
         for repeats in (1, 50):
             path = tmp_path / "ok.csv"
             path.write_bytes(b'c0,c1,label\r\n' + b'"0.25", 0.75 ,01\r\n\r\n0.6,0.4,-0\r\n\n' * repeats)
-            out, labels, names = read_prediction_file(path)
+            out, labels, names = read_lines(path)
             assert out.shape == (2 * repeats, 2) and labels.tolist() == [1, 0] * repeats
             assert names == ["c0", "c1"]
 
@@ -181,10 +188,11 @@ class TestPredictionFiles:
         monkeypatch.setattr(labelshift.io.np, "loadtxt", counting_loadtxt)
         path = tmp_path / "r.csv"
         path.write_text("c0,c1,label\n" + "0.25,0.75,1\n0.5,0.5,0\n" * 3 * PROBE_LINES)
-        out, labels, _ = read_prediction_file(path)
+        out, labels, index, _ = read_prediction_file(path)
         with open(path, newline="", encoding="utf-8") as fh:
             ref = _read_rows(fh, str(path))
-        assert out.tobytes() == ref[0].tobytes() and labels.tobytes() == ref[1].tobytes()
+        assert out.shape == (2, 2) and index.tolist() == [0, 1] * 3 * PROBE_LINES
+        assert out[index].tobytes() == ref[0].tobytes() and labels[index].tobytes() == ref[1].tobytes()
         assert parsed == [3]  # the two distinct lines, and the last one again
 
     # numpy versions that read float text into an integer field truncate it
@@ -235,8 +243,9 @@ class TestPredictionFiles:
             raise AssertionError("a valid piped file fell back to the row-by-row reader")
 
         monkeypatch.setattr(labelshift.io, "_read_rows", row_loop)
-        out, labels, names = read_piped(text.encode())
-        assert out.tobytes() == ref[0].tobytes() and labels.tolist() == [1, 0] and names == ref[2]
+        out, labels, index, names = read_piped(text.encode())
+        assert out.tobytes() == ref[0].tobytes() and labels.tolist() == [1, 0] and names == ref[3]
+        assert index.tolist() == ref[2].tolist() == [0, 1]
 
     # an open quote makes csv read on past its 131,072-character field limit
     @pytest.mark.parametrize("head, line", [("c0,c1\n0.5,\"0.5\n", 2), ('"c0,c1\n', 1)],
@@ -302,14 +311,19 @@ class TestPredictionFiles:
             assert fast == rows
             return
         assert not isinstance(fast, str), fast
-        assert fast[0].dtype == rows[0].dtype and fast[0].shape == rows[0].shape
-        assert fast[0].tobytes() == rows[0].tobytes()
+        # the row loop reads one row per line; the reader's distinct rows,
+        # indexed by its line index, must be those rows bit for bit
+        assert rows[2].tolist() == list(range(rows[0].shape[0]))
+        index = fast[2]
+        assert index.dtype == np.intp and index.shape == rows[2].shape
+        assert fast[0].dtype == rows[0].dtype and fast[0][index].shape == rows[0].shape
+        assert fast[0][index].tobytes() == rows[0].tobytes()
         if rows[1] is None:
             assert fast[1] is None
         else:
-            assert fast[1].dtype == rows[1].dtype
-            assert fast[1].tobytes() == rows[1].tobytes()
-        assert fast[2] == rows[2]
+            assert fast[1].dtype == rows[1].dtype and fast[1].shape == fast[0].shape[:1]
+            assert fast[1][index].tobytes() == rows[1].tobytes()
+        assert fast[3] == rows[3]
 
 
 def write_csv(path, outputs, labels=None):
@@ -625,7 +639,7 @@ class TestEstimateCommand:
 
     def test_class_absent_from_estimation_split_exits_2(self, hand_files, tmp_path, capsys):
         src = tmp_path / "one_class.csv"
-        outputs = read_prediction_file(hand_files[0])[0]
+        outputs = read_lines(hand_files[0])[0]
         write_csv(src, outputs, np.zeros(outputs.shape[0], dtype=int))
         code, out, err = run_cli(
             capsys, "estimate", "--source", str(src), "--target", str(hand_files[1]), "--no-calibration"
@@ -820,7 +834,7 @@ class TestDiagnoseCommand:
     def test_class_absent_from_source_exits_2(self, face_files, tmp_path, capsys, method):
         # every method reads the labels through one rule; --weights reads no estimate
         src = tmp_path / "two_classes.csv"
-        outputs, labels, _ = read_prediction_file(face_files[0])
+        outputs, labels, _ = read_lines(face_files[0])
         write_csv(src, outputs, np.where(labels == 1, 2, labels))
         files = ["--source", str(src), "--target", str(face_files[1])]
         code, out, err = run_cli(capsys, "diagnose", *files, "--method", method)
@@ -842,7 +856,7 @@ class TestDiagnoseCommand:
     )
     def test_unlabeled_source_exits_2(self, hand_files, tmp_path, capsys, command, method):
         src = tmp_path / "unlabeled.csv"
-        write_csv(src, read_prediction_file(hand_files[0])[0])
+        write_csv(src, read_lines(hand_files[0])[0])
         code, out, err = run_cli(
             capsys, command, "--source", str(src), "--target", str(hand_files[1]),
             "--method", method,
@@ -898,10 +912,10 @@ class TestSimulateCommand:
         assert len(sidecar["target_marginal"]) == 2
         assert main(argv) == 0
         assert (tmp_path / "s.csv").read_text() == first
-        out, labels, _ = read_prediction_file(tmp_path / "s.csv")
+        out, labels, _ = read_lines(tmp_path / "s.csv")
         assert out.shape == (50, 2)
         assert labels is not None
-        tout, tlabels, _ = read_prediction_file(tmp_path / "t.csv")
+        tout, tlabels, _ = read_lines(tmp_path / "t.csv")
         assert tout.shape == (40, 2)
         assert tlabels is None
 
@@ -995,8 +1009,8 @@ class TestSimulateCommand:
         if code == 0:
             assert out.getvalue() == err.getvalue() == ""
             # what was written reads back: finite rows that sum to 1
-            n_source = read_prediction_file(files["s.csv"])[0].shape[0]
-            m_target = read_prediction_file(files["t.csv"])[0].shape[0]
+            n_source = read_lines(files["s.csv"])[0].shape[0]
+            m_target = read_lines(files["t.csv"])[0].shape[0]
             assert min(n_source, m_target) >= 1
             assert len(json.loads(files["m.json"].read_text())["target_marginal"]) == 2
         else:
@@ -1505,9 +1519,9 @@ class TestNonUtf8Input:
         plain = read_prediction_file(src)
         src.write_bytes(b"\xef\xbb\xbf" + src.read_bytes())
         with_bom = read_prediction_file(src)
-        assert with_bom[2] == plain[2] == ["class_0", "class_1"]
-        np.testing.assert_array_equal(with_bom[0], plain[0])
-        np.testing.assert_array_equal(with_bom[1], plain[1])
+        assert with_bom[3] == plain[3] == ["class_0", "class_1"]
+        for got, want in zip(with_bom[:3], plain[:3]):
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("argv", [
         ("diagnose", "--weights"),

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from labelshift.errors import InputError
 from labelshift.simplex import (
+    PROJECTION_TOL,
     SIMPLEX_TOL,
     LabeledPredictions,
     PredictorTable,
@@ -18,8 +19,10 @@ from labelshift.simplex import (
     normalized_rows,
     project_to_weight_simplex,
     row_argmax,
+    project_onto_slice,
     row_max,
     row_sums,
+    scale_rows,
     weights_to_target_marginal,
 )
 
@@ -41,6 +44,8 @@ def check_class_axis_helpers(a):
         assert_same_bits(column_sums(a), a.sum(axis=0))
         assert_same_bits(row_sums(a[0]), a[0].sum(axis=-1))
         assert_same_bits(row_max(a[0]), a[0].max(axis=-1))
+        c = a[::-1, -1]  # a strided factor per row
+        assert_same_bits(scale_rows(a, c), a * c[:, None])
     no_nan = np.where(np.isnan(a), 1.0, a)  # row_argmax takes arrays without NaN
     assert_same_bits(row_argmax(no_nan), no_nan.argmax(axis=-1))
     assert_same_bits(row_argmax(no_nan[0]), no_nan[0].argmax(axis=-1))
@@ -73,7 +78,7 @@ def strided_views(draw, k):
 
 
 class TestClassAxisHelpers:
-    """row_sums, row_max, row_argmax and column_sums return numpy's own bits."""
+    """row_sums, row_max, row_argmax, column_sums and scale_rows return numpy's own bits."""
 
     @pytest.mark.parametrize("k", range(1, 13))
     @given(data=st.data())
@@ -174,6 +179,17 @@ class TestLabeledPredictions:
         with pytest.raises(InputError) as exc_info:
             build(rows)
         assert str(exc_info.value) == f"{what} row 1: {reason}"
+
+    def test_counts_default_to_one_and_are_checked(self):
+        out = np.array([[0.2, 0.8], [0.5, 0.5]])
+        assert LabeledPredictions(out, [1, 0]).counts.tolist() == [1.0, 1.0]
+        counted = LabeledPredictions(out, [1, 0], [3, 1])
+        assert counted.weights().tolist() == [0.75, 0.25] and not counted.counts.flags.writeable
+        with pytest.raises(InputError, match="1 counts for 2 prediction rows"):
+            LabeledPredictions(out, [1, 0], [3])
+        for bad in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(InputError, match=f"row 1: count {bad} is not positive and finite"):
+                LabeledPredictions(out, [1, 0], [1.0, bad])
 
     def test_label_bounds(self):
         out = np.array([[0.2, 0.8]])
@@ -361,11 +377,13 @@ class TestProjection:
     @pytest.mark.parametrize(
         "v, expect",
         [([1.0, 0.5], [1.0, 1.0]), ([2.0, 3.0], [2.0, 1.0]),
-         ([1.0, 1e17], [1 / 1e-300, 0.0]), ([1e301, 1.0], [1 / 1e-300, 0.0])],
+         ([1.0, 1e17], [1.0, 1.0]), ([1e301, 1.0], [1 / 1e-300, 0.0])],
     )
     def test_underflowing_square_projects_without_warning(self, v, expect):
         # p_0^2 = 1e-600 underflows to 0, so the first prefix's lam is not
-        # finite; where it decides the projection, the projection is the vertex
+        # finite; where it decides the projection, the projection is the
+        # vertex. Against [1, 1e17] both coordinates stay positive: the exact
+        # projection is 1 + 1e-300 (1 - 1e17) and 1 - 1e-300 w_0, which round to 1.
         p = ProbVector(np.array([1e-300, 1.0]))
         np.testing.assert_array_equal(project_to_weight_simplex(np.array(v), p).weights, expect)
 
@@ -418,3 +436,51 @@ class TestProjection:
         pa = project_to_weight_simplex(a, p).weights
         pb = project_to_weight_simplex(b, p).weights
         assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-9
+
+
+def exact_projection(v, p):
+    """The projection of v onto {w >= 0 : w . p = 1}, computed at 50 digits
+    from the same decimal inputs: the longest prefix by v_y / p_y whose last
+    coordinate stays positive fixes lam."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        vs, ps = [mpmath.mpf(float(x)) for x in v], [mpmath.mpf(float(x)) for x in p]
+        s = q = mpmath.mpf(0)
+        for i in sorted(range(len(vs)), key=lambda i: -vs[i] / ps[i]):
+            s, q = s + vs[i] * ps[i], q + ps[i] ** 2
+            if vs[i] - (s - 1) / q * ps[i] > 0:
+                lam = (s - 1) / q
+        return np.array([float(max(vi - lam * pi, 0)) for vi, pi in zip(vs, ps)])
+
+
+class TestProjectionAgainstExact:
+    def test_coordinate_dwarfed_by_another_stays_positive(self):
+        # lam = 1e17 - 1 rounds to 1e17, which once left the second
+        # coordinate at 0 and returned [1e-20, 1]
+        v, p = np.array([1.0, 1e17]), np.array([1e-20, 1.0])
+        np.testing.assert_allclose(project_onto_slice(v, p), exact_projection(v, p), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(project_onto_slice(v, p), [0.999, 1.0], rtol=1e-15)
+
+    @given(k=st.integers(2, 8), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_50_digit_projection(self, k, seed):
+        # entries of v from 1e-3 to 1e18 and of p down to 1e-30, so that one
+        # v_y / p_y often dwarfs the rest
+        rng = np.random.default_rng(seed)
+        p = np.maximum(rng.dirichlet(np.full(k, rng.choice([0.1, 1.0]))), 1e-30)
+        p /= p.sum()
+        v = rng.random(k) * 10.0 ** rng.uniform(-3, 18, size=k)
+        exact = exact_projection(v, p)
+        got = project_onto_slice(v, p)
+        assert np.abs(got - exact).max() <= 2 * PROJECTION_TOL * np.abs(exact).max()
+
+    def test_cancelling_closed_form_is_recomputed(self):
+        # the prefix is right, but v - lam * p leaves the largest coordinate
+        # 64 for 1.31, and dividing by w . p = 49 shrank the small-p one 49-fold
+        v = np.array([4.09539265e17, 6.43986643e-3, 2.62077664e-3, 1.32113020e1,
+                      2.31521010e-1, 2.86488426e4, 2.72129802e-3, 1.67703998e14])
+        p = np.array([7.65262918e-1, 7.46975458e-2, 8.91191113e-14, 9.80027538e-8,
+                      3.31243340e-4, 2.03239927e-21, 1.30453128e-2, 1.46662882e-1])
+        p /= p.sum()
+        np.testing.assert_allclose(project_onto_slice(v, p), exact_projection(v, p), rtol=1e-14, atol=0)
