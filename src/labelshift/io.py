@@ -10,29 +10,31 @@ A file reads as its distinct rows: a (d, k) output array, an optional (d,)
 label array and the line index, an (n,) array whose entry i is the distinct
 row of data line i, so `outputs[index]` is the file row by row and
 `np.bincount(index)` counts the lines that show each distinct row. Distinct
-means distinct text; lines that differ only in how they write a number are
-separate rows with equal values.
+means distinct bytes; lines that write one number two ways are two rows.
 
-The body of a file is parsed in one `np.loadtxt` call, streamed from the open
-handle, and checked over whole columns; labels are parsed in C by numpy's
-integer field parser, which accepts a subset of what the row loop's `int`
-accepts, with equal values. A file that this parse or its checks reject, or
-whose parse raises a warning, is read again from the start by the row-by-row
-loop `_read_rows`, which either accepts it or names the first bad row as
-`file:line`; that loop is the only source of error messages, and it returns
-exactly what the single parse returns on every file both accept. A handle that
-cannot seek back, such as a pipe, is read into memory first and parsed the
-same way.
-
+A file is read in binary blocks, cut into lines at \n, \r\n and a lone \r as
+a newline="" text handle cuts them; the header is their first CSV record.
 When at least half of the first PROBE_LINES body lines repeat an earlier
-line, each distinct line is parsed once and indexed; a line that is one
-whole record parses the same wherever it stands, so the indexed rows are bit
-for bit the single parse's. Memory then grows with the distinct lines and
-one chunk of text, not with the file. Otherwise every line is its own row
-and the index is `arange(n)`.
+line, lines are keyed by their bytes and only the distinct ones are decoded
+and parsed, in one `np.loadtxt` call, and indexed: a line that is one whole
+record parses the same wherever it stands, so the rows are bit for bit a
+parse of every line, and memory grows with the distinct lines, not the file.
+Otherwise one `np.loadtxt` call streams the body from a text view of the
+handle and the index is `arange(n)`. Both parses are checked over whole
+columns; labels are parsed by numpy's C integer parser, which accepts a
+subset of what the row loop's `int` accepts, with equal values. A file that
+either parse or check rejects, whose parse warns, or whose lines do not
+decode as UTF-8, is read again from the start by the row loop `_read_rows`,
+which accepts it or names the first bad row as `file:line`; that loop is the
+only source of error messages, and it returns what the parses return on
+every file both accept. A handle that cannot seek back, such as a pipe, is
+read into memory first.
 """
 from __future__ import annotations
 
+import codecs
+import collections
+import contextlib
 import csv
 import io
 import itertools
@@ -46,8 +48,8 @@ from .simplex import row_sums
 ROW_SUM_TOL = 1e-6
 WRITE_CHUNK_ROWS = 4096  # rows formatted per write, which bounds the text held at once
 PROBE_LINES = 4096  # body lines whose repeats choose how the rest is parsed
-CHUNK_CHARS = 1 << 20  # text read at once while mapping repeated lines
-BLANK_LINES = ("\n", "\r\n", "\r")  # what a blank line is in a newline="" handle
+CHUNK_BYTES = 1 << 20  # bytes read at once
+BLANK_LINES = (b"\n", b"\r\n", b"\r")  # the blank lines the block cut gives
 
 
 def read_prediction_file(path) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, list[str]]:
@@ -56,7 +58,7 @@ def read_prediction_file(path) -> tuple[np.ndarray, np.ndarray | None, np.ndarra
     mark; a file that cannot be read, or text that does not decode, is an
     InputError naming the file."""
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
+        with open(path, "rb") as fh:
             return read_predictions(fh, name=str(path))
     except OSError as exc:
         raise InputError(str(exc)) from None
@@ -65,16 +67,45 @@ def read_prediction_file(path) -> tuple[np.ndarray, np.ndarray | None, np.ndarra
 
 
 def read_predictions(fh, name: str = "<stream>"):
-    """Read a prediction file from a text handle opened with newline=""."""
-    if not fh.seekable():
-        fh = io.StringIO(fh.read(), newline="")
+    """Read a prediction file from a binary handle, such as `open(path, "rb")`
+    or `io.BytesIO`."""
+    piped = not fh.seekable()
+    if piped:
+        fh = io.BytesIO(fh.read())
     start = fh.tell()
-    class_names, has_label = _read_header(fh, name)
-    parsed = _parse_body(fh, len(class_names), has_label)
-    if parsed is None:
-        fh.seek(start)
-        return _read_rows(fh, name)
-    return (*parsed, class_names)
+    parsed = _parse_file(fh, name)
+    if parsed is not None:
+        return parsed
+    fh.seek(start)
+    with _text_view(fh, "utf-8-sig") as text:
+        # decoded as a text handle did, a pipe whole and a file by blocks, so
+        # that a byte that does not decode is placed alike
+        return _read_rows(io.StringIO(text.read(), newline="") if piped else text, name)
+
+
+@contextlib.contextmanager
+def _text_view(fh, encoding: str):
+    """fh from where it stands as text with newline="", left open."""
+    text = io.TextIOWrapper(fh, encoding=encoding, newline="")
+    try:
+        yield text
+    finally:
+        text.detach()
+
+
+def _line_blocks(fh):
+    """The lines of fh with their endings, a list per block read. Blocks grow
+    to CHUNK_BYTES from 16 bytes a probe line, so a probe cuts few lines it
+    does not use. A line that a block cuts, or whose \r may be half of a
+    \r\n, is carried to the next list."""
+    tail, size = b"", min(16 * PROBE_LINES, CHUNK_BYTES)
+    while block := fh.read(size):
+        size = min(2 * size, CHUNK_BYTES)
+        lines = (tail + block).splitlines(keepends=True)
+        tail = b"" if lines[-1].endswith(b"\n") else lines.pop()
+        yield lines
+    if tail:
+        yield [tail]
 
 
 def _records(fh, name: str, first_line: int):
@@ -101,39 +132,52 @@ def _read_header(fh, name: str) -> tuple[list[str], bool]:
     return class_names, has_label
 
 
-def _parse_body(fh, k: int, has_label: bool):
-    """(outputs, labels or None, line index) of a valid body, else None. The
-    body is parsed whole unless most of its first PROBE_LINES lines repeat."""
-    for first in fh:  # loadtxt warns on a body with no rows, so look for one first
-        if first.strip("\r\n"):
+def _parse_file(fh, name: str):
+    """(outputs, labels or None, line index, class names) of a valid file,
+    else None. The body is parsed whole unless most of its first PROBE_LINES
+    lines repeat."""
+    blocks, block, offset = _line_blocks(fh), iter(()), fh.tell()
+
+    def lines():  # every line, counted in `offset`; the rest of its block stays in `block`
+        nonlocal block, offset
+        for block in map(iter, blocks):
+            for line in block:
+                offset += len(line)
+                yield line
+
+    try:  # utf-8-sig drops a leading byte-order mark
+        class_names, has_label = _read_header(codecs.iterdecode(lines(), "utf-8-sig"), name)
+    except (InputError, UnicodeDecodeError):
+        return None
+    body, rest = offset, itertools.chain(block, itertools.chain.from_iterable(blocks))
+    for first in rest:  # loadtxt warns on a body with no rows, so look for one first
+        if first not in BLANK_LINES:
             break
     else:
         return None
-    probe = [first, *itertools.islice(fh, PROBE_LINES - 1)]
+    k = len(class_names)
+    probe = [first, *itertools.islice(rest, PROBE_LINES - 1)]
     if 2 * len(set(probe)) > len(probe):
-        parsed = _parse_lines(itertools.chain(probe, fh), k, has_label)
-        return None if parsed is None else (*parsed, np.arange(parsed[0].shape[0]))
-    # Most lines repeat: parse each distinct line once and index the rows.
-    # loadtxt skips blank lines, so they map to -1 and are dropped.
-    position = dict.fromkeys(BLANK_LINES, -1)
-    index = []
-    chunk = probe
-    while chunk:
-        fresh = [line for line in dict.fromkeys(chunk) if line not in position]
-        position.update(zip(fresh, itertools.count(len(position) - len(BLANK_LINES))))
-        index.append(np.fromiter(map(position.__getitem__, chunk), np.intp, len(chunk)))
-        chunk = fh.readlines(CHUNK_CHARS)
+        fh.seek(body)
+        with _text_view(fh, "utf-8") as text:
+            parsed = _parse_lines(text, k, has_label)
+        return None if parsed is None else (*parsed, np.arange(parsed[0].shape[0]), class_names)
+    # Most lines repeat: parse each distinct line once and index the rows. A
+    # new line takes the next position as it is met; blank lines, which
+    # loadtxt skips, map to -1 and are dropped.
+    position = collections.defaultdict(itertools.count().__next__, dict.fromkeys(BLANK_LINES, -1))
+    index = np.fromiter(map(position.__getitem__, itertools.chain(probe, rest)), np.intp)
     distinct = list(position)[len(BLANK_LINES):]
     # A line parses alone as it does in the file only if it is one whole
     # record. A line that leaves a quoted field open swallows the next one,
-    # so one row per line, with the last line parsed twice, shows that.
-    parsed = _parse_lines([*distinct, distinct[-1]], k, has_label)
+    # so one row per line, with the last line parsed twice, shows that. A
+    # line that does not decode fails the parse.
+    parsed = _parse_lines(map(bytes.decode, [*distinct, distinct[-1]]), k, has_label)
     if parsed is None or len(parsed[0]) != len(distinct) + 1:
         return None
-    index = np.concatenate(index)
     probs, labels = parsed
     d = len(distinct)
-    return probs[:d], None if labels is None else labels[:d], index[index >= 0]
+    return probs[:d], None if labels is None else labels[:d], index[index >= 0], class_names
 
 
 def _parse_lines(lines, k: int, has_label: bool):

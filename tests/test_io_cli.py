@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import csv
 import io
@@ -5,8 +6,10 @@ import itertools
 import json
 import os
 import re
+import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from labelshift.cli import ESTIMATE_SETTINGS, _parse_benchmark_config, main
 from labelshift.errors import InputError
 from labelshift.estimators import METHODS, EstimateResult
 from labelshift.io import (
+    CHUNK_BYTES,
     PROBE_LINES,
     WRITE_CHUNK_ROWS,
     _read_rows,
@@ -153,7 +157,7 @@ class TestPredictionFiles:
     ], ids=["empty", "one_column", "one_column_and_label"])
     def test_bad_header_names_file(self, text, message):
         with pytest.raises(InputError) as exc_info:
-            read_predictions(io.StringIO(text, newline=""), "f.csv")
+            read_predictions(io.BytesIO(text.encode()), "f.csv")
         assert str(exc_info.value) == message
 
     def test_small_drift_renormalized(self, tmp_path):
@@ -175,6 +179,29 @@ class TestPredictionFiles:
             out, labels, names = read_lines(path)
             assert out.shape == (2 * repeats, 2) and labels.tolist() == [1, 0] * repeats
             assert names == ["c0", "c1"]
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("body", ["repeated", "distinct"])
+    def test_valid_endings_never_reach_the_row_loop(self, tmp_path, monkeypatch, eol, body):
+        def row_loop(fh, name):
+            raise AssertionError("a valid file fell back to the row-by-row reader")
+
+        monkeypatch.setattr(labelshift.io, "_read_rows", row_loop)
+        lines = DISTINCT_ROWS.splitlines() * 2 if body == "distinct" else ["0.25,0.75", "0.5,0.5"] * PROBE_LINES
+        data = (eol.join(["c0,c1", *lines]) + eol).encode()
+        path = tmp_path / "ok.csv"
+        path.write_bytes(data)
+        out, labels, index, names = read_prediction_file(path)
+        assert out[index].shape == (len(lines), 2) and labels is None and names == ["c0", "c1"]
+        assert len(out) == (len(lines) if body == "distinct" else 2)
+        head = data[:data.rindex(eol.encode(), 0, 60_000) + len(eol)]  # what a pipe holds unread
+        r, w = os.pipe()
+        with open(r, "rb") as fh:
+            os.write(w, head)
+            os.close(w)
+            piped = read_predictions(fh, "p.csv")
+        assert piped[0][piped[2]].tobytes() == out[index][:len(piped[2])].tobytes()
+        assert len(piped[2]) == head.count(eol.encode()) - 1
 
     def test_repeated_lines_are_parsed_once(self, tmp_path, monkeypatch):
         parsed = []
@@ -227,7 +254,7 @@ class TestPredictionFiles:
             r, w = os.pipe()
             os.write(w, data)
             os.close(w)
-            with open(r, newline="", encoding="utf-8") as fh:
+            with open(r, "rb") as fh:
                 assert not fh.seekable()
                 return read_predictions(fh, "p.csv")
 
@@ -299,31 +326,73 @@ class TestPredictionFiles:
     @example(text="c0,c1\n0.5,0.5\n0.5,0.6\n0.5,0.5\n0.5,0.6\n0.5,0.5\n")  # a repeated bad row
     @example(text='c0,c1\n0.5,"0.5\n0.5,"0.5\n0.5,"0.5\n')  # a quote left open
     @example(text='c0,c1\n"0.5\n",0.5\n"0.5\n",0.5\n')  # a quoted field over two lines
+    @example(text="c0,c1\r0.25,0.75\r0.25,0.75\r\r0.5,0.5\r0.25,0.75\r")  # lone \r endings
+    @example(text="c0,c1\n0.25,0.75\r\n0.25,0.75\n0.25,0.75\r\n0.25,0.75\n")  # mixed \r\n and \n
+    @example(text="c0,c1\r\n\r\n\r\n0.25,0.75\r\n0.25,0.75\r\n0.25,0.75\r\n")  # blank lines first
+    @example(text="c0,c1\n0.25,0.75\n0.25,0.75\n0.25,0.75")  # no final newline
+    @example(text="c0,c1\n0.25,0.75\x85\n0.25,0.75\x85\n0.25,0.75\n")  # str.splitlines breaks at these
+    @example(text="c0,c1\n0.25\u2028,0.75\n0.25\u2028,0.75\n0.5,0.5\n")
+    @example(text="c0,c1\n0.25,\ufeff0.75\n0.25,\ufeff0.75\n0.5,0.5\n")
+    @example(text="c0,c1\n\ufeff0.5,0.5\n0.5,0.5\n")  # a byte-order mark that opens the body
+    @example(text="c0,c1\n0.25,0.75\udcff\n0.25,0.75\udcff\n0.25,0.75\udcff\n")  # not UTF-8
+    @example(text="c0,c1\n0.25,0.75\n0.25,0.75\n0.25,0.75\n0.5\udcff,0.5")
+    @example(text="c0,c1\n0.25,0.8\n" + "0.25,0.75\n" * 3000 + "0.25,0.75\udcff\n")  # a bad row first
+    @example(text='"c0",c1,"la\nbel"\n0.25,0.75\n0.25,0.75\n')  # a quoted header
+    @example(text='"c0","c1","label"\r\n0.25,0.75,1\r\n0.25,0.75,1\r\n0.25,0.75,0\r\n')
     def test_matches_row_reader(self, text):
-        def read(reader):
+        # a lone surrogate stands for a byte that is not UTF-8
+        data = text.encode("utf-8", "surrogateescape")
+
+        def read(reader, source, name):
             try:
-                return reader(io.StringIO(text, newline=""), "f.csv")
+                return reader(source, name)
             except InputError as exc:
                 return str(exc)
+            except UnicodeDecodeError as exc:
+                return f"{name}: {exc}"
 
-        fast, rows = read(read_predictions), read(_read_rows)
-        if isinstance(rows, str):
-            assert fast == rows
-            return
-        assert not isinstance(fast, str), fast
-        # the row loop reads one row per line; the reader's distinct rows,
-        # indexed by its line index, must be those rows bit for bit
-        assert rows[2].tolist() == list(range(rows[0].shape[0]))
-        index = fast[2]
-        assert index.dtype == np.intp and index.shape == rows[2].shape
-        assert fast[0].dtype == rows[0].dtype and fast[0][index].shape == rows[0].shape
-        assert fast[0][index].tobytes() == rows[0].tobytes()
-        if rows[1] is None:
-            assert fast[1] is None
-        else:
-            assert fast[1].dtype == rows[1].dtype and fast[1].shape == fast[0].shape[:1]
-            assert fast[1][index].tobytes() == rows[1].tobytes()
-        assert fast[3] == rows[3]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.csv"
+            for chunk_bytes, bom in itertools.product([CHUNK_BYTES, 7], [b"", codecs.BOM_UTF8]):
+                with mock.patch.object(labelshift.io, "CHUNK_BYTES", chunk_bytes):
+                    path.write_bytes(bom + data)
+                    rows = read(_read_rows, io.TextIOWrapper(
+                        io.BytesIO(bom + data), encoding="utf-8-sig", newline=""), str(path))
+                    lines = None if isinstance(rows, str) else distinct_line_index(bom + data)
+                    check_like_row_reader(
+                        read(lambda p, _: read_prediction_file(p), path, str(path)), rows, lines)
+                    check_like_row_reader(read(read_predictions, io.BytesIO(bom + data), str(path)), rows, lines)
+
+
+def distinct_line_index(data):
+    """Entry i is the distinct body line that data line i is, counted in the
+    order met, with lines cut by a newline="" text handle."""
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+    next(csv.reader(text))
+    seen = {}
+    return [seen.setdefault(line, len(seen)) for line in text if line not in ("\n", "\r\n", "\r")]
+
+
+def check_like_row_reader(fast, rows, lines=None):
+    if isinstance(rows, str):
+        assert fast == rows
+        return
+    assert not isinstance(fast, str), fast
+    # the row loop reads one row per line; the reader's distinct rows,
+    # indexed by its line index, must be those rows bit for bit
+    assert rows[2].tolist() == list(range(rows[0].shape[0]))
+    index = fast[2]
+    assert index.dtype == np.intp and index.shape == rows[2].shape
+    # the distinct rows are the distinct lines, or every line is its own row
+    assert lines is None or index.tolist() in (rows[2].tolist(), lines)
+    assert fast[0].dtype == rows[0].dtype and fast[0][index].shape == rows[0].shape
+    assert fast[0][index].tobytes() == rows[0].tobytes()
+    if rows[1] is None:
+        assert fast[1] is None
+    else:
+        assert fast[1].dtype == rows[1].dtype and fast[1].shape == fast[0].shape[:1]
+        assert fast[1][index].tobytes() == rows[1].tobytes()
+    assert fast[3] == rows[3]
 
 
 def write_csv(path, outputs, labels=None):
