@@ -42,7 +42,6 @@ from .estimators import (
     EstimateResult,
     METHODS,
     bbse,
-    distribution_match_lsq,
     mlls_cm,
     mlls_em,
     mlls_grad,

@@ -23,7 +23,9 @@ from .simplex import (
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
-    """Joint distribution estimate joint[i][j] = p_s(yhat=i, y=j).
+    """Joint distribution estimate joint[z][y] = p_s(z, y) over a latent
+    space Z of |Z| >= 1 values and the k classes: a (|Z|, k) array. The
+    confusion matrix p_s(yhat=i, y=j) is the case Z = yhat, |Z| = k.
 
     Column sums are the source label marginal p_s(y), kept as metadata.
     """
@@ -34,8 +36,10 @@ class ConfusionMatrix:
     def __post_init__(self):
         j = _freeze(self.joint)
         k = self.column_marginal.k
-        if j.shape != (k, k):
-            raise InputError(f"confusion matrix shape {j.shape} does not match k={k}")
+        if j.ndim != 2 or j.shape[0] < 1 or j.shape[1] != k:
+            raise InputError(f"confusion matrix shape {j.shape} is not (|Z|, k={k}) with |Z| >= 1")
+        if not np.isfinite(j).all():
+            raise InputError("confusion matrix has non-finite entries")
         if np.any(j < -SIMPLEX_TOL):
             raise InputError("confusion matrix has negative entries")
         if abs(j.sum() - 1.0) > SIMPLEX_TOL:

@@ -3,7 +3,6 @@ squares (RLLS-style), likelihood maximization (EM and projected gradient),
 and the confusion-row-calibrated likelihood variant (MLLS-CM)."""
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import partial
 
@@ -17,7 +16,6 @@ from .simplex import (
     PredictorTable,
     ProbVector,
     WeightVector,
-    column_sums,
     grouped_table,
     project_onto_slice,
     project_to_weight_simplex,
@@ -75,6 +73,8 @@ def bbse(confusion: ConfusionMatrix, mu: ProbVector, clip_negative: bool = False
     the nonnegative orthant on noisy inputs).
     """
     C = confusion.joint
+    if C.shape[0] != confusion.k:
+        raise InputError(f"bbse needs a square joint, got shape {C.shape}")
     if mu.k != confusion.k:
         raise InputError("target marginal length does not match confusion matrix")
     cond = np.linalg.cond(C)
@@ -261,10 +261,23 @@ def _solve_on_slice(step, grad, hess, p, w0, max_iters, rounding=_likelihood_rou
         w = w_next
 
 
-def _least_squares(A, b, lam, source_marginal, w0, max_iters) -> EstimateResult:
-    """Minimize ||A w - b||^2 + lam * ||w - 1||^2 over the weight slice by
-    the Newton finish, with projected gradient as its fallback; the minimum
-    is the objective."""
+def rlls(
+    confusion: ConfusionMatrix,
+    mu: ProbVector,
+    lam: float,
+    max_iters: int = MAX_ITERS,
+) -> EstimateResult:
+    """Minimize ||J w - mu||^2 + lam * ||w - 1||^2 over the weight slice,
+    where J is the joint p_s(z, y) over any latent space Z (the confusion
+    matrix when Z = yhat) and mu the target distribution over Z. The Newton
+    finish runs from w = 1, with projected gradient as its fallback; the
+    minimum is the objective."""
+    if not 0 <= lam < np.inf:
+        raise InputError(f"rlls needs a finite lambda >= 0, got {lam}")
+    A, b = confusion.joint, mu.entries
+    if b.size != A.shape[0]:
+        raise InputError(f"target distribution has {b.size} entries but the joint has {A.shape[0]} rows")
+    source_marginal = confusion.column_marginal
     p = source_marginal.entries
     ones = np.ones(p.size)
     AtA, max_atb = A.T @ A, np.abs(A.T @ b).max()
@@ -283,22 +296,8 @@ def _least_squares(A, b, lam, source_marginal, w0, max_iters) -> EstimateResult:
             terms, ridge = np.abs(AtA @ w).max() + max_atb, np.abs(w).max() + 1.0
             return 2.0 * ROUNDING * terms + 2.0 * ROUNDING * lam * ridge
 
-    w, it, ok = _solve_on_slice(_armijo_step(value, p), grad, lambda w: H, p, w0, max_iters, rounding)
+    w, it, ok = _solve_on_slice(_armijo_step(value, p), grad, lambda w: H, p, np.ones(p.size), max_iters, rounding)
     return EstimateResult(WeightVector(w, source_marginal), it, -value(w), ok)
-
-
-def rlls(
-    confusion: ConfusionMatrix,
-    mu: ProbVector,
-    lam: float,
-    max_iters: int = MAX_ITERS,
-) -> EstimateResult:
-    """Minimize ||C w - mu||^2 + lam * ||w - 1||^2 over the weight slice."""
-    if not 0 <= lam < np.inf:
-        raise InputError(f"rlls needs a finite lambda >= 0, got {lam}")
-    return _least_squares(
-        confusion.joint, mu.entries, lam, confusion.column_marginal, np.ones(confusion.k), max_iters
-    )
 
 
 def _mlls(table, source_marginal, max_iters, em: bool) -> EstimateResult:
@@ -356,28 +355,3 @@ def mlls_cm(
     keep = counts > 0
     return mlls_em(grouped_table(rows[keep], counts[keep]), source_marginal, max_iters)
 
-
-def distribution_match_lsq(
-    joint: np.ndarray,
-    target: np.ndarray,
-    source_marginal: ProbVector,
-    max_iters: int = MAX_ITERS,
-) -> EstimateResult:
-    """Least-squares distribution matching: min ||J w - t||^2 over the slice.
-
-    J is p_s(z, y) for a finite latent space Z (|Z| rows); with |Z| = k and an
-    invertible J this reproduces the confusion-inversion solution. A
-    rank-deficient J triggers a warning. The solver starts from the projection
-    of the minimum-norm least-squares solution.
-    """
-    J = np.asarray(joint, dtype=float)
-    t = np.asarray(target, dtype=float)
-    if J.ndim != 2 or J.shape[0] != t.size:
-        raise InputError("joint and target shapes are inconsistent")
-    if np.max(np.abs(column_sums(J) - source_marginal.entries)) > 1e-6:
-        raise InputError("joint column sums disagree with the source marginal")
-    if np.linalg.matrix_rank(J, tol=1e-10) < J.shape[1]:
-        warnings.warn("rank-deficient joint: weights are not identifiable", stacklevel=2)
-
-    w0 = project_to_weight_simplex(np.linalg.lstsq(J, t, rcond=None)[0], source_marginal)
-    return _least_squares(J, t, 0.0, source_marginal, w0.weights, max_iters)

@@ -119,6 +119,16 @@ class TestConfusionMatrixValidation:
                 np.array([[0.4, 0.1], [0.1, 0.4]]), ProbVector(np.array([0.3, 0.7]))
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        with pytest.raises(InputError, match="non-finite"):
+            ConfusionMatrix(np.array([[bad, 0.1], [0.1, 0.4]]), ProbVector(np.array([0.5, 0.5])))
+
+    @pytest.mark.parametrize("shape", [(2,), (0, 2), (2, 3), (2, 2, 1)])
+    def test_rejects_shape_that_is_not_latent_by_class(self, shape):
+        with pytest.raises(InputError, match="shape"):
+            ConfusionMatrix(np.full(shape, 0.25), ProbVector(np.array([0.5, 0.5])))
+
     def test_empty_samples(self):
         with pytest.raises(InputError):
             build_hard_confusion(make_samples(np.empty((0, 2)), []))

@@ -34,7 +34,6 @@ from labelshift.estimators import (
     STALL_STEPS,
     _newton_finish,
     bbse,
-    distribution_match_lsq,
     mlls_cm,
     mlls_em,
     mlls_grad,
@@ -59,6 +58,7 @@ from tests.conftest import (
 
 UNIFORM_2 = ProbVector(np.array([0.5, 0.5]))
 HAND_CONF = ConfusionMatrix(np.array([[0.4, 0.1], [0.1, 0.4]]), UNIFORM_2)
+TALL_CONF = ConfusionMatrix(np.array([[0.4, 0.1], [0.05, 0.2], [0.05, 0.2]]), UNIFORM_2)  # |Z| = 3, k = 2
 BUDGET = 100_000
 
 
@@ -86,6 +86,10 @@ class TestBbse:
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
             bbse(HAND_CONF, ProbVector(np.full(3, 1.0 / 3.0)))
+
+    def test_non_square_joint_rejected(self):
+        with pytest.raises(InputError, match=r"bbse needs a square joint, got shape \(3, 2\)"):
+            bbse(TALL_CONF, ProbVector(np.full(3, 1.0 / 3.0)))
 
 
 class TestRlls:
@@ -170,7 +174,7 @@ def test_budget_below_one_rejected():
         partial(rlls, HAND_CONF, mu, 0.0),
         partial(mlls_em, table, UNIFORM_3),
         partial(mlls_grad, table, UNIFORM_3),
-        partial(distribution_match_lsq, HAND_CONF.joint, mu.entries, UNIFORM_2),
+        partial(rlls, TALL_CONF, ProbVector(np.array([0.3, 0.3, 0.4])), 0.0),
     ):
         with pytest.raises(InputError, match="max_iters"):
             solve(max_iters=0)
@@ -768,7 +772,7 @@ class TestMllsCm:
 class TestDistributionMatchLsq:
     def test_confusion_as_joint(self):
         t = HAND_CONF.joint @ np.array([0.5, 1.5])
-        res = distribution_match_lsq(HAND_CONF.joint, t, UNIFORM_2)
+        res = rlls(ConfusionMatrix(HAND_CONF.joint, UNIFORM_2), ProbVector.normalized(t), 0.0)
         np.testing.assert_allclose(res.weights.weights, [0.5, 1.5], atol=1e-8)
 
     def test_binned_gmm_population_recovery(self):
@@ -785,19 +789,14 @@ class TestDistributionMatchLsq:
             J[b, 0] = 0.5 * (norm.cdf(edges_x[b + 1] - mu) - norm.cdf(edges_x[b] - mu))
             J[b, 1] = 0.5 * (norm.cdf(edges_x[b + 1] + mu) - norm.cdf(edges_x[b] + mu))
         w_star = np.array([0.5, 1.5])
-        res = distribution_match_lsq(J, J @ w_star, UNIFORM_2, max_iters=100_000)
+        res = rlls(ConfusionMatrix(J, UNIFORM_2), ProbVector.normalized(J @ w_star), 0.0, max_iters=100_000)
         np.testing.assert_allclose(res.weights.weights, w_star, atol=1e-6)
-
-    def test_rank_deficient_warns(self):
-        J = np.array([[0.3, 0.3], [0.7, 0.7]]) * np.array([0.5, 0.5])
-        with pytest.warns(UserWarning, match="rank-deficient"):
-            distribution_match_lsq(J, J @ np.ones(2), UNIFORM_2)
 
     def test_column_sum_mismatch_rejected(self):
         J = np.array([[0.3, 0.1], [0.1, 0.4]])
         with pytest.raises(InputError):
-            distribution_match_lsq(J, J @ np.ones(2), UNIFORM_2)
+            rlls(ConfusionMatrix(J, UNIFORM_2), ProbVector.normalized(J @ np.ones(2)), 0.0)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(InputError):
-            distribution_match_lsq(HAND_CONF.joint, np.ones(3), UNIFORM_2)
+        with pytest.raises(InputError, match="target distribution has 3 entries but the joint has 2 rows"):
+            rlls(ConfusionMatrix(HAND_CONF.joint, UNIFORM_2), ProbVector.normalized(np.ones(3) / 3), 0.0)

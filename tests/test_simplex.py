@@ -239,7 +239,8 @@ def group_rows_by_unique(rows):
 @st.composite
 def repeated_rows(draw, probability=False):
     """(n, k) rows, k in 1..12, picked from a small pool so that rows repeat;
-    a random subset of zero entries is flipped to -0.0."""
+    the pool may hold rows one ulp (`np.nextafter`) from another pool row in
+    one entry, and a random subset of zero entries is flipped to -0.0."""
     k = draw(st.integers(1, 12))
     n = draw(st.integers(1, 40))
     if probability:
@@ -255,6 +256,14 @@ def repeated_rows(draw, probability=False):
     if probability:
         pool[pool.sum(axis=1) == 0, 0] = 1.0
         pool /= pool.sum(axis=1, keepdims=True)
+    # rows that differ from another only in the last bit of one entry;
+    # probability entries move up, so they stay nonnegative
+    direction = st.just(2.0) if probability else st.sampled_from([-np.inf, np.inf])
+    twins = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.integers(0, k - 1), direction), max_size=3))
+    for i, j, toward in twins:
+        twin = pool[i].copy()
+        twin[j] = np.nextafter(twin[j], toward)
+        pool = np.vstack([pool, twin])
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     rows = pool[rng.integers(0, len(pool), size=n)]
     flip = rng.random((n, k)) < 0.5
