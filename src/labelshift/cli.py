@@ -105,7 +105,7 @@ def _check_keys(obj: dict, allowed, what: str) -> None:
 
 def _marginal(obj: dict, key: str, default=None) -> ProbVector:
     """obj[key] as a list of numbers renormalized to a probability vector."""
-    return ProbVector.normalized(np.asarray(_config_value(obj, key, [float], default)), tol=1e-6)
+    return ProbVector.normalized(np.asarray(_config_value(obj, key, [float], default)))
 
 
 # ---------------------------------------------------------------- estimate

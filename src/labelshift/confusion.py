@@ -78,7 +78,7 @@ def build_soft_confusion(samples: LabeledPredictions) -> ConfusionMatrix:
         if mask.any():
             joint[:, j] = column_sums(scaled[mask])
     joint /= counts.sum()
-    return ConfusionMatrix(joint, ProbVector.normalized(column_sums(joint), tol=1e-9))
+    return ConfusionMatrix(joint, ProbVector.normalized(column_sums(joint), tol=SIMPLEX_TOL))
 
 
 def build_target_prediction_marginal(table: PredictorTable, kind: str) -> ProbVector:
@@ -89,7 +89,7 @@ def build_target_prediction_marginal(table: PredictorTable, kind: str) -> ProbVe
     if kind == "hard":
         return ProbVector(np.bincount(row_argmax(support), masses, support.shape[1]) / total)
     if kind == "soft":
-        return ProbVector.normalized(column_sums(support * masses[:, None]) / total, tol=1e-9)
+        return ProbVector.normalized(column_sums(support * masses[:, None]) / total, tol=SIMPLEX_TOL)
     raise InputError(f"unknown marginal kind: {kind}")
 
 
@@ -111,4 +111,4 @@ def prediction_rows(confusion: ConfusionMatrix) -> np.ndarray:
         raise InputError(
             f"confusion row for prediction {int(np.argmax(pred_mass <= 0))} has zero mass"
         )
-    return normalized_rows(confusion.joint / pred_mass[:, None], tol=1e-9)
+    return normalized_rows(confusion.joint / pred_mass[:, None], tol=SIMPLEX_TOL)

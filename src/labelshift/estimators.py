@@ -219,13 +219,13 @@ def _newton_finish(grad, hess, p, w, max_steps=NEWTON_STEPS, rounding=_likelihoo
     return (best if best_res <= best_tol else None), steps
 
 
-def _solve_on_slice(step, grad, hess, p, w0, max_iters, rounding=_likelihood_rounding):
-    """Maximize a concave f over the slice W = {w >= 0 : w . p = 1} from w0.
+def _solve_on_slice(step, grad, hess, p, max_iters, rounding=_likelihood_rounding):
+    """Maximize a concave f over the slice W = {w >= 0 : w . p = 1} from w = 1.
 
     `grad`, `hess` and `rounding` are as for _newton_finish; `step(w, g)` is one
     first-order step from w with gradient g, landing on the slice. The
-    active-set Newton finish runs first, from w0. Only if it cannot certify
-    do first-order steps run from w0; after a step smaller than FINISH_STEP,
+    active-set Newton finish runs first, from w = 1. Only if it cannot certify
+    do first-order steps run from w = 1; after a step smaller than FINISH_STEP,
     and after every 10th step, the finish is tried again from the iterate.
     The solver returns as soon as the finish or the iterate has a KKT residual
     that _certify_tol accepts; that certificate is what `converged` reports. Without
@@ -239,7 +239,7 @@ def _solve_on_slice(step, grad, hess, p, w0, max_iters, rounding=_likelihood_rou
     if np.any(p <= 0):
         raise InputError("the weight slice needs a strictly positive source marginal")
     taken = 0
-    w, moved, first_order = w0, np.inf, 0
+    w, moved, first_order = np.ones(p.size), np.inf, 0
     while True:
         # first_order % 10 == 0 holds at the start, so the finish leads
         if taken < max_iters and (first_order % 10 == 0 or moved < FINISH_STEP):
@@ -269,9 +269,9 @@ def rlls(
 ) -> EstimateResult:
     """Minimize ||J w - mu||^2 + lam * ||w - 1||^2 over the weight slice,
     where J is the joint p_s(z, y) over any latent space Z (the confusion
-    matrix when Z = yhat) and mu the target distribution over Z. The Newton
-    finish runs from w = 1, with projected gradient as its fallback; the
-    minimum is the objective."""
+    matrix when Z = yhat) and mu the target distribution over Z. The solve
+    starts at w = 1, with the Newton finish first and projected gradient as
+    its fallback; the minimum is the objective."""
     if not 0 <= lam < np.inf:
         raise InputError(f"rlls needs a finite lambda >= 0, got {lam}")
     A, b = confusion.joint, mu.entries
@@ -296,18 +296,18 @@ def rlls(
             terms, ridge = np.abs(AtA @ w).max() + max_atb, np.abs(w).max() + 1.0
             return 2.0 * ROUNDING * terms + 2.0 * ROUNDING * lam * ridge
 
-    w, it, ok = _solve_on_slice(_armijo_step(value, p), grad, lambda w: H, p, np.ones(p.size), max_iters, rounding)
+    w, it, ok = _solve_on_slice(_armijo_step(value, p), grad, lambda w: H, p, max_iters, rounding)
     return EstimateResult(WeightVector(w, source_marginal), it, -value(w), ok)
 
 
 def _mlls(table, source_marginal, max_iters, em: bool) -> EstimateResult:
-    """Likelihood maximization over the weight slice by the Newton finish,
-    with EM or projected gradient as its fallback."""
+    """Likelihood maximization over the weight slice from w = 1 by the
+    Newton finish, with EM or projected gradient as its fallback."""
     F, m = table.support, table.normalized_masses()
     p = source_marginal.entries
     value = partial(ll_value, F, m)
     step = (lambda w, g: w * g / p) if em else _armijo_step(value, p)
-    w, it, ok = _solve_on_slice(step, *ll_derivatives(F, m), p, np.ones(p.size), max_iters)
+    w, it, ok = _solve_on_slice(step, *ll_derivatives(F, m), p, max_iters)
     return EstimateResult(WeightVector(w, source_marginal), it, value(w), ok)
 
 

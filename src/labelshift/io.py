@@ -43,9 +43,8 @@ import warnings
 import numpy as np
 
 from .errors import InputError
-from .simplex import row_sums
+from .simplex import ROW_SUM_TOL, row_sums
 
-ROW_SUM_TOL = 1e-6
 WRITE_CHUNK_ROWS = 4096  # rows formatted per write, which bounds the text held at once
 PROBE_LINES = 4096  # body lines whose repeats choose how the rest is parsed
 CHUNK_BYTES = 1 << 20  # bytes read at once

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .simplex import LabeledPredictions, PredictorTable, ProbVector, grouped_table, normalized_rows
+from .simplex import SIMPLEX_TOL, LabeledPredictions, PredictorTable, ProbVector, grouped_table, normalized_rows
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def bin_aggregate(samples: LabeledPredictions, n_bins: int) -> BinnedPredictor:
 
     nonempty = counts > 0
     masses = counts[nonempty] / samples.counts.sum()
-    table = grouped_table(normalized_rows(vecs[nonempty], tol=1e-9), masses)
+    table = grouped_table(normalized_rows(vecs[nonempty], tol=SIMPLEX_TOL), masses)
     return BinnedPredictor(table, vecs)
 
 
@@ -125,7 +125,7 @@ def samples_from_outputs(outputs, labels, counts=None) -> LabeledPredictions:
     """Labelled predictions from parallel (n, k) outputs, (n,) labels and
     (n,) counts of the examples each row stands for (one each by default).
 
-    Rows whose sums are off from 1 by at most 1e-6 are renormalized; worse
-    rows are rejected, naming the first.
+    Rows whose sums are off from 1 by at most ROW_SUM_TOL are renormalized;
+    worse rows are rejected, naming the first.
     """
-    return LabeledPredictions(normalized_rows(outputs, tol=1e-6), labels, counts)
+    return LabeledPredictions(normalized_rows(outputs), labels, counts)

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import InputError
 
-SIMPLEX_TOL = 1e-9
-PROJECTION_TOL = 1e-12  # most drift of w . p from 1 a projection's last division removes
+SIMPLEX_TOL = 1e-9  # most drift from 1 of the sum of a vector the program computes
+ROW_SUM_TOL = 1e-6  # most drift from 1 of a row or marginal read from input that is renormalized
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -47,7 +47,7 @@ class ProbVector:
         object.__setattr__(self, "entries", e)
 
     @classmethod
-    def normalized(cls, entries, tol: float = 1e-6) -> "ProbVector":
+    def normalized(cls, entries, tol: float = ROW_SUM_TOL) -> "ProbVector":
         """Renormalize entries whose sum is within tol of 1; reject beyond.
 
         Renormalization is permitted only here, at construction, so that drift
@@ -91,21 +91,19 @@ class WeightVector:
 # Every sum, max or argmax over the class axis of a float array goes through
 # `row_sums`, `row_max`, `row_argmax` or `column_sums`. numpy reduces an
 # (n, k) array over either axis with a k-long inner loop run once per row,
-# which at k = 2 costs 5 to 50 times as much as whole-column operations. Each
-# helper returns the bits numpy returns; a NaN comes out in the same places,
-# though which payload it carries may differ.
-COLUMNWISE_MAX_K = 7  # numpy adds 8 or more entries pairwise, not in order
+# which at k = 2 costs 5 to 50 times as much as whole-column operations, so
+# the row helpers work on the two columns whole at k = 2 and hand every other
+# k to numpy. Each helper returns the bits numpy returns; a NaN comes out in
+# the same places, though which payload it carries may differ.
 
 
 def row_sums(a: np.ndarray) -> np.ndarray:
-    """`a.sum(axis=-1)`. Up to COLUMNWISE_MAX_K classes, numpy adds a row's
-    entries in order onto +0.0, and so does this, one column at a time."""
-    k = a.shape[-1]
-    if not 2 <= k <= COLUMNWISE_MAX_K:
+    """`a.sum(axis=-1)`. At two classes numpy adds a row's entries in order
+    onto +0.0, and so does this, with the columns whole."""
+    if a.shape[-1] != 2:
         return a.sum(axis=-1)
     s = a[..., 0] + 0.0  # a row of -0.0 sums to +0.0
-    for j in range(1, k):
-        s += a[..., j]
+    s += a[..., 1]
     return s
 
 
@@ -123,16 +121,10 @@ def scale_rows(a: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def row_max(a: np.ndarray) -> np.ndarray:
-    """`a.max(axis=-1)`, by np.maximum over columns in order. Beyond
-    COLUMNWISE_MAX_K classes numpy's vector loop can pick the other of two
-    signed zeros, so those rows stay with numpy."""
-    k = a.shape[-1]
-    if not 2 <= k <= COLUMNWISE_MAX_K:
+    """`a.max(axis=-1)`; two classes are one np.maximum of whole columns."""
+    if a.shape[-1] != 2:
         return a.max(axis=-1)
-    m = a[..., 0]
-    for j in range(1, k):
-        m = np.maximum(m, a[..., j])
-    return m
+    return np.maximum(a[..., 0], a[..., 1])
 
 
 def row_argmax(a: np.ndarray) -> np.ndarray:
@@ -172,7 +164,7 @@ def _check_rows(rows: np.ndarray, what: str) -> None:
         raise InputError(f"{what} row {i}: {exc}") from None
 
 
-def normalized_rows(rows, tol: float) -> np.ndarray:
+def normalized_rows(rows, tol: float = ROW_SUM_TOL) -> np.ndarray:
     """Row form of ProbVector.normalized: divide each row of an (n, k) array
     by its sum, rejecting a row whose sum is off from 1 by more than tol. The
     value built from the result validates it."""
@@ -319,30 +311,20 @@ def project_onto_slice(v: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Euclidean projection of a raw array v onto W = {w >= 0 : w . p = 1}
     for a strictly positive p, returned as a raw array.
 
-    The minimizer of ||v - w||^2 is w_y = max(0, v_y - lam * p_y). Sorted by
-    the breakpoints t_y = v_y / p_y, the positive coordinates form a prefix,
-    and lam is the value the constraint fixes on the longest prefix whose
-    last coordinate stays positive (sort plus cumsum; Condat, Math. Program.
-    2016, weighted form). Only that lam gives w . p = 1, so a w that misses
-    it by more than PROJECTION_TOL shows that rounding picked the prefix or
-    cancelled v - lam * p, as when one v_y / p_y dwarfs the rest. The prefix
-    is then the longest whose excess E_j = sum_{i <= j} p_i^2 (t_i - t_j) is
-    below 1, and its coordinates are (v_y - p_y t_j) + p_y (1 - E_j) / Q_j,
-    with Q_j the prefix's sum of p_y^2: sums of nonnegative terms, which
-    rounding cannot cancel. A one-coordinate prefix is the vertex e_j / p_j.
+    The minimizer of ||v - w||^2 is w_y = max(0, v_y - lam * p_y), whose
+    positive coordinates form a prefix of the order by breakpoint
+    t_y = v_y / p_y, largest first (Condat, Math. Program. 2016, weighted
+    form). The prefix is the longest whose excess E_j = sum_{i <= j} p_i^2
+    (t_i - t_j) is below 1, and its coordinates are (v_y - p_y t_j) +
+    p_y (1 - E_j) / Q_j, with Q_j the prefix's sum of p_y^2: sums of
+    nonnegative terms, which rounding cannot cancel. A one-coordinate prefix
+    is the vertex e_j / p_j.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        order = np.argsort(-(v / p))
-        vs, ps = v[order], p[order]
+        t = v / p
+        order = np.argsort(-t)
+        ts, vs, ps = t[order], v[order], p[order]
         qs = np.cumsum(ps * ps)
-        lams = (np.cumsum(vs * ps) - 1.0) / qs
-        positive = np.flatnonzero(vs > lams * ps)
-        if positive.size:
-            w = np.maximum(v - lams[positive[-1]] * p, 0.0)
-            total = w @ p
-            if abs(total - 1.0) <= PROJECTION_TOL:
-                return w / total  # remove last-bit drift
-        ts = vs / ps
         excess = np.concatenate(([0.0], np.cumsum((ts[:-1] - ts[1:]) * qs[:-1])))
         j = np.count_nonzero(excess < 1.0) - 1
         if j == 0:
@@ -369,4 +351,4 @@ def project_to_weight_simplex(v, source_marginal: ProbVector) -> WeightVector:
 
 def weights_to_target_marginal(w: WeightVector) -> ProbVector:
     """Target label marginal p_t(y) = w_y * p_s(y)."""
-    return ProbVector.normalized(w.weights * w.source_marginal.entries, tol=1e-9)
+    return ProbVector.normalized(w.weights * w.source_marginal.entries, tol=SIMPLEX_TOL)

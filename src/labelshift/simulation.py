@@ -31,7 +31,7 @@ from .estimators import (
     rlls,
 )
 from .predictors import GmmSpec, bin_aggregate, gmm_posterior, samples_from_outputs
-from .simplex import PredictorTable, ProbVector, WeightVector, grouped_table, normalized_rows
+from .simplex import SIMPLEX_TOL, PredictorTable, ProbVector, WeightVector, grouped_table, normalized_rows
 
 MEMORY_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
@@ -90,7 +90,7 @@ class ShiftSpec:
             raise InputError(
                 f"dirichlet alpha={self.alpha:g} is too large to draw from: its gamma draws overflow"
             )
-        return ProbVector.normalized(draw, tol=1e-9)
+        return ProbVector.normalized(draw, tol=SIMPLEX_TOL)
 
 
 @dataclass(frozen=True)
@@ -133,6 +133,11 @@ class ExperimentConfig:
         if not self.m_values or min(self.m_values) < 1:
             raise InputError(f"m_values must be a nonempty list of sizes >= 1, not {list(self.m_values)}")
         check_size("m_values", max(self.m_values))
+        for key, labels in (("methods", self.methods), ("m_values", self.m_values),
+                            ("shifts", [s.param_label for s in self.shifts])):
+            repeated = sorted({x for x in labels if labels.count(x) > 1})
+            if repeated:
+                raise InputError(f"{key} must not repeat an entry, but repeats {repeated}")
 
 
 def sample_gmm(spec: GmmSpec, marginal: ProbVector, n: int, seed: int, *indices: int) -> tuple:
@@ -168,7 +173,7 @@ def target_table_from_outputs(outputs: np.ndarray, counts=None) -> PredictorTabl
     examples (one each by default), into a count table over distinct rows,
     in order of first occurrence. The distinct lines of a file can still
     normalize to equal rows, which this merges."""
-    rows = normalized_rows(outputs, tol=1e-6)
+    rows = normalized_rows(outputs)
     return grouped_table(rows, np.ones(rows.shape[0]) if counts is None else counts)
 
 

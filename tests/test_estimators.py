@@ -386,7 +386,7 @@ class TestFirstOrderFallback:
         grad = partial(ll_gradient, table.support, table.normalized_masses())
         w, steps, converged = estimators._solve_on_slice(
             lambda w, g: np.full(3, np.nan), grad, lambda w: np.full((3, 3), np.nan),
-            UNIFORM_3.entries, np.ones(3), 100,
+            UNIFORM_3.entries, 100,
         )
         assert (w.tolist(), steps, converged) == ([1.0, 1.0, 1.0], 1, False)
 

@@ -1426,6 +1426,10 @@ class TestBenchmarkCommand:
             ({"n_source": 2 ** 62}, unallocatable("n_source", 2 ** 62)),
             ({"m_values": [100, 10 ** 15]}, unallocatable("m_values", 10 ** 15)),
             ({"bins": 10 ** 15}, unallocatable("bins", 10 ** 15)),
+            ({"methods": ["mlls_em", "bbse_hard", "mlls_em"]}, "methods"),
+            ({"m_values": [100, 50, 100]}, "m_values"),
+            ({"shifts": [{"mode": "explicit", "target_marginal": [0.9, 0.1]},
+                         {"mode": "explicit", "target_marginal": [0.9000000001, 0.0999999999]}]}, "shifts"),
         ],
         ids=["dirichlet_without_alpha", "string_n_source", "string_shifts", "float_m", "null_mu",
              "no_budget", "unknown_tol", "zero_temperature", "biases_not_k",
@@ -1433,7 +1437,8 @@ class TestBenchmarkCommand:
              "zero_trials", "zero_source", "zero_bins", "not_an_object", "unknown_gmm_key",
              "unknown_shift_mode", "shift_without_mode", "negative_seed", "seed_beyond_64_bits",
              "zero_source_mass", "unknown_shift_key", "explicit_shift_with_alpha",
-             "unallocatable_source", "source_past_numpy_index", "unallocatable_m", "unallocatable_bins"],
+             "unallocatable_source", "source_past_numpy_index", "unallocatable_m", "unallocatable_bins",
+             "repeated_method", "repeated_m", "repeated_shift_label"],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, monkeypatch, overrides, key):
         monkeypatch.setattr(labelshift.cli, "run_trials", None)  # no trial may run
@@ -1490,7 +1495,9 @@ class TestBenchmarkCommand:
     @pytest.mark.parametrize("name", sorted(p.name for p in SCRIPTS.glob("*.json")))
     def test_config_in_scripts_runs(self, name, tmp_path, capsys):
         cfg = json.loads((SCRIPTS / name).read_text(encoding="utf-8"))
-        cfg.update(n_trials=2, n_source=300, m_values=[min(m, 300) for m in cfg["m_values"]])
+        # the cap turns distinct sizes above it into one, which a config may not repeat
+        m_values = list(dict.fromkeys(min(m, 300) for m in cfg["m_values"]))
+        cfg.update(n_trials=2, n_source=300, m_values=m_values)
         cfg_path, out_path = tmp_path / name, tmp_path / "out.csv"
         cfg_path.write_text(json.dumps(cfg))
         code, _, err = run_cli(capsys, "benchmark", "--config", str(cfg_path), "--output", str(out_path))
