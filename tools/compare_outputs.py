@@ -7,9 +7,10 @@ Each argument is a directory holding the `labelshift` package, such as the
 `src` of a checkout. Each tree runs in its own subprocess, which imports the
 package from that directory alone and calls `labelshift.cli.main` in-process.
 
-The inputs are the benchmark's (`bench/run.py`): the files of its two CLI
-workloads at seeds 1 and 2, written by `labelshift simulate` and by
-`bench/tabular.py`'s writer, and its `sweep_gmm_k2` config at seeds 1 and 2.
+The inputs are the benchmark's, written by `bench/run.py`'s own `CliRun` and
+`SweepRun` (loaded read-only): the files of its two CLI workloads at seeds 1
+and 2, through `labelshift simulate` and `bench/tabular.py`'s writer, and its
+`sweep_gmm_k2` config at seeds 1 and 2.
 Each tree writes its own copy of the input files, which are compared too;
 then both trees run on the base tree's copy:
 
@@ -36,6 +37,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import types
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -62,37 +64,30 @@ def run_cli(cli, argv) -> str:
     return f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
 
 
-def write_inputs(cli, methods, directory: Path) -> list[str]:
-    """Write the CLI workloads' files and the sweep configs into directory;
-    return the names of the input pairs' subdirectories."""
+def write_inputs(cli, estimators, directory: Path) -> tuple[list, list]:
+    """Write the benchmark's inputs into directory through `bench/run.py`'s
+    own writers; return the (source, target) pairs and the sweep configs, as
+    paths relative to directory."""
     bench = load(ROOT / "bench" / "run.py")
-    tabular = load(ROOT / "bench" / "tabular.py")
-    pairs = []
-    for wl in (w for w in bench.WORKLOADS.values() if isinstance(w, bench.CliWorkload)):
+    ls = types.SimpleNamespace(cli=cli, estimators=estimators, tabular=load(ROOT / "bench" / "tabular.py"))
+    pairs, configs = [], []
+    for wl in bench.WORKLOADS.values():
         for seed in SEEDS:
-            name = f"{wl.name}_seed{seed}"
-            work = directory / name
+            work = directory / f"{wl.name}_seed{seed}"
             work.mkdir(parents=True)
-            if wl.k > 2:
-                tabular.write_tabular_files(work, wl.k, wl.n_support, wl.n_source, wl.m_target, seed)
+            if isinstance(wl, bench.CliWorkload):
+                run = bench.CliRun(ls, wl, seed, work, None)
+                with redirect_stdout(io.StringIO()):  # `simulate` prints its summary
+                    run.write_inputs()
+                pairs.append((run.source.relative_to(directory), run.target.relative_to(directory)))
             else:
-                doc = run_cli(cli, [
-                    "simulate", "--alpha", "1.0", "--source-marginal", "0.5,0.5",
-                    "--n-source", str(wl.n_source), "--m-target", str(wl.m_target), "--seed", str(seed),
-                    "--source-out", str(work / "source.csv"), "--target-out", str(work / "target.csv"),
-                    "--marginal-out", str(work / "truth.json"),
-                ])
-                if not doc.startswith("exit 0\n"):
-                    raise SystemExit(f"simulate failed for {name}:\n{doc}")
-            pairs.append(name)
-    for wl in (w for w in bench.WORKLOADS.values() if isinstance(w, bench.SweepWorkload)):
-        for seed in SEEDS:
-            cfg = {"gmm": {"mu": 1.0}, "shifts": bench.SWEEP_SHIFTS, "methods": list(methods), "m_values": [wl.m],
-                   "n_trials": wl.n_trials, "base_seed": seed, "n_source": wl.n_source}
-            (directory / f"{wl.name}_seed{seed}.json").write_text(json.dumps(cfg) + "\n", encoding="utf-8")
+                run = bench.SweepRun(ls, wl, seed, work, None)
+                run.write_inputs()
+                configs.append(run.config.relative_to(directory))
     for path in sorted((ROOT / "scripts").glob("*.json")):
         (directory / path.name).write_bytes(path.read_bytes())
-    return pairs
+        configs.append(Path(path.name))
+    return pairs, configs
 
 
 def run_tree(job_path: str) -> None:
@@ -104,11 +99,12 @@ def run_tree(job_path: str) -> None:
     if Path(cli.__file__).resolve().parent.parent != Path(job["src"]).resolve():
         raise SystemExit(f"imported {cli.__file__}, not the package under {job['src']}")
     own, inputs, work = Path(job["own_inputs"]), Path(job["inputs"]), Path(job["work"])
-    pairs = write_inputs(cli, estimators.METHODS, own)
+    pairs, configs = write_inputs(cli, estimators, own)
     docs = {f"input {path.relative_to(own)}": path.read_text(encoding="utf-8")
             for path in sorted(own.rglob("*")) if path.is_file()}
-    for name in pairs:
-        src, tgt = str(inputs / name / "source.csv"), str(inputs / name / "target.csv")
+    for source, target in pairs:
+        name = source.parent.name
+        src, tgt = str(inputs / source), str(inputs / target)
         for method in estimators.METHODS:
             for extra in ([], ["--no-calibration"]):
                 argv = ["estimate", "--source", src, "--target", tgt, "--method", method, *extra]
@@ -118,10 +114,11 @@ def run_tree(job_path: str) -> None:
         docs[f"calibrate {name}"] = run_cli(cli, ["calibrate", "--source", src])
     work.mkdir()
     os.chdir(work)  # so that a relative --output names the same path for both trees
-    for config in sorted(inputs.glob("*.json")):
-        csv = Path(f"{config.stem}.csv")
-        docs[f"benchmark {config.name}"] = run_cli(cli, ["benchmark", "--config", str(config), "--output", str(csv)])
-        docs[f"benchmark {config.name} csv"] = csv.read_text(encoding="utf-8") if csv.exists() else ""
+    for config in configs:
+        label = config.as_posix()
+        csv = Path(f"{label.replace('/', '_').removesuffix('.json')}.csv")
+        docs[f"benchmark {label}"] = run_cli(cli, ["benchmark", "--config", str(inputs / config), "--output", str(csv)])
+        docs[f"benchmark {label} csv"] = csv.read_text(encoding="utf-8") if csv.exists() else ""
     Path(job["out"]).write_text(json.dumps(docs), encoding="utf-8")
 
 
