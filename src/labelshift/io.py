@@ -29,6 +29,17 @@ which accepts it or names the first bad row as `file:line`; that loop is the
 only source of error messages, and it returns what the parses return on
 every file both accept. A handle that cannot seek back, such as a pipe, is
 read into memory first.
+
+`write_prediction_file` writes only what the reader reads back, to 12 digits:
+rows as `ProbVector` accepts them, labels that are integers in [0, k), k >= 2
+class names whose last is not "label" when there is no label column. Each
+check covers a whole column and names the first bad row, before the file is
+opened. Rows are keyed by their float64 bits and label and grouped once, so
+-0.0 and 0.0, whose text differs, stay apart, and each group's text is
+formatted once; a chunk of WRITE_CHUNK_ROWS rows is written as the join of
+its rows' texts. A text is held from its group's first row until its last
+row is written, so the text held is a chunk's and that of the groups still
+open; a file of distinct rows holds one chunk of text.
 """
 from __future__ import annotations
 
@@ -43,9 +54,9 @@ import warnings
 import numpy as np
 
 from .errors import InputError
-from .simplex import ROW_SUM_TOL, row_sums
+from .simplex import ROW_SUM_TOL, _check_rows, group_rows, row_sums
 
-WRITE_CHUNK_ROWS = 4096  # rows formatted per write, which bounds the text held at once
+WRITE_CHUNK_ROWS = 4096  # rows written at once: the text held is theirs and the open groups'
 PROBE_LINES = 4096  # body lines whose repeats choose how the rest is parsed
 CHUNK_BYTES = 1 << 20  # bytes read at once
 BLANK_LINES = (b"\n", b"\r\n", b"\r")  # the blank lines the block cut gives
@@ -251,18 +262,70 @@ def _read_rows(fh, name: str):
 
 
 def write_prediction_file(path, outputs: np.ndarray, labels=None, class_names=None) -> None:
-    outputs = np.asarray(outputs, dtype=float)
+    """Write (n, k) probability rows, with their (n,) class indices if given,
+    as a prediction file: a header of the class names (class_0 ... by
+    default) and "label", then one row per line, cells as %.12g, labels as
+    integers and \r\n line endings, the bytes a csv.writer writes for them.
+    Inputs that `read_prediction_file` would reject or read back otherwise
+    are an InputError naming the first bad row, raised before the file is
+    opened. Each distinct row's text is formatted once and held until its
+    last line is written."""
+    outputs = np.ascontiguousarray(outputs, dtype=float)
+    _check_rows(outputs, "prediction")
     n, k = outputs.shape
-    if class_names is None:
-        class_names = [f"class_{i}" for i in range(k)]
-    # the bytes csv.writer writes for these rows: %.12g cells, \r\n endings
+    if k < 2:
+        raise InputError("need at least two class columns")
+    names = [f"class_{i}" for i in range(k)] if class_names is None else list(class_names)
+    if len(names) != k:
+        raise InputError(f"{len(names)} class names for {k} class columns")
+    if labels is None and str(names[-1]).strip() == "label":
+        raise InputError("a last class name 'label' would read back as the label column")
+    # rows are keyed by their bits, so -0.0 and 0.0, whose text differs, stay apart
+    keys = outputs.view(np.int64)
+    if labels is not None:
+        labels = _label_column(labels, n, k)
+        keys = np.column_stack((keys, labels))
+    first, group = group_rows(keys)
+    del keys
     fmt = ",".join(["%.12g"] * k) + (",%d" if labels is not None else "") + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = list(class_names) + (["label"] if labels is not None else [])
-        writer.writerow(header)
+        csv.writer(fh).writerow(names + (["label"] if labels is not None else []))
+        if first.size == n:  # no row repeats: each chunk is formatted where it stands
+            for start in range(0, n, WRITE_CHUNK_ROWS):
+                fh.write("".join(_row_texts(fmt, outputs, labels, slice(start, start + WRITE_CHUNK_ROWS))))
+            return
+        order = np.argsort(group, kind="stable")  # each group's rows in turn, in row order
+        ends = np.ones(n, dtype=bool)  # whether a row is the last of its group
+        ends[order[:-1]] = group[order[1:]] != group[order[:-1]]
+        del order
+        texts = np.empty(first.size, dtype=object)  # each group's text, from its first row to its last
         for start in range(0, n, WRITE_CHUNK_ROWS):
-            cols = outputs[start:start + WRITE_CHUNK_ROWS].T.tolist()
-            if labels is not None:
-                cols.append(np.asarray(labels[start:start + WRITE_CHUNK_ROWS]).tolist())
-            fh.write("".join(fmt % row for row in zip(*cols, strict=True)))
+            chunk = slice(start, start + WRITE_CHUNK_ROWS)
+            lo, hi = first.searchsorted([start, start + WRITE_CHUNK_ROWS])
+            texts[lo:hi] = _row_texts(fmt, outputs, labels, first[lo:hi])
+            fh.write("".join(texts[group[chunk]].tolist()))
+            texts[group[chunk][ends[chunk]]] = None
+
+
+def _row_texts(fmt: str, outputs: np.ndarray, labels, rows) -> list[str]:
+    """The text of each row of `outputs[rows]`, with its label if any."""
+    cols = outputs[rows].T.tolist()
+    if labels is not None:
+        cols.append(labels[rows].tolist())
+    return [fmt % row for row in zip(*cols)]
+
+
+def _label_column(labels, n: int, k: int) -> np.ndarray:
+    """labels as an (n,) int64 array of class indices in [0, k); an
+    InputError names the first that is not one."""
+    lab = np.asarray(labels)
+    if lab.shape != (n,):
+        raise InputError(f"{lab.size} labels for {n} prediction rows")
+    if lab.dtype.kind not in "biuf":
+        raise InputError(f"labels must be integers, not {lab.dtype}")
+    with np.errstate(invalid="ignore"):  # NaN and inf fail the tests below
+        bad = ~((lab >= 0) & (lab < k) & (lab % 1 == 0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InputError(f"row {i}: label {lab[i]} is not a class index in [0, {k})")
+    return lab.astype(np.int64)

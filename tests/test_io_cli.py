@@ -7,6 +7,7 @@ import json
 import os
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -33,7 +34,7 @@ from labelshift.io import (
     write_prediction_file,
 )
 from labelshift.predictors import GmmSpec
-from labelshift.simplex import ProbVector, WeightVector
+from labelshift.simplex import ProbVector, WeightVector, group_rows
 from labelshift.simulation import MEMORY_BYTES, ExperimentConfig, ShiftSpec, draw_trial
 from tests.conftest import F_ROWS, PS_ROWS, W_MISCAL_OPT, face_rlls, time_bound
 
@@ -115,6 +116,52 @@ def prediction_csv_text(draw):
     eols = st.sampled_from(["\n", "\r\n", "\r"])
     eol = draw(eols)  # mostly one ending, so that repeated rows stay equal lines
     return "".join(line + (draw(eols) if draw(st.integers(0, 3)) == 0 else eol) for line in lines)
+
+
+@st.composite
+def writer_rows(draw):
+    """(outputs, labels) for the writer, k = 2 or 10: rows drawn from a small
+    pool, so that they repeat within and across WRITE_CHUNK_ROWS chunks,
+    all distinct, or distinct with pool rows among them. The pool may hold
+    rows whose text a grouping writer could confuse: a one-hot row beside
+    the same row with -0.0 (equal values, other bits and text), and a row
+    beside its neighbouring float (other bits, the same 12 digits). Labels
+    are drawn per row, so equal rows often carry different labels."""
+    k = draw(st.sampled_from([2, 10]))
+    n = draw(st.one_of(
+        st.integers(1, 40),
+        st.sampled_from([WRITE_CHUNK_ROWS - 1, WRITE_CHUNK_ROWS, WRITE_CHUNK_ROWS + 1, 2 * WRITE_CHUNK_ROWS + 3]),
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alpha = draw(st.sampled_from([0.05, 1.0]))  # 0.05 gives entries near 0 and rounded to 0
+    pool = [*rng.dirichlet(np.full(k, alpha), size=draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        one_hot = np.eye(k)[0]
+        pool += [one_hot, np.where(one_hot == 0, -0.0, one_hot)]
+    if draw(st.booleans()):
+        near = pool[0].copy()
+        near[np.argmax(near)] = np.nextafter(near.max(), 0.0)
+        pool.append(near)
+    pool = np.array(pool)
+    layout = draw(st.sampled_from(["pool", "distinct", "mixed"]))
+    if layout == "pool":
+        outputs = pool[rng.integers(0, len(pool), n)]
+    else:
+        outputs = rng.dirichlet(np.full(k, alpha), size=n)
+        if layout == "mixed":
+            at = rng.random(n) < 0.5
+            outputs[at] = pool[rng.integers(0, len(pool), at.sum())]
+    return outputs, rng.integers(0, k, n)
+
+
+def csv_writer_bytes(outputs, labels, names):
+    """The bytes of a prediction file written row by row through csv.writer."""
+    ref = io.StringIO(newline="")
+    writer = csv.writer(ref)
+    writer.writerow(list(names) + (["label"] if labels is not None else []))
+    for i, row in enumerate(outputs):
+        writer.writerow([f"{v:.12g}" for v in row] + ([str(labels[i])] if labels is not None else []))
+    return ref.getvalue().encode("utf-8")
 
 
 class TestPredictionFiles:
@@ -295,18 +342,87 @@ class TestPredictionFiles:
             read_prediction_file(path)
 
     @pytest.mark.parametrize("with_labels", [True, False])
-    def test_writer_matches_csv_writer(self, tmp_path, with_labels):
-        rows = np.array([[-0.0, 1.0], [1e-300, 1.0], [1.0 / 3.0, 2.0 / 3.0], [0.5, 0.5]])
-        outputs = np.tile(rows, (WRITE_CHUNK_ROWS // 4 + 1, 1))  # spans two chunks
-        labels = np.arange(len(outputs)) % 2 if with_labels else None
-        ref = io.StringIO(newline="")
-        writer = csv.writer(ref)
-        writer.writerow(["a", "b"] + (["label"] if with_labels else []))
-        for i, row in enumerate(outputs):
-            writer.writerow([f"{v:.12g}" for v in row] + ([str(labels[i])] if with_labels else []))
+    @settings(max_examples=60, deadline=None)
+    @given(case=writer_rows())
+    @example(case=(np.tile([[-0.0, 1.0], [1e-300, 1.0], [1 / 3, 2 / 3], [0.0, 1.0]], (WRITE_CHUNK_ROWS // 4 + 1, 1)),
+                   np.arange(WRITE_CHUNK_ROWS + 4) % 2))  # repeats that span two chunks
+    @example(case=(np.array([[0.5, 0.5]]), np.array([1])))
+    def test_writer_matches_csv_writer(self, with_labels, case):
+        """The file is csv.writer's, byte for byte, and reads back as the
+        rows within 1e-12 and the labels exactly."""
+        outputs, labels = case
+        labels = labels if with_labels else None
+        names = [f"c{j}" for j in range(outputs.shape[1])]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "w.csv"
+            write_prediction_file(path, outputs, labels, class_names=names)
+            assert path.read_bytes() == csv_writer_bytes(outputs, labels, names)
+            back, back_labels, index, back_names = read_prediction_file(path)
+        assert back_names == names
+        np.testing.assert_allclose(back[index], outputs, rtol=0, atol=1e-12)
+        if with_labels:
+            np.testing.assert_array_equal(back_labels[index], labels)
+        else:
+            assert back_labels is None
+
+    @pytest.mark.parametrize("outputs, labels, names, message", [
+        ([[0.5, 0.5]], [1.7], None, r"row 0: label 1\.7 is not a class index in \[0, 2\)"),
+        ([[0.5, 0.5], [0.5, 0.5]], [0, -1], None, r"row 1: label -1 is not a class index"),
+        ([[0.5, 0.5]], [2], None, r"row 0: label 2 is not a class index"),
+        ([[0.5, 0.5]], [np.nan], None, r"row 0: label nan is not a class index"),
+        ([[0.5, 0.5]], [0, 1], None, "2 labels for 1 prediction rows"),
+        ([[0.5, 0.5]], ["1"], None, "labels must be integers"),
+        ([[0.5, 0.5]], None, ["a", "b", "c"], "3 class names for 2 class columns"),
+        ([[0.5, 0.5]], None, ["a", " label"], "label column"),
+        ([[0.5, 0.5], [2.0, 1.0]], None, None, "prediction row 1: probabilities sum to 3"),
+        ([[0.5, 0.5], [np.nan, 1.0]], [0, 1], None, "prediction row 1: .*non-finite"),
+        ([[1.5, -0.5]], None, None, "prediction row 0: negative"),
+        (np.empty((0, 2)), None, None, "nonempty"),
+        ([[1.0]], None, None, "at least two class columns"),
+    ])
+    def test_writer_rejects_what_reader_would_not_read_back(self, tmp_path, outputs, labels, names, message):
         path = tmp_path / "w.csv"
-        write_prediction_file(path, outputs, labels, class_names=["a", "b"])
-        assert path.read_bytes() == ref.getvalue().encode("utf-8")
+        with pytest.raises(InputError, match=message):
+            write_prediction_file(path, np.array(outputs, dtype=float), labels, class_names=names)
+        assert not path.exists()
+
+    @staticmethod
+    def traced_peak(write) -> int:
+        """The tracemalloc peak, in bytes, of a call to write()."""
+        tracemalloc.start()
+        try:
+            write()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_writer_memory_on_distinct_rows(self, tmp_path):
+        """Writing 100,000 distinct labelled rows holds about one chunk of
+        text; holding every row's text at once peaks near 20 MB."""
+        rng = np.random.default_rng(0)
+        p = rng.random(100_000)
+        outputs, labels = np.column_stack([p, 1.0 - p]), rng.integers(0, 2, p.size)
+        assert self.traced_peak(lambda: write_prediction_file(tmp_path / "w.csv", outputs, labels)) < 8_000_000
+
+    def test_writer_holds_a_text_until_its_last_row_only(self, tmp_path):
+        """With one row repeated, so that the rows go through the grouped
+        path, a row's text is dropped after its group's last row: the peak
+        after grouping stays under 8 MB, where keeping every text makes it
+        about 12 MB."""
+        rng = np.random.default_rng(0)
+        p = rng.random(100_000)
+        outputs, labels = np.column_stack([p, 1.0 - p]), rng.integers(0, 2, p.size)
+        outputs[-1], labels[-1] = outputs[0], labels[0]
+
+        def group_then_reset_peak(keys):
+            grouped = group_rows(keys)
+            tracemalloc.reset_peak()
+            return grouped
+
+        with mock.patch.object(labelshift.io, "group_rows", group_then_reset_peak):
+            peak = self.traced_peak(lambda: write_prediction_file(tmp_path / "w.csv", outputs, labels))
+        assert peak < 8_000_000
+        np.testing.assert_array_equal(read_lines(tmp_path / "w.csv")[1], labels)
 
     @settings(max_examples=300, deadline=None)
     @given(text=prediction_csv_text())
