@@ -30,16 +30,19 @@ only source of error messages, and it returns what the parses return on
 every file both accept. A handle that cannot seek back, such as a pipe, is
 read into memory first.
 
-`write_prediction_file` writes only what the reader reads back, to 12 digits:
-rows as `ProbVector` accepts them, labels that are integers in [0, k), k >= 2
-class names whose last is not "label" when there is no label column. Each
-check covers a whole column and names the first bad row, before the file is
-opened. Rows are keyed by their float64 bits and label and grouped once, so
--0.0 and 0.0, whose text differs, stay apart, and each group's text is
-formatted once; a chunk of WRITE_CHUNK_ROWS rows is written as the join of
-its rows' texts. A text is held from its group's first row until its last
-row is written, so the text held is a chunk's and that of the groups still
-open; a file of distinct rows holds one chunk of text.
+`write_prediction_file` writes only what the reader reads back: rows that
+the reader's own whole-column check (`_unreadable_rows`) accepts, labels that
+are integers in [0, k), n >= 1 rows, k >= 2 class names whose last is not
+"label" when there is no label column. Each check covers a whole column and
+names the first bad row, before the file is opened. The reader gets back each
+row's 12-digit text, renormalized to sum 1. Rows are checked as float64
+values and read back as their text, whose row sums differ by up to 5e-12, so
+only a row that close to a limit can be refused by one and not the other.
+Rows are written WRITE_CHUNK_ROWS at a time: a chunk's rows are keyed by
+their float64 bits and label and grouped, so -0.0 and 0.0, whose text
+differs, stay apart; each distinct row of the chunk is formatted once, and
+the chunk is written as the join of its rows' texts. The text held is one
+chunk's.
 """
 from __future__ import annotations
 
@@ -54,9 +57,9 @@ import warnings
 import numpy as np
 
 from .errors import InputError
-from .simplex import ROW_SUM_TOL, _check_rows, group_rows, row_sums
+from .simplex import ROW_SUM_TOL, group_rows, row_sums
 
-WRITE_CHUNK_ROWS = 4096  # rows written at once: the text held is theirs and the open groups'
+WRITE_CHUNK_ROWS = 4096  # rows grouped and written at once, which bounds the text held
 PROBE_LINES = 4096  # body lines whose repeats choose how the rest is parsed
 CHUNK_BYTES = 1 << 20  # bytes read at once
 BLANK_LINES = (b"\n", b"\r\n", b"\r")  # the blank lines the block cut gives
@@ -208,15 +211,19 @@ def _parse_lines(lines, k: int, has_label: bool):
     probs = data["p"]
     labels = data["y"].copy() if has_label else None
     s = row_sums(probs)
-    # NaN fails every comparison and an inf entry makes its row sum inf, so
-    # these also reject non-finite entries
-    if not (
-        (probs >= -ROW_SUM_TOL).all()
-        and (np.abs(s - 1.0) <= ROW_SUM_TOL).all()
-        and (labels is None or ((labels >= 0) & (labels < k)).all())
-    ):
+    if _unreadable_rows(probs, s).any() or not (labels is None or ((labels >= 0) & (labels < k)).all()):
         return None
     return np.maximum(probs, 0.0) / np.maximum(s, 1e-300)[:, None], labels
+
+
+def _unreadable_rows(probs: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """Mask of the rows of an (n, k) array, with their sums, that a prediction
+    file may not hold: a sum off from 1 by more than ROW_SUM_TOL, which any
+    non-finite entry gives (its row sums to inf or NaN), or an entry below
+    -ROW_SUM_TOL."""
+    bad = ~(np.abs(sums - 1.0) <= ROW_SUM_TOL)
+    bad[np.flatnonzero(probs < -ROW_SUM_TOL) // probs.shape[1]] = True
+    return bad
 
 
 def _read_rows(fh, name: str):
@@ -268,51 +275,37 @@ def write_prediction_file(path, outputs: np.ndarray, labels=None, class_names=No
     integers and \r\n line endings, the bytes a csv.writer writes for them.
     Inputs that `read_prediction_file` would reject or read back otherwise
     are an InputError naming the first bad row, raised before the file is
-    opened. Each distinct row's text is formatted once and held until its
-    last line is written."""
+    opened. Each chunk of WRITE_CHUNK_ROWS rows formats each of its distinct
+    rows once."""
     outputs = np.ascontiguousarray(outputs, dtype=float)
-    _check_rows(outputs, "prediction")
+    if outputs.ndim != 2 or outputs.shape[0] == 0 or outputs.shape[1] < 2:
+        raise InputError(f"prediction rows must form an (n, k) array, n >= 1 and k >= 2, not {outputs.shape}")
     n, k = outputs.shape
-    if k < 2:
-        raise InputError("need at least two class columns")
+    bad = _unreadable_rows(outputs, row_sums(outputs))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InputError(
+            f"prediction row {i}: {outputs[i].tolist()} is not a probability row: entries must be "
+            f"finite and at least -{ROW_SUM_TOL}, summing to 1 within {ROW_SUM_TOL}"
+        )
     names = [f"class_{i}" for i in range(k)] if class_names is None else list(class_names)
     if len(names) != k:
         raise InputError(f"{len(names)} class names for {k} class columns")
     if labels is None and str(names[-1]).strip() == "label":
         raise InputError("a last class name 'label' would read back as the label column")
-    # rows are keyed by their bits, so -0.0 and 0.0, whose text differs, stay apart
-    keys = outputs.view(np.int64)
     if labels is not None:
         labels = _label_column(labels, n, k)
-        keys = np.column_stack((keys, labels))
-    first, group = group_rows(keys)
-    del keys
     fmt = ",".join(["%.12g"] * k) + (",%d" if labels is not None else "") + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(names + (["label"] if labels is not None else []))
-        if first.size == n:  # no row repeats: each chunk is formatted where it stands
-            for start in range(0, n, WRITE_CHUNK_ROWS):
-                fh.write("".join(_row_texts(fmt, outputs, labels, slice(start, start + WRITE_CHUNK_ROWS))))
-            return
-        order = np.argsort(group, kind="stable")  # each group's rows in turn, in row order
-        ends = np.ones(n, dtype=bool)  # whether a row is the last of its group
-        ends[order[:-1]] = group[order[1:]] != group[order[:-1]]
-        del order
-        texts = np.empty(first.size, dtype=object)  # each group's text, from its first row to its last
         for start in range(0, n, WRITE_CHUNK_ROWS):
             chunk = slice(start, start + WRITE_CHUNK_ROWS)
-            lo, hi = first.searchsorted([start, start + WRITE_CHUNK_ROWS])
-            texts[lo:hi] = _row_texts(fmt, outputs, labels, first[lo:hi])
-            fh.write("".join(texts[group[chunk]].tolist()))
-            texts[group[chunk][ends[chunk]]] = None
-
-
-def _row_texts(fmt: str, outputs: np.ndarray, labels, rows) -> list[str]:
-    """The text of each row of `outputs[rows]`, with its label if any."""
-    cols = outputs[rows].T.tolist()
-    if labels is not None:
-        cols.append(labels[rows].tolist())
-    return [fmt % row for row in zip(*cols)]
+            rows, lab = outputs[chunk], None if labels is None else labels[chunk]
+            keys = rows.view(np.int64)  # bits, so -0.0 and 0.0, whose text differs, stay apart
+            first, group = group_rows(keys if lab is None else np.column_stack((keys, lab)))
+            cols = rows[first].T.tolist() + ([] if lab is None else [lab[first].tolist()])
+            texts = [fmt % row for row in zip(*cols)]
+            fh.write("".join([texts[i] for i in group.tolist()]))
 
 
 def _label_column(labels, n: int, k: int) -> np.ndarray:
@@ -320,7 +313,7 @@ def _label_column(labels, n: int, k: int) -> np.ndarray:
     InputError names the first that is not one."""
     lab = np.asarray(labels)
     if lab.shape != (n,):
-        raise InputError(f"{lab.size} labels for {n} prediction rows")
+        raise InputError(f"labels of shape {lab.shape} for {n} prediction rows")
     if lab.dtype.kind not in "biuf":
         raise InputError(f"labels must be integers, not {lab.dtype}")
     with np.errstate(invalid="ignore"):  # NaN and inf fail the tests below

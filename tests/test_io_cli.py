@@ -34,7 +34,7 @@ from labelshift.io import (
     write_prediction_file,
 )
 from labelshift.predictors import GmmSpec
-from labelshift.simplex import ProbVector, WeightVector, group_rows
+from labelshift.simplex import ProbVector, WeightVector
 from labelshift.simulation import MEMORY_BYTES, ExperimentConfig, ShiftSpec, draw_trial
 from tests.conftest import F_ROWS, PS_ROWS, W_MISCAL_OPT, face_rlls, time_bound
 
@@ -370,21 +370,41 @@ class TestPredictionFiles:
         ([[0.5, 0.5], [0.5, 0.5]], [0, -1], None, r"row 1: label -1 is not a class index"),
         ([[0.5, 0.5]], [2], None, r"row 0: label 2 is not a class index"),
         ([[0.5, 0.5]], [np.nan], None, r"row 0: label nan is not a class index"),
-        ([[0.5, 0.5]], [0, 1], None, "2 labels for 1 prediction rows"),
+        ([[0.5, 0.5]], [0, 1], None, r"labels of shape \(2,\) for 1 prediction rows"),
+        ([[0.5, 0.5], [0.5, 0.5]], [[0], [1]], None, r"labels of shape \(2, 1\) for 2 prediction rows"),
         ([[0.5, 0.5]], ["1"], None, "labels must be integers"),
         ([[0.5, 0.5]], None, ["a", "b", "c"], "3 class names for 2 class columns"),
         ([[0.5, 0.5]], None, ["a", " label"], "label column"),
-        ([[0.5, 0.5], [2.0, 1.0]], None, None, "prediction row 1: probabilities sum to 3"),
-        ([[0.5, 0.5], [np.nan, 1.0]], [0, 1], None, "prediction row 1: .*non-finite"),
-        ([[1.5, -0.5]], None, None, "prediction row 0: negative"),
-        (np.empty((0, 2)), None, None, "nonempty"),
-        ([[1.0]], None, None, "at least two class columns"),
+        ([[0.5, 0.5], [2.0, 1.0]], None, None, r"prediction row 1: \[2\.0, 1\.0\] is not a probability row"),
+        ([[0.5, 0.5], [np.nan, 1.0]], [0, 1], None, r"prediction row 1: \[nan, 1\.0\]"),
+        ([[0.5, 0.5], [np.inf, 1.0]], None, None, r"prediction row 1: \[inf, 1\.0\]"),
+        ([[1.5, -0.5]], None, None, r"prediction row 0: \[1\.5, -0\.5\]"),
+        ([[0.5, 0.5], [0.5, 0.5 + 2e-6]], None, None, "prediction row 1: "),
+        ([[1.0 + 2e-6, -2e-6]], None, None, "prediction row 0: "),
+        (np.empty((0, 2)), None, None, r"n >= 1 and k >= 2, not \(0, 2\)"),
+        ([[1.0]], None, None, r"n >= 1 and k >= 2, not \(1, 1\)"),
     ])
     def test_writer_rejects_what_reader_would_not_read_back(self, tmp_path, outputs, labels, names, message):
         path = tmp_path / "w.csv"
         with pytest.raises(InputError, match=message):
             write_prediction_file(path, np.array(outputs, dtype=float), labels, class_names=names)
         assert not path.exists()
+
+    @pytest.mark.parametrize("outputs", [
+        [[0.5, 0.5 + 1e-7]],  # off from 1 by 1e-7: beyond 1e-9, within the reader's 1e-6
+        [[0.5, 0.5 - 9e-7], [1.0 - 1e-7, 0.0]],
+        [[-1e-17, 1.0], [1.0, -0.0]],  # a negative entry the reader clamps to 0
+        np.array([[0.1, 0.2, 0.7], [1 / 3, 1 / 3, 1 / 3]], dtype=np.float32),  # float32 rows, cast
+    ])
+    def test_writer_accepts_what_reader_renormalizes(self, tmp_path, outputs):
+        """Rows the reader accepts and renormalizes are written, and read
+        back as the rows clamped at 0 and divided by their sums."""
+        outputs = np.asarray(outputs, dtype=float)
+        path = tmp_path / "w.csv"
+        write_prediction_file(path, outputs, np.zeros(len(outputs), dtype=int))
+        back, _, index, _ = read_prediction_file(path)
+        expected = np.maximum(outputs, 0.0) / outputs.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(back[index], expected, rtol=0, atol=1e-12)
 
     @staticmethod
     def traced_peak(write) -> int:
@@ -403,26 +423,6 @@ class TestPredictionFiles:
         p = rng.random(100_000)
         outputs, labels = np.column_stack([p, 1.0 - p]), rng.integers(0, 2, p.size)
         assert self.traced_peak(lambda: write_prediction_file(tmp_path / "w.csv", outputs, labels)) < 8_000_000
-
-    def test_writer_holds_a_text_until_its_last_row_only(self, tmp_path):
-        """With one row repeated, so that the rows go through the grouped
-        path, a row's text is dropped after its group's last row: the peak
-        after grouping stays under 8 MB, where keeping every text makes it
-        about 12 MB."""
-        rng = np.random.default_rng(0)
-        p = rng.random(100_000)
-        outputs, labels = np.column_stack([p, 1.0 - p]), rng.integers(0, 2, p.size)
-        outputs[-1], labels[-1] = outputs[0], labels[0]
-
-        def group_then_reset_peak(keys):
-            grouped = group_rows(keys)
-            tracemalloc.reset_peak()
-            return grouped
-
-        with mock.patch.object(labelshift.io, "group_rows", group_then_reset_peak):
-            peak = self.traced_peak(lambda: write_prediction_file(tmp_path / "w.csv", outputs, labels))
-        assert peak < 8_000_000
-        np.testing.assert_array_equal(read_lines(tmp_path / "w.csv")[1], labels)
 
     @settings(max_examples=300, deadline=None)
     @given(text=prediction_csv_text())
